@@ -90,7 +90,8 @@ def _parse_word(text: str) -> MoebiusMap:
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (result_dict, passed, artifacts)
-# artifacts: list of (filename, kind, payload); kind in {"csv", "jsonl"}
+# artifacts: list of (filename, kind, payload); kind "csv" carries a writer
+# called with the path only when the CSV is written, kind "jsonl" the records
 
 
 def _cmd_validate_operator(args):
@@ -163,15 +164,7 @@ def _cmd_radial_shoot(args):
         "max_unit_residual": unit_res,
         "pass": passed,
     }
-    rows = list(
-        zip(
-            profile.r.tolist(),
-            profile.v.tolist(),
-            profile.vp.tolist(),
-            profile.vpp.tolist(),
-        )
-    )
-    return result, passed, [("profile.csv", "csv", (("r", "v", "vp", "vpp"), rows))]
+    return result, passed, [("profile.csv", "csv", profile.write_csv)]
 
 
 def _ring_centers(n: int, radius: float, count: int) -> np.ndarray:
@@ -237,7 +230,9 @@ def _cmd_moving_sphere(args):
         for x, val in zip(centers, alpha.values):
             cr = critical_radius(u, x, cfg)
             rows.append(tuple(x.tolist()) + (cr.lambda_bar, val))
-        artifacts.append(("sweep.csv", "csv", (header, rows)))
+        artifacts.append(
+            ("sweep.csv", "csv", lambda path: reporting.write_csv(path, header, rows))
+        )
     return result, passed, artifacts
 
 
@@ -454,8 +449,7 @@ def _cmd_solve_yamabe(args):
         )
     ]
     if res.final is not None:
-        rows = list(zip(res.final.nodes().tolist(), res.final.values.tolist()))
-        artifacts.append(("grid.csv", "csv", (("t_node", "u"), rows)))
+        artifacts.append(("grid.csv", "csv", res.final.write_csv))
     return result, passed, artifacts
 
 
@@ -635,8 +629,7 @@ def main(argv=None) -> int:
     )
     for name, kind, payload_ in artifacts:
         if kind == "csv" and (args.format in ("csv", "both") or name == "sweep.csv"):
-            header, rows = payload_
-            reporting.write_csv(out_dir / name, header, rows)
+            payload_(out_dir / name)
         elif kind == "jsonl":
             with open(out_dir / name, "w", newline="") as fh:
                 for rec in payload_:

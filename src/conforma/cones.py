@@ -173,13 +173,18 @@ class HomotopyCone(ConeSpec):
 
 @dataclass(frozen=True)
 class CurvatureOperator:
-    """Symmetric operator f together with its admissibility cone."""
+    """Symmetric operator f together with its admissibility cone.
+
+    sigma_order is k when f is sigma_k^{1/k} on Gamma_k (set by
+    make_sigma_k_operator), which licenses closed-form solves; None otherwise.
+    """
 
     name: str
     f: Callable[[Sequence[float]], float]
     grad_f: Callable[[Sequence[float]], np.ndarray]
     cone: ConeSpec
     homogeneous_degree: Optional[float] = None
+    sigma_order: Optional[int] = None
 
     def __call__(self, lam) -> float:
         return self.f(lam)
@@ -226,7 +231,20 @@ def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
         grad_f=grad_f,
         cone=cone,
         homogeneous_degree=1.0,
+        sigma_order=k,
     )
+
+
+def two_cluster_sigmas(a: float, b: float, m: int, k: int) -> list:
+    """sigma_1..sigma_k of the spectrum (a, b repeated m times).
+
+    Binomial closed form sigma_j = C(m,j) b^j + a C(m,j-1) b^(j-1): affine
+    in a, no sorting or product expansion.
+    """
+    return [
+        math.comb(m, j) * b**j + a * math.comb(m, j - 1) * b ** (j - 1)
+        for j in range(1, k + 1)
+    ]
 
 
 def solve_unit_level(

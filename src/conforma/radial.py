@@ -18,32 +18,35 @@ the cone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import reporting
-from .bubbles import BubbleParams, bubble_value
-from .cones import CurvatureOperator, solve_unit_level
-from .errors import ConeError, ConvergenceError, DomainError, PositivityError
-
-MAX_BRACKET_DOUBLINGS = 60
-ROOT_ITERS = 80
-ROOT_TOL = 1e-13
+from .bubbles import BubbleParams, bubble_values
+from .cones import CurvatureOperator, solve_unit_level, two_cluster_sigmas
+from .errors import ConeError, DomainError, PositivityError
 
 
-def _lambda_list(v: float, vp: float, w: float, r: float, n: int) -> list:
-    """Eigenvalue list (lam_rad, lam_tang x (n-1)) at r > 0; pure floats."""
+def _radial_parts(v: float, vp: float, r: float, n: int) -> tuple:
+    """(c1, rad0, lam_tang) at r > 0, with lam_rad = rad0 - c1 * v''."""
     if not v > 0.0:
         raise PositivityError(f"profile value v = {v:.6g} is not positive")
     q1 = v ** (-(n + 2.0) / (n - 2.0))
     q2 = v ** (-2.0 * n / (n - 2.0))
     c = 2.0 / (n - 2.0)
     vp2 = vp * vp
-    lam_rad = -c * q1 * w + c * (n - 1.0) / (n - 2.0) * q2 * vp2
-    lam_tang = -c * q1 * (vp / r) - c / (n - 2.0) * q2 * vp2
+    c1 = c * q1
+    rad0 = c * (n - 1.0) / (n - 2.0) * q2 * vp2
+    lam_tang = -c1 * (vp / r) - c / (n - 2.0) * q2 * vp2
+    return c1, rad0, lam_tang
+
+
+def _lambda_list(v: float, vp: float, w: float, r: float, n: int) -> list:
+    """Eigenvalue list (lam_rad, lam_tang x (n-1)) at r > 0; pure floats."""
+    c1, rad0, lam_tang = _radial_parts(v, vp, r, n)
     out = [lam_tang] * n
-    out[0] = lam_rad
+    out[0] = -c1 * w + rad0
     return out
 
 
@@ -93,78 +96,32 @@ def matched_bubble(op: CurvatureOperator, v0: float) -> BubbleParams:
     return BubbleParams(n=n, a=a, beta=beta)
 
 
-def implicit_vpp(
-    op: CurvatureOperator, v: float, vp: float, r: float, w_hint: float
-) -> float:
+def implicit_vpp(op: CurvatureOperator, v: float, vp: float, r: float) -> float:
     """Solve f(lam(v, v', w, r)) = 1 for the vertical slope w = v''.
 
-    The map is strictly decreasing in w where defined; cone violations occur
-    only on the large-w side, so they orient the bracket search. A bracket
-    that keeps failing on the small-w side after 60 doublings means the
-    tangential data has already left the cone.
+    The spectrum is (a, b x m) with a = lam_rad affine in w, b = lam_tang
+    free of w and m = n - 1. For f = sigma_k^{1/k} the equation reads
+    C(m,k) b^k + a C(m,k-1) b^(k-1) = 1, so a is one division away. The
+    divisor is sigma_{k-1} of the spectrum with a removed, positive on
+    Gamma_k: the data admit a slope exactly when the divisor is positive and
+    sigma_j(a, b^m) > 0 for every j < k.
     """
     if not r > 0:
         raise DomainError("implicit slope needs r > 0 (use vpp0_exact at 0)")
-    n = op.n
-
-    def geval(w):
-        try:
-            return op.f(_lambda_list(v, vp, w, r, n)) - 1.0
-        except ConeError:
-            return None  # inadmissible: w too large
-
-    step = max(0.25 * abs(w_hint), 1e-3)
-    g0 = geval(w_hint)
-    if g0 is not None and g0 == 0.0:
-        return w_hint
-    if g0 is None or g0 < 0.0:
-        hi, ghi = w_hint, g0
-        lo = w_hint
-        for _ in range(MAX_BRACKET_DOUBLINGS):
-            lo = lo - step
-            step *= 2.0
-            glo = geval(lo)
-            if glo is not None and glo > 0.0:
-                break
-            hi, ghi = lo, glo
-        else:
-            raise ConeError(
-                "no admissible vertical slope: data off the cone "
-                f"(v={v:.6g}, v'={vp:.6g}, r={r:.6g})"
-            )
-    else:
-        lo, glo = w_hint, g0
-        hi = w_hint
-        for _ in range(MAX_BRACKET_DOUBLINGS):
-            hi = hi + step
-            step *= 2.0
-            ghi = geval(hi)
-            if ghi is None or ghi < 0.0:
-                break
-            lo, glo = hi, ghi
-        else:
-            raise ConvergenceError(
-                "f(lam(w)) stayed above 1 along the large-w direction"
-            )
-
-    # secant inside the bracket, bisection fallback keeps it safe
-    for _ in range(ROOT_ITERS):
-        if ghi is not None and ghi != glo:
-            mid = hi - ghi * (hi - lo) / (ghi - glo)
-            if not (lo < mid < hi):
-                mid = 0.5 * (lo + hi)
-        else:
-            mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        gm = geval(mid)
-        if gm is not None and abs(gm) <= ROOT_TOL:
-            return mid
-        if gm is None or gm < 0.0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
+    k = op.sigma_order
+    if k is None:
+        raise DomainError(f"closed-form slope needs a sigma_k operator, got {op.name}")
+    m = op.n - 1
+    c1, rad0, b = _radial_parts(v, vp, r, m + 1)
+    div = math.comb(m, k - 1) * b ** (k - 1)
+    if div > 0.0:
+        a = (1.0 - math.comb(m, k) * b**k) / div
+        if all(s > 0.0 for s in two_cluster_sigmas(a, b, m, k - 1)):
+            return (rad0 - a) / c1
+    raise ConeError(
+        "no admissible vertical slope: data off the cone "
+        f"(v={v:.6g}, v'={vp:.6g}, r={r:.6g})"
+    )
 
 
 @dataclass
@@ -204,18 +161,17 @@ class RadialProfile:
 
 def _rk4_step(op, r, v, vp, w_node, h):
     """One RK4 step of (v, v')' = (v', w(r, v, v')); w_node is the slope at
-    the left node, reused as the k1 stage. Returns the new state and the k4
-    slope (warm start for the node solve)."""
+    the left node, reused as the k1 stage."""
     k1v, k1w = vp, w_node
     k2v = vp + 0.5 * h * k1w
-    k2w = implicit_vpp(op, v + 0.5 * h * k1v, k2v, r + 0.5 * h, k1w)
+    k2w = implicit_vpp(op, v + 0.5 * h * k1v, k2v, r + 0.5 * h)
     k3v = vp + 0.5 * h * k2w
-    k3w = implicit_vpp(op, v + 0.5 * h * k2v, k3v, r + 0.5 * h, k2w)
+    k3w = implicit_vpp(op, v + 0.5 * h * k2v, k3v, r + 0.5 * h)
     k4v = vp + h * k3w
-    k4w = implicit_vpp(op, v + h * k3v, k4v, r + h, k3w)
+    k4w = implicit_vpp(op, v + h * k3v, k4v, r + h)
     v_next = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     vp_next = vp + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    return v_next, vp_next, k4w
+    return v_next, vp_next
 
 
 def shoot(
@@ -249,7 +205,7 @@ def shoot(
     v1 = v0 + 0.5 * w0 * h * h
     vp1 = w0 * h
     try:
-        w1 = implicit_vpp(op, v1, vp1, h, w0)
+        w1 = implicit_vpp(op, v1, vp1, h)
         rs.append(h)
         vs.append(v1)
         vps.append(vp1)
@@ -264,8 +220,8 @@ def shoot(
         for i in range(1, steps):
             r = i * h
             try:
-                v, vp, w_k4 = _rk4_step(op, r, v, vp, w, h)
-                w = implicit_vpp(op, v, vp, r + h, w_k4)
+                v, vp = _rk4_step(op, r, v, vp, w, h)
+                w = implicit_vpp(op, v, vp, r + h)
             except ConeError:
                 status = "cone_exit"
                 break
@@ -294,17 +250,17 @@ def bubble_deviation(profile: RadialProfile, params: BubbleParams) -> float:
     """sup over grid nodes of |v(r_i) - bubble(r_i)|."""
     if params.n != profile.n:
         raise DomainError("dimension mismatch between profile and bubble")
-    worst = 0.0
-    for r, v in zip(profile.r.tolist(), profile.v.tolist()):
-        denom = 1.0 + params.beta * r * r
-        if denom <= 0.1:
-            raise DomainError(
-                f"bubble denominator {denom:.3g} too close to its pole at r={r:g}"
-            )
-        x = np.zeros(profile.n)
-        x[0] = r
-        worst = max(worst, abs(v - bubble_value(params, x)))
-    return worst
+    r = profile.r
+    denom = 1.0 + params.beta * r * r
+    near_pole = denom <= 0.1
+    if np.any(near_pole):
+        i = int(np.argmax(near_pole))
+        raise DomainError(
+            f"bubble denominator {denom[i]:.3g} too close to its pole at r={r[i]:g}"
+        )
+    x = np.zeros((len(r), profile.n))
+    x[:, 0] = r
+    return float(np.max(np.abs(profile.v - bubble_values(params, x)), initial=0.0))
 
 
 def profile_max_unit_residual(op: CurvatureOperator, profile: RadialProfile) -> float:

@@ -1,16 +1,19 @@
-"""Shared constructions for the conjugation tests: a pole-safe random
-Moebius word generator and the standing catalog of conformal factors."""
+"""Shared constructions for the tests: a pole-safe random Moebius word
+generator, the standing catalog of conformal factors, and a generic
+root-search oracle for the radial slope solve."""
 
 import numpy as np
 
 from conforma.bubbles import BubbleParams
 from conforma.conformal import Invert, MoebiusMap, Scale, Translate
+from conforma.errors import ConeError, ConvergenceError, DomainError
 from conforma.fields import (
     BubbleField,
     ConstantField,
     GaussianBumpField,
     HarmonicPowerField,
 )
+from conforma.radial import radial_eigenvalues
 
 
 def random_word(rng, n):
@@ -45,3 +48,83 @@ def catalog_fields(n):
         GaussianBumpField(n, base=1.0, amp=0.3, width=1.2),
         HarmonicPowerField(n),
     ]
+
+
+def implicit_vpp_bracket(op, v, vp, r):
+    """Reference slope solve: f(lam(v, v', w, r)) = 1 by root search on op.f.
+
+    Works for any operator. w -> f(lam(w)) is strictly decreasing where
+    defined and cone violations occur only on the large-w side, so they
+    orient the bracket search; 60 failed doublings on the small-w side mean
+    the tangential data has left the cone. Secant inside the bracket with a
+    bisection fallback; an end kept twice in a row has its value halved (the
+    Illinois rule), so the bracket shrinks from both sides down to the
+    floating-point floor.
+    """
+    if not r > 0:
+        raise DomainError("implicit slope needs r > 0")
+    n = op.n
+
+    def geval(w):
+        lam = radial_eigenvalues(v, vp, w, r, n)
+        try:
+            return op.f(lam) - 1.0
+        except ConeError:
+            return None  # inadmissible: w too large
+
+    step = 1e-3
+    g0 = geval(0.0)
+    if g0 == 0.0:
+        return 0.0
+    if g0 is None or g0 < 0.0:
+        hi, ghi = 0.0, g0
+        lo = 0.0
+        for _ in range(60):
+            lo = lo - step
+            step *= 2.0
+            glo = geval(lo)
+            if glo is not None and glo > 0.0:
+                break
+            hi, ghi = lo, glo
+        else:
+            raise ConeError(
+                "no admissible vertical slope: data off the cone "
+                f"(v={v:.6g}, v'={vp:.6g}, r={r:.6g})"
+            )
+    else:
+        lo, glo = 0.0, g0
+        hi = 0.0
+        for _ in range(60):
+            hi = hi + step
+            step *= 2.0
+            ghi = geval(hi)
+            if ghi is None or ghi < 0.0:
+                break
+            lo, glo = hi, ghi
+        else:
+            raise ConvergenceError("f(lam(w)) stayed above 1 along the large-w direction")
+
+    kept = None  # the end that survived the previous step
+    for _ in range(80):
+        if ghi is not None and ghi != glo:
+            mid = hi - ghi * (hi - lo) / (ghi - glo)
+            if not (lo < mid < hi):
+                mid = 0.5 * (lo + hi)
+        else:
+            mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        gm = geval(mid)
+        if gm == 0.0:
+            return mid
+        if gm is None or gm < 0.0:
+            hi, ghi = mid, gm
+            if kept == "lo":
+                glo *= 0.5
+            kept = "lo"
+        else:
+            lo, glo = mid, gm
+            if kept == "hi" and ghi is not None:
+                ghi *= 0.5
+            kept = "hi"
+    return 0.5 * (lo + hi)

@@ -39,12 +39,34 @@ def test_radial_shoot_csv_gating(tmp_path):
     args = ("radial-shoot", "--n", "3", "--k", "1", "--h", "1e-3", "--r-max", "0.5")
     rc = run(tmp_path / "a", *args)
     assert rc == 0
-    assert not (tmp_path / "a" / "profile.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+        "manifest.json", "result.json",
+    ]
     rc = run(tmp_path / "b", *args, "--format", "csv")
     assert rc == 0
     prof = tmp_path / "b" / "profile.csv"
     assert prof.exists()
-    assert prof.read_text().splitlines()[0] == "r,v,vp,vpp"
+    lines = prof.read_text().splitlines()
+    assert lines[0] == "r,v,vp,vpp"
+    # one row per node, from the center to r_max
+    nodes = read_result(tmp_path / "b")["result"]["profile"]["nodes"]
+    assert nodes == 501
+    assert len(lines) == nodes + 1
+    assert [float(x) for x in lines[1].split(",")][:3] == [0.0, 1.0, 0.0]
+    assert float(lines[-1].split(",")[0]) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (5, 3)])
+def test_radial_shoot_deterministic_and_accurate(tmp_path, n, k):
+    args = ("radial-shoot", "--n", str(n), "--k", str(k), "--h", "1e-3")
+    assert run(tmp_path / "a", *args) == 0
+    assert run(tmp_path / "b", *args) == 0
+    raw = (tmp_path / "a" / "result.json").read_bytes()
+    assert raw == (tmp_path / "b" / "result.json").read_bytes()
+    res = read_result(tmp_path / "a")["result"]
+    assert res["profile"]["status"] == "ok"
+    assert res["sup_error"] <= res["sup_tol"]
+    assert res["max_unit_residual"] <= 1e-13
 
 
 def test_moving_sphere_sweep(tmp_path):

@@ -4,7 +4,15 @@ implicit vertical slope, RK4 convergence."""
 import numpy as np
 import pytest
 
-from conforma.cones import make_sigma_k_operator
+from helpers import implicit_vpp_bracket
+
+from conforma.cones import (
+    homogenize,
+    homotopy_operator,
+    make_sigma_k_operator,
+    sigma_all,
+    two_cluster_sigmas,
+)
 from conforma.errors import ConeError, DomainError, PositivityError
 from conforma.radial import (
     bubble_deviation,
@@ -17,7 +25,7 @@ from conforma.radial import (
     shoot,
     vpp0_exact,
 )
-from conforma.bubbles import bubble_value
+from conforma.bubbles import BubbleParams, bubble_value
 
 
 def test_mu_star_closed_forms():
@@ -73,7 +81,7 @@ def test_implicit_vpp_recovers_bubble_second_derivative():
     vpp_true = (
         -2.0 * e * p.a**e * p.beta * rr2 ** (-e - 2.0) * (1.0 - (2.0 * e + 1.0) * p.beta * r * r)
     )
-    w = implicit_vpp(op, v, vp, r, w_hint=vpp_true * 1.3)
+    w = implicit_vpp(op, v, vp, r)
     assert w == pytest.approx(vpp_true, rel=1e-11)
 
 
@@ -81,7 +89,74 @@ def test_implicit_vpp_rejects_off_cone_data():
     op = make_sigma_k_operator(5, 2)
     # v' > 0 far from the center forces the tangential eigenvalues negative
     with pytest.raises(ConeError):
-        implicit_vpp(op, 1.0, 1.0, 0.5, w_hint=-1.0)
+        implicit_vpp(op, 1.0, 1.0, 0.5)
+
+
+WORKLOAD_PAIRS = [(3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (5, 3)]
+
+
+def _slope_inputs(op, seed):
+    """(v, v', r) from two shot profiles plus seeded random draws; the
+    draws include off-cone data for k >= 2."""
+    pts = []
+    for v0 in (0.5, 2.0):
+        prof = shoot(op, v0, h=1e-2, r_max=0.9)
+        for i in range(1, len(prof), 9):
+            pts.append((float(prof.v[i]), float(prof.vp[i]), float(prof.r[i])))
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        v = rng.uniform(0.2, 3.0)
+        r = rng.uniform(0.01, 1.5)
+        pts.append((v, -rng.uniform(0.0, 3.0) * v * r, r))
+    pts.append((1.0, 1.0, 0.5))
+    return pts
+
+
+def _outcome(solve, op, v, vp, r):
+    try:
+        return solve(op, v, vp, r)
+    except ConeError:
+        return "cone"
+
+
+@pytest.mark.parametrize("n,k", WORKLOAD_PAIRS)
+def test_implicit_vpp_matches_root_search_oracle(n, k):
+    op = make_sigma_k_operator(n, k)
+    solved = off_cone = 0
+    for v, vp, r in _slope_inputs(op, seed=100 * n + k):
+        w = _outcome(implicit_vpp, op, v, vp, r)
+        w_ref = _outcome(implicit_vpp_bracket, op, v, vp, r)
+        if w_ref == "cone":
+            assert w == "cone", (v, vp, r, w)
+            off_cone += 1
+        else:
+            assert w != "cone", (v, vp, r, w_ref)
+            assert w == pytest.approx(w_ref, rel=1e-12), (v, vp, r)
+            solved += 1
+    assert solved >= 20
+    # sigma_1 operators admit a slope for every positive v
+    assert (off_cone == 0) if k == 1 else (off_cone >= 2)
+    for solve in (implicit_vpp, implicit_vpp_bracket):
+        with pytest.raises(PositivityError):
+            solve(op, 0.0, -0.1, 0.5)
+        with pytest.raises(PositivityError):
+            solve(op, -1.0, -0.1, 0.5)
+    # the closed form needs a recorded sigma_k order
+    assert op.sigma_order == k
+    for other in (homogenize(op), homotopy_operator(op, 0.5)):
+        assert other.sigma_order is None
+        with pytest.raises(DomainError):
+            implicit_vpp(other, 1.0, -0.1, 0.5)
+
+
+@pytest.mark.parametrize("n,k", WORKLOAD_PAIRS)
+def test_two_cluster_sigmas_match_product_expansion(n, k):
+    rng = np.random.default_rng(7 * n + k)
+    for _ in range(20):
+        a, b = rng.normal(size=2)
+        got = two_cluster_sigmas(a, b, n - 1, k)
+        want = sigma_all([a] + [b] * (n - 1))[:k]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (3, 3), (5, 2)])
@@ -127,6 +202,14 @@ def test_bubble_deviation_dimension_check():
     prof = shoot(op, 1.0, h=0.1, r_max=0.5)
     with pytest.raises(DomainError):
         bubble_deviation(prof, matched_bubble(make_sigma_k_operator(4, 2), 1.0))
+
+
+def test_bubble_deviation_pole_check():
+    prof = shoot(make_sigma_k_operator(3, 1), 1.0, h=0.1, r_max=0.5)
+    # 1 - 4 r^2 is 0.36 at r = 0.4 and reaches the pole at r = 0.5
+    with pytest.raises(DomainError, match="r=0.5"):
+        bubble_deviation(prof, BubbleParams(n=3, a=1.0, beta=-4.0))
+    assert bubble_deviation(prof, BubbleParams(n=3, a=1.0, beta=-3.0)) > 0.0
 
 
 def test_profile_serialization(tmp_path):
