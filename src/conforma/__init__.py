@@ -47,7 +47,6 @@ from .conformal import (
     product_eigenvalues,
     pullback_u,
     schouten_eigen_flat,
-    schouten_eigen_product,
     sphere_inversion_map,
     sphere_inversion_u,
     sphere_inversion_value,

@@ -226,10 +226,10 @@ def _cmd_moving_sphere(args):
     artifacts = []
     if args.emit_sweep_csv:
         header = tuple(f"x{i}" for i in range(n)) + ("lambda_bar", "alpha")
-        rows = []
-        for x, val in zip(centers, alpha.values):
-            cr = critical_radius(u, x, cfg)
-            rows.append(tuple(x.tolist()) + (cr.lambda_bar, val))
+        rows = [
+            tuple(x.tolist()) + (lam, val)
+            for x, lam, val in zip(centers, alpha.lambda_bars, alpha.values)
+        ]
         artifacts.append(
             ("sweep.csv", "csv", lambda path: reporting.write_csv(path, header, rows))
         )

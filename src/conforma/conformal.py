@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PositivityError, SingularityError
-from .fields import CircleField, FDField, ScalarField, finite_difference
+from .fields import FDField, ScalarField, finite_difference
 from .jacobi import jacobi_eigenvalues
 
 POLE_GUARD_ANALYTIC = 1e-12
@@ -341,11 +341,16 @@ def product_background_eigenvalues(n: int) -> np.ndarray:
     return lam
 
 
-def product_eigenvalues(vv: float, vp: float, vpp: float, n: int) -> np.ndarray:
+def product_eigenvalues(vv, vp, vpp, n: int) -> np.ndarray:
     """Eigenvalues (lambda_t, lambda_s, ..., lambda_s) of the conformal
-    Schouten tensor on S^1(L) x S^{n-1} for the factor v at one point."""
-    if not vv > 0:
-        raise PositivityError(f"profile value {vv:.6g} is not positive")
+    Schouten tensor on S^1(L) x S^{n-1} for the factor v.
+
+    Scalar (v, v', v'') give shape (n,); arrays of a common shape S give
+    one eigenvalue row per point, shape S + (n,).
+    """
+    vv, vp, vpp = np.broadcast_arrays(vv, vp, vpp)
+    if not np.all(vv > 0):
+        raise PositivityError(f"profile value {np.min(vv):.6g} is not positive")
     conf = vv ** (-4.0 / (n - 2))
     lam_t = conf * (
         -2.0 / (n - 2) * vpp / vv
@@ -353,14 +358,9 @@ def product_eigenvalues(vv: float, vp: float, vpp: float, n: int) -> np.ndarray:
         - 0.5
     )
     lam_s = conf * (-2.0 / (n - 2) ** 2 * (vp / vv) ** 2 + 0.5)
-    out = np.full(n, lam_s)
-    out[0] = lam_t
+    out = np.repeat(lam_s[..., None], n, axis=-1)
+    out[..., 0] = lam_t
     return out
-
-
-def schouten_eigen_product(v: CircleField, t: float, n: int) -> np.ndarray:
-    """Product-manifold conformal eigenvalues for the profile v at angle t."""
-    return product_eigenvalues(v.value(t), v.d1(t), v.d2(t), n)
 
 
 # ---------------------------------------------------------------------------

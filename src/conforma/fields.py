@@ -337,66 +337,3 @@ def field_from_json(spec: dict) -> ScalarField:
     if kind == "quadratic":
         return QuadraticField(params["n"], params.get("c", 1.0), domain)
     raise DomainError(f"unknown field kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Periodic 1-D profiles for the product manifold
-
-
-class CircleField:
-    """Positive profile v(t) on a circle of length L with v, v', v''."""
-
-    def __init__(self, L: float):
-        if not L > 0:
-            raise DomainError("circle length must be positive")
-        self.L = float(L)
-
-    def value(self, t: float) -> float:
-        raise NotImplementedError
-
-    def d1(self, t: float) -> float:
-        raise NotImplementedError
-
-    def d2(self, t: float) -> float:
-        raise NotImplementedError
-
-
-class ConstantCircleField(CircleField):
-    def __init__(self, L: float, c: float):
-        if not c > 0:
-            raise PositivityError("constant profile must be positive")
-        super().__init__(L)
-        self.c = float(c)
-
-    def value(self, t):
-        return self.c
-
-    def d1(self, t):
-        return 0.0
-
-    def d2(self, t):
-        return 0.0
-
-
-class SinusoidCircleField(CircleField):
-    """v(t) = c * (1 + eps * sin(2 pi t / L + phase))."""
-
-    def __init__(self, L: float, c: float, eps: float, phase: float = 0.0):
-        if not c > 0 or abs(eps) >= 1:
-            raise PositivityError("sinusoid profile must stay positive")
-        super().__init__(L)
-        self.c, self.eps, self.phase = float(c), float(eps), float(phase)
-
-    def _w(self):
-        return 2.0 * math.pi / self.L
-
-    def value(self, t):
-        return self.c * (1.0 + self.eps * math.sin(self._w() * t + self.phase))
-
-    def d1(self, t):
-        w = self._w()
-        return self.c * self.eps * w * math.cos(w * t + self.phase)
-
-    def d2(self, t):
-        w = self._w()
-        return -self.c * self.eps * w * w * math.sin(w * t + self.phase)

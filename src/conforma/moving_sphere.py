@@ -21,7 +21,7 @@ import numpy as np
 from .conformal import sphere_inversion_values
 from .errors import ConvergenceError, DomainError, GeometryError
 from .fields import ScalarField
-from .sampling import ball_points, make_rng, parallel_map
+from .sampling import ball_points, make_rng
 
 BISECT_ITERS = 40
 DEFAULT_GUARD = 1e-6
@@ -141,6 +141,7 @@ class AlphaReport:
     values: list
     spread: float
     reference: float
+    lambda_bars: list
 
     def to_json_dict(self):
         return {
@@ -152,19 +153,20 @@ class AlphaReport:
 
 def alpha_invariant(u: ScalarField, xs, cfg: SweepConfig) -> AlphaReport:
     """lam_bar(x)^{n-2} u(x) per center, its spread, and the rim estimate of
-    lim |y|^{n-2} u(y). Centers are swept in parallel (read-only field)."""
+    lim |y|^{n-2} u(y). The report keeps lam_bar(x) per center too; its
+    JSON form leaves them out."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = u.n
 
-    def one(x):
+    lambda_bars = []
+    for x in xs:
         cr = critical_radius(u, x, cfg)
         if cr.flag:
             raise ConvergenceError(
                 f"center {x.tolist()} has flagged critical radius ({cr.flag})"
             )
-        return cr.lambda_bar ** (n - 2) * u.value(x)
-
-    values = parallel_map(one, list(xs))
+        lambda_bars.append(cr.lambda_bar)
+    values = [lam ** (n - 2) * u.value(x) for lam, x in zip(lambda_bars, xs)]
     rim = np.linalg.norm(cfg.check_points, axis=1)
     sel = rim >= 0.9 * float(np.max(rim))
     ref_pts = cfg.check_points[sel]
@@ -177,6 +179,7 @@ def alpha_invariant(u: ScalarField, xs, cfg: SweepConfig) -> AlphaReport:
         values=[float(v) for v in values],
         spread=float(max(values) - min(values)),
         reference=ref,
+        lambda_bars=lambda_bars,
     )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import reporting
 from .bubbles import BubbleParams, bubble_values
-from .cones import CurvatureOperator, solve_unit_level, two_cluster_sigmas
+from .cones import CurvatureOperator, two_cluster_sigmas
 from .errors import ConeError, DomainError, PositivityError
 
 
@@ -69,13 +69,16 @@ def radial_eigenvalues(v: float, vp: float, vpp: float, r: float, n: int) -> np.
 
 
 def mu_star(op: CurvatureOperator) -> float:
-    """The diagonal level scale: f(mu* e) = 1."""
-    n = op.n
+    """The diagonal level scale: f(mu* e) = 1.
 
-    def dfn_ds(s, arr):
-        return float(np.dot(op.grad_f(s * arr), arr))
-
-    return solve_unit_level(op.f, np.ones(n), dfn_ds=dfn_ds)
+    For f = sigma_k^{1/k}, f(mu e) = mu C(n,k)^{1/k}, so mu* = C(n,k)^{-1/k};
+    operators without a recorded sigma_k order get a DomainError, as in
+    implicit_vpp.
+    """
+    k = op.sigma_order
+    if k is None:
+        raise DomainError(f"closed-form mu* needs a sigma_k operator, got {op.name}")
+    return math.comb(op.n, k) ** (-1.0 / k)
 
 
 def vpp0_exact(op: CurvatureOperator, v0: float) -> float:

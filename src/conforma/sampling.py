@@ -1,15 +1,10 @@
-"""Seeded sampling and bounded parallelism.
+"""Seeded sampling.
 
 All randomness flows through numpy's PCG64 so that a fixed seed reproduces
-every sample stream exactly. CONFORMA_THREADS caps worker threads; unset or 1
-means serial execution (identical results either way, since work items are
-independent and order is preserved).
+every sample stream exactly.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -62,22 +57,3 @@ def shell_points(
     if center is not None:
         pts = pts + np.asarray(center, dtype=float)
     return pts
-
-
-def thread_budget() -> int:
-    raw = os.environ.get("CONFORMA_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        return 1
-    return max(1, val)
-
-
-def parallel_map(fn, items):
-    """Map preserving input order; threads only when CONFORMA_THREADS > 1."""
-    items = list(items)
-    workers = thread_budget()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

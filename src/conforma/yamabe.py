@@ -31,47 +31,27 @@ STAGNATION_WINDOW = 5
 STAGNATION_DROP = 1e-3
 FD_JACOBIAN_SCALE = 1e-6
 
-_deriv_cache: dict = {}
 
+def derivative_symbols(N: int, L: float, scheme: str):
+    """rfft-layout symbols (s1, s2) of d/dt and d^2/dt^2 on t_i = i L/N.
 
-def _spectral_matrices(N: int, L: float):
-    k = 2.0 * math.pi * np.fft.fftfreq(N, d=L / N)
-    ik = 1j * k
-    if N % 2 == 0:
-        ik[N // 2] = 0.0  # drop the odd-derivative Nyquist mode
-    eye = np.eye(N)
-    D1 = np.real(np.fft.ifft(ik[:, None] * np.fft.fft(eye, axis=0), axis=0))
-    D2 = np.real(np.fft.ifft(-(k**2)[:, None] * np.fft.fft(eye, axis=0), axis=0))
-    return D1, D2
-
-
-def _fd4_matrices(N: int, L: float):
-    h = L / N
-    D1 = np.zeros((N, N))
-    D2 = np.zeros((N, N))
-    for i in range(N):
-        D1[i, (i + 2) % N] += -1.0 / (12.0 * h)
-        D1[i, (i + 1) % N] += 8.0 / (12.0 * h)
-        D1[i, (i - 1) % N] += -8.0 / (12.0 * h)
-        D1[i, (i - 2) % N] += 1.0 / (12.0 * h)
-        D2[i, (i + 2) % N] += -1.0 / (12.0 * h * h)
-        D2[i, (i + 1) % N] += 16.0 / (12.0 * h * h)
-        D2[i, i] += -30.0 / (12.0 * h * h)
-        D2[i, (i - 1) % N] += 16.0 / (12.0 * h * h)
-        D2[i, (i - 2) % N] += -1.0 / (12.0 * h * h)
-    return D1, D2
-
-
-def derivative_matrices(N: int, L: float, scheme: str):
-    key = (N, L, scheme)
-    if key not in _deriv_cache:
-        if scheme == "spectral":
-            _deriv_cache[key] = _spectral_matrices(N, L)
-        elif scheme == "fd4":
-            _deriv_cache[key] = _fd4_matrices(N, L)
-        else:
-            raise DomainError(f"unknown derivative scheme {scheme!r}")
-    return _deriv_cache[key]
+    Both schemes are circulant, so the symbol is all that defines them:
+    spectral gives (ik, -k^2) with k = 2 pi j / L; fd4, the five-point
+    stencil at theta = 2 pi j / N, gives i(8 sin theta - sin 2 theta)/(6h)
+    and (32 cos theta - 2 cos 2 theta - 30)/(12 h^2). irfft drops the
+    imaginary Nyquist part of s1, so the odd derivative loses that mode.
+    """
+    j = np.arange(N // 2 + 1)
+    if scheme == "spectral":
+        k = (2.0 * math.pi / L) * j
+        return 1j * k, -(k**2)
+    if scheme == "fd4":
+        h = L / N
+        theta = (2.0 * math.pi / N) * j
+        s1 = 1j * (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * h)
+        s2 = (32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta) - 30.0) / (12.0 * h * h)
+        return s1, s2
+    raise DomainError(f"unknown derivative scheme {scheme!r}")
 
 
 @dataclass
@@ -81,6 +61,7 @@ class PeriodicGrid:
     L: float
     values: np.ndarray
     scheme: str = "spectral"
+    symbols: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.L > 0:
@@ -91,8 +72,7 @@ class PeriodicGrid:
             raise DomainError(f"node count N={N} must be a power of two, >= 8")
         if not np.all(self.values > 0):
             raise PositivityError("grid values must be strictly positive")
-        if self.scheme not in ("spectral", "fd4"):
-            raise DomainError(f"unknown derivative scheme {self.scheme!r}")
+        self.symbols = derivative_symbols(N, self.L, self.scheme)
 
     @property
     def N(self) -> int:
@@ -101,8 +81,17 @@ class PeriodicGrid:
     def nodes(self) -> np.ndarray:
         return np.arange(self.N) * (self.L / self.N)
 
-    def matrices(self):
-        return derivative_matrices(self.N, self.L, self.scheme)
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodal (u', u'') as irfft(symbol * rfft(u - mean u)).
+
+        Both symbols vanish on the constant mode. Removing the mean first
+        keeps its rounding out of the other modes, so the rounding error
+        scales with u - mean u rather than with ||u|| (eps N^2 ||u|| for
+        d^2/dt^2, above the solver tolerance at N >= 256).
+        """
+        s1, s2 = self.symbols
+        uhat = np.fft.rfft(self.values - np.mean(self.values))
+        return np.fft.irfft(s1 * uhat, self.N), np.fft.irfft(s2 * uhat, self.N)
 
     def with_values(self, values) -> "PeriodicGrid":
         return PeriodicGrid(L=self.L, values=values, scheme=self.scheme)
@@ -116,14 +105,8 @@ class PeriodicGrid:
 
 def node_eigenvalues(g: PeriodicGrid, n: int) -> np.ndarray:
     """Per-node eigenvalue rows (lambda_t, lambda_s x (n-1))."""
-    D1, D2 = g.matrices()
-    u = g.values
-    up = D1 @ u
-    upp = D2 @ u
-    out = np.empty((g.N, n))
-    for i in range(g.N):
-        out[i] = product_eigenvalues(float(u[i]), float(up[i]), float(upp[i]), n)
-    return out
+    up, upp = g.derivatives()
+    return product_eigenvalues(g.values, up, upp, n)
 
 
 def residual(op: CurvatureOperator, g: PeriodicGrid) -> np.ndarray:
@@ -165,23 +148,26 @@ def _eigen_partials(u, up, upp, n):
 def jacobian(op: CurvatureOperator, g: PeriodicGrid) -> np.ndarray:
     """d(residual_i)/d(u_j) assembled through the two eigenvalue branches."""
     n = op.n
-    D1, D2 = g.matrices()
     u = g.values
-    up = D1 @ u
-    upp = D2 @ u
+    up, upp = g.derivatives()
     dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp = _eigen_partials(u, up, upp, n)
+    lam = product_eigenvalues(u, up, upp, n)
 
     gt = np.empty(g.N)
     Gs = np.empty(g.N)
     for i in range(g.N):
-        lam = product_eigenvalues(float(u[i]), float(up[i]), float(upp[i]), n)
-        grad = np.asarray(op.grad_f(lam), dtype=float)
+        grad = np.asarray(op.grad_f(lam[i]), dtype=float)
         gt[i] = grad[0]
         Gs[i] = float(grad[1:].sum())
 
     diag_v = gt * dt_dv + Gs * ds_dv
     diag_vp = gt * dt_dvp + Gs * ds_dvp
     diag_vpp = gt * dt_dvpp
+    # dense circulants: column j of D is irfft(symbol) shifted down by j
+    s1, s2 = g.symbols
+    idx = np.subtract.outer(np.arange(g.N), np.arange(g.N)) % g.N
+    D1 = np.fft.irfft(s1, g.N)[idx]
+    D2 = np.fft.irfft(s2, g.N)[idx]
     return np.diag(diag_v) + (diag_vp[:, None] * D1) + (diag_vpp[:, None] * D2)
 
 

@@ -1,9 +1,14 @@
 """Command-line driver: artifact layout, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conforma
 from conforma.cli import main
 
 
@@ -133,6 +138,28 @@ def test_solve_yamabe_trace_always_written(tmp_path):
     assert rc == 0
     assert (tmp_path / "trace.jsonl").exists()
     assert not (tmp_path / "grid.csv").exists()
+
+
+def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
+    # N = 256 spectral is where a derivative rounding floor of eps N^2 ||u||
+    # would sit at tol 1e-10 and let the BLAS thread count decide the outcome
+    src = str(Path(conforma.__file__).resolve().parents[1])
+    argv = [
+        sys.executable, "-m", "conforma.cli", "solve-yamabe", "--n", "5", "--k", "2",
+        "--N", "256", "--scheme", "spectral", "--L", "1", "--t-steps", "11",
+        "--tol", "1e-10",
+    ]
+    raw = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["OMP_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([*argv, "--output-dir", str(out)], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        raw.append((out / "result.json").read_bytes())
+    assert raw[0] == raw[1]
+    assert json.loads(raw[0])["result"]["status"] == "ok"
 
 
 def test_conjugation_test_command(tmp_path):

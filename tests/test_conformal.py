@@ -19,7 +19,6 @@ from conforma.conformal import (
     product_eigenvalues,
     pullback_u,
     schouten_eigen_flat,
-    schouten_eigen_product,
     sphere_inversion_map,
     sphere_inversion_u,
     sphere_inversion_value,
@@ -30,7 +29,6 @@ from conforma.errors import DomainError, SingularityError
 from conforma.fields import (
     BubbleField,
     ConstantField,
-    ConstantCircleField,
     HarmonicPowerField,
     QuadraticField,
     finite_difference,
@@ -205,14 +203,6 @@ def test_product_eigenvalues_constant_factor():
         lam = product_eigenvalues(c, 0.0, 0.0, n)
         scale = c ** (-4.0 / (n - 2))
         assert np.allclose(lam, scale * product_background_eigenvalues(n), rtol=1e-14)
-
-
-def test_schouten_eigen_product_constant_field():
-    n = 5
-    v = ConstantCircleField(1.0, 2.0)
-    lam = schouten_eigen_product(v, 0.37, n)
-    scale = 2.0 ** (-4.0 / (n - 2))
-    assert np.allclose(lam, scale * product_background_eigenvalues(n), rtol=1e-13)
 
 
 def test_superharmonic_check_passes_on_bubble():

@@ -8,14 +8,12 @@ from conforma.bubbles import BubbleParams, bubble_value
 from conforma.errors import DomainError, GeometryError, PositivityError
 from conforma.fields import (
     BubbleField,
-    ConstantCircleField,
     ConstantField,
     Domain,
     FDField,
     GaussianBumpField,
     HarmonicPowerField,
     QuadraticField,
-    SinusoidCircleField,
     annulus,
     ball,
     field_from_json,
@@ -150,24 +148,3 @@ def test_field_from_json_domain():
     )
     with pytest.raises(GeometryError):
         u.value(np.array([1.5, 0.0, 0.0]))
-
-
-def test_circle_fields():
-    c = ConstantCircleField(2.0, 3.0)
-    assert c.value(0.7) == 3.0
-    assert c.d1(0.7) == 0.0 and c.d2(0.7) == 0.0
-
-    s = SinusoidCircleField(L=2.0, c=1.5, eps=0.25, phase=0.3)
-    # periodicity and analytic derivatives against central differences
-    assert s.value(0.1) == pytest.approx(s.value(2.1), rel=1e-12)
-    for t in (0.0, 0.37, 1.9):
-        h = 1e-6
-        fd1 = (s.value(t + h) - s.value(t - h)) / (2 * h)
-        assert s.d1(t) == pytest.approx(fd1, abs=1e-8)
-        h = 1e-4  # second difference needs a larger step to beat cancellation
-        fd2 = (s.value(t + h) - 2 * s.value(t) + s.value(t - h)) / h**2
-        assert s.d2(t) == pytest.approx(fd2, abs=1e-5)
-    with pytest.raises(PositivityError):
-        SinusoidCircleField(L=1.0, c=1.0, eps=1.0)
-    with pytest.raises(PositivityError):
-        ConstantCircleField(1.0, 0.0)

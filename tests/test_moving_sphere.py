@@ -87,6 +87,11 @@ def test_alpha_invariant_spread_is_tiny_for_bubbles():
     rep = alpha_invariant(u, centers, sweep_cfg())
     assert isinstance(rep, AlphaReport)
     assert len(rep.values) == 9
+    # lam_bar per center is kept for the sweep CSV, but not serialised
+    cfg = sweep_cfg()
+    assert rep.lambda_bars == [critical_radius(u, x, cfg).lambda_bar for x in centers]
+    assert rep.values == [lam * u.value(x) for lam, x in zip(rep.lambda_bars, centers)]
+    assert list(rep.to_json_dict()) == ["values", "spread", "reference"]
     alpha = float(np.mean(rep.values))
     assert rep.spread <= 1e-2 * alpha
     assert rep.spread <= 1e-12  # measured: identical to machine precision

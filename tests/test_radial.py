@@ -11,6 +11,7 @@ from conforma.cones import (
     homotopy_operator,
     make_sigma_k_operator,
     sigma_all,
+    solve_unit_level,
     two_cluster_sigmas,
 )
 from conforma.errors import ConeError, DomainError, PositivityError
@@ -147,6 +148,20 @@ def test_implicit_vpp_matches_root_search_oracle(n, k):
         assert other.sigma_order is None
         with pytest.raises(DomainError):
             implicit_vpp(other, 1.0, -0.1, 0.5)
+
+
+@pytest.mark.parametrize("n,k", WORKLOAD_PAIRS)
+def test_mu_star_matches_ray_solve(n, k):
+    op = make_sigma_k_operator(n, k)
+
+    def dfn_ds(s, arr):
+        return float(np.dot(op.grad_f(s * arr), arr))
+
+    ray = solve_unit_level(op.f, np.ones(n), dfn_ds=dfn_ds)
+    assert abs(mu_star(op) - ray) <= 1e-14 * ray
+    for other in (homogenize(op), homotopy_operator(op, 0.5)):
+        with pytest.raises(DomainError):
+            mu_star(other)
 
 
 @pytest.mark.parametrize("n,k", WORKLOAD_PAIRS)

@@ -11,10 +11,8 @@ from conforma.reporting import csv_cell, dumps_json, fmt_float, write_csv, write
 from conforma.sampling import (
     ball_points,
     make_rng,
-    parallel_map,
     shell_points,
     sphere_points,
-    thread_budget,
     unit_vectors,
 )
 
@@ -67,18 +65,6 @@ def test_sampling_shapes_and_norms():
     assert np.min(r) >= 0.5 and np.max(r) <= 1.5
     Hc = shell_points(rng, 3, 10, 0.5, 1.5, center=np.array([5.0, 0.0, 0.0]))
     assert np.min(np.linalg.norm(Hc - [5.0, 0.0, 0.0], axis=1)) >= 0.5
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    items = list(range(20))
-    assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-    monkeypatch.setenv("CONFORMA_THREADS", "4")
-    assert thread_budget() == 4
-    assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-    monkeypatch.setenv("CONFORMA_THREADS", "broken")
-    assert thread_budget() == 1
-    monkeypatch.delenv("CONFORMA_THREADS")
-    assert thread_budget() == 1
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

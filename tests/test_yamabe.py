@@ -12,6 +12,7 @@ from conforma.yamabe import (
     c_star,
     constant_start,
     continuation,
+    derivative_symbols,
     jacobian,
     jacobian_fd,
     min_cone_margin,
@@ -49,6 +50,65 @@ def test_constant_background_residual_vanishes():
     # u = 1 solves the n=4, k=1 equation exactly
     r41 = residual(make_sigma_k_operator(4, 1), constant_grid(1.0, 32))
     assert np.max(np.abs(r41)) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+@pytest.mark.parametrize("n_nodes", [256, 512, 1024])
+def test_constant_residual_has_no_rounding_floor(scheme, n_nodes):
+    # the exact constant solves the discrete problem at every N: rounding
+    # that grows like eps N^2 ||u|| in u'' would pass 1e-10 from N = 256 on
+    r = residual(OP, constant_grid(CS, n_nodes, scheme))
+    assert np.max(np.abs(r)) <= 1e-12
+
+
+def _fd4_stencils(u, h):
+    d1 = (-np.roll(u, -2) + 8.0 * np.roll(u, -1) - 8.0 * np.roll(u, 1) + np.roll(u, 2)) / (
+        12.0 * h
+    )
+    d2 = (
+        -np.roll(u, -2) + 16.0 * np.roll(u, -1) - 30.0 * u + 16.0 * np.roll(u, 1) - np.roll(u, 2)
+    ) / (12.0 * h * h)
+    return d1, d2
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_derivatives_of_trig_polynomial(scheme):
+    # each scheme maps cos/sin(2 pi m t / L) to the mode times its symbol:
+    # d/dt has symbol i g(m), d^2/dt^2 the real s(m), with g = 2 pi m / L,
+    # s = -g^2 (spectral) or the five-point stencil's values at
+    # theta = 2 pi m / N (fd4)
+    n_nodes, length = 64, 2.0
+    h = length / n_nodes
+    g = PeriodicGrid(L=length, values=np.ones(n_nodes), scheme=scheme)
+    t = g.nodes()
+    modes = {1: (0.3, -0.2), 3: (0.1, 0.05), 7: (-0.02, 0.04), n_nodes // 2: (0.01, 0.0)}
+    u = np.full(n_nodes, 2.0)
+    du = np.zeros(n_nodes)
+    d2u = np.zeros(n_nodes)
+    for m, (a, b) in modes.items():
+        w = 2.0 * np.pi * m / length
+        theta = 2.0 * np.pi * m / n_nodes
+        if scheme == "spectral":
+            g1, s2 = w, -(w**2)
+        else:
+            g1 = (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * h)
+            s2 = (32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta) - 30.0) / (12.0 * h * h)
+        c, s = np.cos(w * t), np.sin(w * t)
+        u += a * c + b * s
+        du += g1 * (b * c - a * s)
+        d2u += s2 * (a * c + b * s)
+    up, upp = g.with_values(u).derivatives()
+    assert np.max(np.abs(up - du)) <= 1e-12 * np.max(np.abs(du))
+    assert np.max(np.abs(upp - d2u)) <= 1e-12 * np.max(np.abs(d2u))
+    if scheme == "fd4":
+        # the symbol is that of the five-point stencil, on any grid function
+        v = 1.0 + np.random.default_rng(3).random(n_nodes)
+        want1, want2 = _fd4_stencils(v, h)
+        got1, got2 = g.with_values(v).derivatives()
+        assert np.max(np.abs(got1 - want1)) <= 1e-12 * np.max(np.abs(want1))
+        assert np.max(np.abs(got2 - want2)) <= 1e-12 * np.max(np.abs(want2))
+    with pytest.raises(DomainError):
+        derivative_symbols(n_nodes, length, "fd9")
 
 
 def test_node_eigenvalues_at_constant():
@@ -124,6 +184,29 @@ def test_jacobian_circulant_at_constant():
     rows = np.array([np.roll(J[i], -i) for i in range(N)])
     asym = np.max(np.abs(rows - rows[0]))
     assert asym <= 1e-10 * np.max(np.abs(J))
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_jacobian_spectrum_matches_symbol_at_constant(scheme):
+    # at c* the Jacobian is the circulant with symbol diag_v + diag_vpp s2(j):
+    # diag_v = -(4/(n-2)) / c* (f = 1 there), diag_vpp = df/dlam_t times
+    # dlam_t/dv'' = -(2/(n-2)) c*^{-4/(n-2)-1}, and the v' term vanishes
+    n = 5
+    g = constant_grid(CS, scheme=scheme)
+    lam = product_background_eigenvalues(n) * CS ** (-4.0 / (n - 2))
+    diag_v = -(4.0 / (n - 2)) / CS
+    diag_vpp = OP.grad_f(lam)[0] * (-2.0 / (n - 2)) * CS ** (-4.0 / (n - 2) - 1.0)
+    if scheme == "spectral":
+        s2 = -((2.0 * np.pi / L) * np.fft.fftfreq(N, d=1.0 / N)) ** 2
+    else:
+        h = L / N
+        theta = 2.0 * np.pi * np.arange(N) / N
+        s2 = (32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta) - 30.0) / (12.0 * h * h)
+    want = np.sort(diag_v + diag_vpp * s2)
+    got = np.linalg.eigvals(jacobian(OP, g))
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got.imag)) <= 1e-10 * scale
+    assert np.max(np.abs(np.sort(got.real) - want)) <= 1e-10 * scale
 
 
 def test_jacobian_row_sums_at_constant():
@@ -230,6 +313,15 @@ def test_continuation_path_independence():
     res = continuation(OP, L=L, N=N, t_steps=11, tol=1e-10)
     direct = newton_solve(OP, constant_grid(constant_start(OP)), tol=1e-10)
     assert np.max(np.abs(res.final.values - direct.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_continuation_reaches_tolerance_at_large_n(scheme):
+    # tol 1e-10 must stay reachable where eps N^2 ||u|| no longer is below it
+    res = continuation(OP, L=L, N=512, t_steps=11, tol=1e-10, scheme=scheme)
+    assert res.status == "ok", res.failure
+    assert all(s.residual_inf <= 1e-10 for s in res.steps)
+    assert np.max(np.abs(res.final.values - CS)) <= 1e-8
 
 
 def test_continuation_coarse_path_also_works():
