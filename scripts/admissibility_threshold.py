@@ -16,12 +16,7 @@ import sys
 import numpy as np
 
 from conforma.cones import homotopy_operator, make_sigma_k_operator
-from conforma.yamabe import PeriodicGrid, c_star, node_eigenvalues
-
-
-def min_margin(op, grid):
-    lam = node_eigenvalues(grid, op.n)
-    return min(op.cone.margin(lam[i]) for i in range(grid.N))
+from conforma.yamabe import PeriodicGrid, c_star, min_cone_margin
 
 
 def threshold(op, cs, L, N, scheme, eps_hi=1.0, bits=40):
@@ -32,7 +27,7 @@ def threshold(op, cs, L, N, scheme, eps_hi=1.0, bits=40):
         if np.any(vals <= 0):
             return False
         g = PeriodicGrid(L=L, values=vals, scheme=scheme)
-        return min_margin(op, g) > 0.0
+        return min_cone_margin(op, g) > 0.0
 
     lo, hi = 0.0, eps_hi
     if admissible(hi):

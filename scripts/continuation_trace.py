@@ -2,9 +2,13 @@
 """Print the homotopy path for the periodic product-manifold solve.
 
 Runs the continuation from the semilinear start to the target operator
-and prints one line per path step (Newton iterations, final residual,
-worst cone margin), then the endpoint's deviation from the constant
-branch value c*.
+and prints one line per path step (Newton and Krylov iterations, final
+residual, worst cone margin, and the smallest |mu_j|/max|mu_j| and negative
+mode count of the last Newton step's circulant preconditioner; "-" for a
+step that needed no Newton step), then the endpoint's deviation from the
+constant branch value c*.
+
+    PYTHONPATH=src python scripts/continuation_trace.py --n 5 --k 1 --L 3.5
 """
 
 import argparse
@@ -33,10 +37,14 @@ def main(argv=None):
 
     print(f"operator {op.name}, N = {args.N}, L = {args.L}, "
           f"scheme {args.scheme}, c0 = {res.c0:.12g}")
-    print(f"{'t':>6}  {'iters':>5}  {'residual':>10}  {'cone margin':>11}")
+    print(f"{'t':>6}  {'newton':>6}  {'krylov':>6}  {'residual':>10}  "
+          f"{'cone margin':>11}  {'symbol ratio':>12}  {'negative':>8}")
     for s in res.steps:
-        print(f"{s.t:6.2f}  {s.iterations:5d}  {s.residual_inf:10.2e}  "
-              f"{s.min_cone_margin:11.3e}")
+        ratio = "-" if s.symbol_ratio is None else f"{s.symbol_ratio:.3e}"
+        negative = "-" if s.negative_modes is None else str(s.negative_modes)
+        print(f"{s.t:6.2f}  {s.iterations:6d}  {s.krylov_iters:6d}  "
+              f"{s.residual_inf:10.2e}  {s.min_cone_margin:11.3e}  "
+              f"{ratio:>12}  {negative:>8}")
 
     if res.status != "ok":
         print(f"status: {res.status} ({res.failure})")

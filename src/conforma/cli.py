@@ -64,8 +64,16 @@ R1_TOL = 1e-10
 R2_TOL = 1e-12
 
 
-def _parse_word(text: str) -> MoebiusMap:
-    """Parse 'translate:0.3,0,-0.1;scale:2;invert' into a Mobius word."""
+def _positive_count(text: str) -> int:
+    """argparse type for evidence counts: a check never passes on none."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
+def _parse_word(text: str, n: int) -> MoebiusMap:
+    """Parse 'translate:0.3,0,-0.1;scale:2;invert' into a Mobius word on R^n."""
     gens = []
     for part in text.split(";"):
         part = part.strip()
@@ -78,7 +86,12 @@ def _parse_word(text: str) -> MoebiusMap:
             raise DomainError(f"bad generator {part!r}")
         head, payload = part.split(":", 1)
         if head == "translate":
-            gens.append(Translate(tuple(float(c) for c in payload.split(","))))
+            vec = tuple(float(c) for c in payload.split(","))
+            if len(vec) != n:
+                raise DomainError(
+                    f"translate:{payload} has {len(vec)} components, expected n={n}"
+                )
+            gens.append(Translate(vec))
         elif head == "scale":
             gens.append(Scale(float(payload)))
         else:
@@ -461,7 +474,7 @@ def _cmd_conjugation_test(args):
         tol = 1e-4
     else:
         tol = 1e-8
-    psi = _parse_word(args.word)
+    psi = _parse_word(args.word, n)
     rng = make_rng(args.seed)
     pts = shell_points(rng, n, args.samples, 0.6, 1.4)
     res = conjugation_residual(u, psi, pts)
@@ -499,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_positive_count, default=500)
     p.set_defaults(handler=_cmd_validate_operator)
 
     p = sub.add_parser("verify-liouville", help="bubble residuals for the rigidity families")
@@ -512,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--xn", type=float, default=0.7)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_count, default=100)
     p.set_defaults(handler=_cmd_verify_liouville)
 
     p = sub.add_parser("radial-shoot", help="integrate the radial profile, compare to the bubble")
@@ -539,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center-count", type=int, default=9)
     p.add_argument("--center-radius", type=float, default=0.3)
     p.add_argument("--emit-sweep-csv", action="store_true")
-    p.add_argument("--h-count", type=int, default=50, help="lemmas task: catalog size")
+    p.add_argument("--h-count", type=_positive_count, default=50, help="lemmas task: catalog size")
     p.add_argument("--density", type=int, default=64, help="lemmas task: grid density")
     p.set_defaults(handler=_cmd_moving_sphere)
 
@@ -549,15 +562,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--samples", type=_positive_count, default=4096)
     p.set_defaults(handler=_cmd_harnack)
 
     p = sub.add_parser("homogenize", help="degree-1 normalization checks")
     common(p)
     p.add_argument("--op", default="sigma2", help="sigmaK, e.g. sigma2")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--triples", type=int, default=500)
+    p.add_argument("--samples", type=_positive_count, default=100)
+    p.add_argument("--triples", type=_positive_count, default=500)
     p.set_defaults(handler=_cmd_homogenize)
 
     p = sub.add_parser("solve-yamabe", help="homotopy continuation on the product manifold")
@@ -579,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default="translate:0.3,-0.1,0.2;scale:1.7;invert")
     p.add_argument("--mode", choices=("analytic", "fd"), default="analytic")
     p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_count, default=20)
     p.set_defaults(handler=_cmd_conjugation_test)
 
     return parser

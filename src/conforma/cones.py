@@ -177,6 +177,10 @@ class CurvatureOperator:
 
     sigma_order is k when f is sigma_k^{1/k} on Gamma_k (set by
     make_sigma_k_operator), which licenses closed-form solves; None otherwise.
+    two_cluster is (k, t) when f(lam) = sigma_k^{1/k}(t lam + (1-t)
+    sigma_1(lam) e) on the pullback of Gamma_k (t = 1 for sigma_k itself,
+    set by make_sigma_k_operator and homotopy_operator), which licenses
+    two_cluster_kernel; None otherwise.
     """
 
     name: str
@@ -185,6 +189,7 @@ class CurvatureOperator:
     cone: ConeSpec
     homogeneous_degree: Optional[float] = None
     sigma_order: Optional[int] = None
+    two_cluster: Optional[tuple] = None
 
     def __call__(self, lam) -> float:
         return self.f(lam)
@@ -232,6 +237,7 @@ def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
         cone=cone,
         homogeneous_degree=1.0,
         sigma_order=k,
+        two_cluster=(k, 1.0),
     )
 
 
@@ -245,6 +251,31 @@ def two_cluster_sigmas(a: float, b: float, m: int, k: int) -> list:
         math.comb(m, j) * b**j + a * math.comb(m, j - 1) * b ** (j - 1)
         for j in range(1, k + 1)
     ]
+
+
+def two_cluster_kernel(k: int, t: float, m: int, a, b):
+    """sigma_k^{1/k} pulled back by lam -> t lam + (1-t) sigma_1(lam) e, on
+    spectra (a, b repeated m times), elementwise over arrays a and b.
+
+    Returns (f, df/da, the sum of the m df/db, margin). The map keeps the
+    two-cluster shape, a' = t a + s and b' = t b + s with s = (1-t)(a + m b);
+    margin is min_j sigma_j(a', b'^m) over j <= k, the Gamma_k margin of the
+    mapped spectrum, and f and its gradient are nan where it is not positive.
+    The gradient of sigma_k is sigma_{k-1} of the spectrum with that entry
+    removed: C(m,k-1) b'^(k-1) for a', sigma_{k-1}(a', b'^(m-1)) for each b'.
+    """
+    s = (1.0 - t) * (a + m * b)
+    am, bm = t * a + s, t * b + s
+    sig = two_cluster_sigmas(am, bm, m, k)
+    margin = np.minimum.reduce(sig)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sk = np.where(margin > 0.0, sig[-1], np.nan)
+        f = sk ** (1.0 / k)
+        front = f / (k * sk)
+    ga = front * (math.comb(m, k - 1) * bm ** (k - 1))
+    gb = front * (two_cluster_sigmas(am, bm, m - 1, k - 1)[-1] if k > 1 else 1.0)
+    total = ga + m * gb
+    return f, t * ga + (1.0 - t) * total, m * (t * gb + (1.0 - t) * total), margin
 
 
 def solve_unit_level(
@@ -394,6 +425,7 @@ def homotopy_operator(op: CurvatureOperator, t: float) -> CurvatureOperator:
         grad_f=grad_f,
         cone=cone,
         homogeneous_degree=op.homogeneous_degree,
+        two_cluster=None if op.sigma_order is None else (op.sigma_order, t),
     )
 
 

@@ -18,6 +18,7 @@ the cone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +193,11 @@ def shoot(
     """
     if not v0 > 0:
         raise PositivityError(f"center value v0 = {v0:.6g} is not positive")
+    # the eigenvalues take v to the powers -(n+2)/(n-2) and -2n/(n-2)
+    if not abs(math.log(v0)) * 2.0 * op.n / (op.n - 2.0) < math.log(sys.float_info.max):
+        raise DomainError(
+            f"center value v0 = {v0:.6g} out of range: v0^(+-2n/(n-2)) overflows"
+        )
     if not h > 0:
         raise DomainError("step h must be positive")
     if not r_max > h:

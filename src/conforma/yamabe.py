@@ -8,6 +8,12 @@ periodic grid. The homotopy f_t(lam) = f(t lam + (1-t) sigma_1(lam) e)
 connects a semilinear t = 0 problem (solved from a constant start) to the
 full operator at t = 1.
 
+Every node spectrum has the two-cluster shape (lambda_t, lambda_s^{n-1}), so
+residual, cone margin and Jacobian coefficients are array expressions of
+cones.two_cluster_kernel. The Newton step is solved matrix-free by GMRES,
+right-preconditioned by the circulant with node-mean coefficients, which is
+the exact Jacobian on the constant branch and is inverted by FFT.
+
 Existence is not certified: solutions are accepted only through residual and
 cone gates.
 """
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cones import CurvatureOperator, homotopy_operator
+from .cones import CurvatureOperator, homotopy_operator, two_cluster_kernel
 from .conformal import product_background_eigenvalues, product_eigenvalues
 from .errors import ConeError, ConvergenceError, DomainError, PositivityError
 from .radial import mu_star
@@ -30,6 +36,22 @@ RESTORE_INSET = 0.5
 STAGNATION_WINDOW = 5
 STAGNATION_DROP = 1e-3
 FD_JACOBIAN_SCALE = 1e-6
+# GMRES stops when its residual estimate falls to KRYLOV_RTOL times the
+# right-hand side: near-exact Newton steps, so the quadratic tail is kept.
+KRYLOV_RTOL = 1e-12
+KRYLOV_MAX = 100
+# Smallest admissible |mu_j| / max |mu_j| of the preconditioner symbol. Below
+# it, a rounding error of eps max|mu| in the smallest mode is amplified to
+# more than eps / 1e-12 = 2e-4 of that mode's step, so the step is noise
+# there. On the constant branch the ratio is about 3e-7 at N = 1024, L = 1,
+# and about 1e-17 at Schoen's degenerate length L* = 2 pi / sqrt(n - 2).
+DEGENERATE_SYMBOL_RATIO = 1e-12
+
+
+def _norm(x) -> float:
+    """Euclidean norm by np.add.reduce: no BLAS call, so the same bits at
+    every BLAS thread count."""
+    return math.sqrt(float(np.add.reduce(x * x)))
 
 
 def derivative_symbols(N: int, L: float, scheme: str):
@@ -109,23 +131,34 @@ def node_eigenvalues(g: PeriodicGrid, n: int) -> np.ndarray:
     return product_eigenvalues(g.values, up, upp, n)
 
 
+def _node_kernel(op: CurvatureOperator, g: PeriodicGrid):
+    """(v', v'', eigenvalue rows, kernel) at every node, where kernel is
+    (f, df/dlambda_t, sum of df/dlambda_s, cone margin)."""
+    if op.two_cluster is None:
+        raise DomainError(
+            f"operator {op.name} has no two-cluster closed form "
+            "(only sigma_k^(1/k) and its homotopies do)"
+        )
+    k, t = op.two_cluster
+    up, upp = g.derivatives()
+    lam = product_eigenvalues(g.values, up, upp, op.n)
+    return up, upp, lam, two_cluster_kernel(k, t, op.n - 1, lam[:, 0], lam[:, 1])
+
+
+def _gate(lam: np.ndarray, margin: np.ndarray) -> None:
+    bad = np.flatnonzero(~(margin > 0.0))
+    if bad.size:
+        raise ConeError(
+            f"eigenvalues leave the cone at nodes {bad.tolist()}",
+            witness=[(i, lam[i].tolist()) for i in bad.tolist()],
+        )
+
+
 def residual(op: CurvatureOperator, g: PeriodicGrid) -> np.ndarray:
     """Per-node f(lam) - 1, gated on cone membership at every node."""
-    n = op.n
-    lam = node_eigenvalues(g, n)
-    res = np.empty(g.N)
-    bad = []
-    for i in range(g.N):
-        try:
-            res[i] = op.f(lam[i]) - 1.0
-        except ConeError:
-            bad.append(i)
-    if bad:
-        raise ConeError(
-            f"eigenvalues leave the cone at nodes {bad}",
-            witness=[(i, lam[i].tolist()) for i in bad],
-        )
-    return res
+    _, _, lam, (f, _, _, margin) = _node_kernel(op, g)
+    _gate(lam, margin)
+    return f - 1.0
 
 
 def _eigen_partials(u, up, upp, n):
@@ -145,30 +178,140 @@ def _eigen_partials(u, up, upp, n):
     return dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp
 
 
-def jacobian(op: CurvatureOperator, g: PeriodicGrid) -> np.ndarray:
-    """d(residual_i)/d(u_j) assembled through the two eigenvalue branches."""
-    n = op.n
+@dataclass
+class Linearisation:
+    """Jacobian of the residual, J v = diag_v v + diag_vp D1 v + diag_vpp D2 v,
+    with D1, D2 the circulants of the grid's derivative symbols.
+
+    The solver applies it matrix-free; np.asarray(J) assembles the dense
+    N x N matrix from the same coefficients, as an oracle for tests.
+    """
+
+    diag_v: np.ndarray
+    diag_vp: np.ndarray
+    diag_vpp: np.ndarray
+    symbols: tuple
+
+    def circulant_symbol(self) -> np.ndarray:
+        """rfft-layout symbol of the circulant with node-mean coefficients.
+
+        irfft drops the imaginary Nyquist part of D1's symbol, so D1 kills
+        that mode and the symbol keeps only its real part there.
+        """
+        s1, s2 = self.symbols
+        mu = (
+            np.mean(self.diag_v)
+            + np.mean(self.diag_vp) * s1
+            + np.mean(self.diag_vpp) * s2
+        )
+        mu[-1] = mu[-1].real
+        return mu
+
+    def apply_preconditioned(self, v: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """J P^{-1} v, with P the circulant of symbol mu, by one rfft and
+        three irffts."""
+        N = len(v)
+        zhat = np.fft.rfft(v) / mu
+        s1, s2 = self.symbols
+        return (
+            self.diag_v * np.fft.irfft(zhat, N)
+            + self.diag_vp * np.fft.irfft(s1 * zhat, N)
+            + self.diag_vpp * np.fft.irfft(s2 * zhat, N)
+        )
+
+    def __array__(self, dtype=None, copy=None):
+        N = len(self.diag_v)
+        s1, s2 = self.symbols
+        # column j of a circulant is irfft(symbol) shifted down by j
+        idx = np.subtract.outer(np.arange(N), np.arange(N)) % N
+        D1 = np.fft.irfft(s1, N)[idx]
+        D2 = np.fft.irfft(s2, N)[idx]
+        J = np.diag(self.diag_v) + self.diag_vp[:, None] * D1 + self.diag_vpp[:, None] * D2
+        return J if dtype is None else J.astype(dtype)
+
+
+def jacobian(op: CurvatureOperator, g: PeriodicGrid) -> Linearisation:
+    """d(residual_i)/d(u_j) through the two eigenvalue branches, as the
+    coefficients of v, v' and v'' at every node."""
     u = g.values
-    up, upp = g.derivatives()
-    dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp = _eigen_partials(u, up, upp, n)
-    lam = product_eigenvalues(u, up, upp, n)
+    up, upp, lam, (_, gt, Gs, margin) = _node_kernel(op, g)
+    _gate(lam, margin)
+    dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp = _eigen_partials(u, up, upp, op.n)
+    return Linearisation(
+        diag_v=gt * dt_dv + Gs * ds_dv,
+        diag_vp=gt * dt_dvp + Gs * ds_dvp,
+        diag_vpp=gt * dt_dvpp,
+        symbols=g.symbols,
+    )
 
-    gt = np.empty(g.N)
-    Gs = np.empty(g.N)
-    for i in range(g.N):
-        grad = np.asarray(op.grad_f(lam[i]), dtype=float)
-        gt[i] = grad[0]
-        Gs[i] = float(grad[1:].sum())
 
-    diag_v = gt * dt_dv + Gs * ds_dv
-    diag_vp = gt * dt_dvp + Gs * ds_dvp
-    diag_vpp = gt * dt_dvpp
-    # dense circulants: column j of D is irfft(symbol) shifted down by j
-    s1, s2 = g.symbols
-    idx = np.subtract.outer(np.arange(g.N), np.arange(g.N)) % g.N
-    D1 = np.fft.irfft(s1, g.N)[idx]
-    D2 = np.fft.irfft(s2, g.N)[idx]
-    return np.diag(diag_v) + (diag_vp[:, None] * D1) + (diag_vpp[:, None] * D2)
+def _symbol_report(mu: np.ndarray) -> tuple[float, int, int]:
+    """(min |mu_j| / max |mu_j|, negative modes, argmin j) of an rfft-layout
+    circulant symbol. A mode is negative when Re mu_j < 0; modes 0 < j < N/2
+    count twice, since mode N - j carries the conjugate symbol."""
+    size = np.abs(mu)
+    mode = int(np.argmin(size))
+    mult = np.full(len(mu), 2)
+    mult[0] = mult[-1] = 1
+    negative = int(np.add.reduce(mult[mu.real < 0.0]))
+    return float(size[mode] / np.max(size)), negative, mode
+
+
+def gmres(J: Linearisation, b: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve J x = b by GMRES from x = 0 (Saad and Schultz 1986), right-
+    preconditioned by the circulant with symbol mu (compare T. Chan 1988).
+
+    Classical Gram-Schmidt with one reorthogonalisation, Givens rotations on
+    the Hessenberg columns. Every N-length reduction is np.add.reduce, so the
+    iterates do not depend on the BLAS thread count. Stops when the Arnoldi
+    residual estimate reaches KRYLOV_RTOL ||b||; after KRYLOV_MAX iterations
+    raises ConvergenceError. Returns (x, iterations).
+    """
+    N = len(b)
+    beta = _norm(b)
+    if beta == 0.0:
+        return np.zeros(N), 0
+    V = np.empty((KRYLOV_MAX + 1, N))
+    R = np.zeros((KRYLOV_MAX, KRYLOV_MAX))
+    cs: list = []
+    sn: list = []
+    gvec = [beta]
+    V[0] = b / beta
+    for j in range(KRYLOV_MAX):
+        w = J.apply_preconditioned(V[j], mu)
+        basis = V[: j + 1]
+        h = np.add.reduce(basis * w, axis=1)
+        w = w - np.add.reduce(h[:, None] * basis, axis=0)
+        h2 = np.add.reduce(basis * w, axis=1)
+        w = w - np.add.reduce(h2[:, None] * basis, axis=0)
+        hnext = _norm(w)
+        col = (h + h2).tolist() + [hnext]
+        for i in range(j):
+            col[i], col[i + 1] = (
+                cs[i] * col[i] + sn[i] * col[i + 1],
+                -sn[i] * col[i] + cs[i] * col[i + 1],
+            )
+        rho = math.hypot(col[j], col[j + 1])
+        if rho == 0.0:
+            break
+        cs.append(col[j] / rho)
+        sn.append(col[j + 1] / rho)
+        R[: j + 1, j] = col[: j + 1]
+        R[j, j] = rho
+        gvec.append(-sn[j] * gvec[j])
+        gvec[j] *= cs[j]
+        if abs(gvec[j + 1]) <= KRYLOV_RTOL * beta or hnext == 0.0:
+            y = np.zeros(j + 1)
+            for i in range(j, -1, -1):
+                y[i] = (gvec[i] - np.add.reduce(R[i, i + 1 : j + 1] * y[i + 1 :])) / R[i, i]
+            u = np.add.reduce(y[:, None] * V[: j + 1], axis=0)
+            return np.fft.irfft(np.fft.rfft(u) / mu, N), j + 1
+        V[j + 1] = w / hnext
+    raise ConvergenceError(
+        f"linear solve (GMRES) missed relative tolerance {KRYLOV_RTOL:g} "
+        f"after {len(cs)} Krylov iterations "
+        f"(residual estimate {abs(gvec[-1]) / beta:.3e} of ||b||)"
+    )
 
 
 def jacobian_fd(op: CurvatureOperator, g: PeriodicGrid, step: float | None = None):
@@ -189,8 +332,9 @@ def jacobian_fd(op: CurvatureOperator, g: PeriodicGrid, step: float | None = Non
 
 
 def min_cone_margin(op: CurvatureOperator, g: PeriodicGrid) -> float:
-    lam = node_eigenvalues(g, op.n)
-    return min(float(op.cone.margin(lam[i])) for i in range(g.N))
+    """Smallest Gamma_k margin (min_j sigma_j of the mapped spectrum) over
+    the nodes; negative when some node is off the cone."""
+    return float(np.min(_node_kernel(op, g)[3][3]))
 
 
 @dataclass
@@ -200,6 +344,9 @@ class NewtonRecord:
     residual_inf: float
     step_norm: float
     min_cone_margin: float
+    krylov_iters: int = 0
+    symbol_ratio: float | None = None
+    negative_modes: int | None = None
     restoration: dict | None = None
 
     def to_json_dict(self):
@@ -209,6 +356,9 @@ class NewtonRecord:
             "residual_inf": self.residual_inf,
             "step_norm": self.step_norm,
             "min_cone_margin": self.min_cone_margin,
+            "krylov_iters": self.krylov_iters,
+            "symbol_ratio": self.symbol_ratio,
+            "negative_modes": self.negative_modes,
         }
         if self.restoration is not None:
             out["restoration"] = self.restoration
@@ -271,11 +421,19 @@ def newton_solve(
     restored start. If the mean of g0 is off the cone too, the original
     ConeError and its witness propagate.
 
+    Each step solves J s = -r matrix-free by gmres, preconditioned by the
+    node-mean circulant of J; the record of the iteration carries the
+    Krylov iteration count and _symbol_report of that circulant. When its
+    symbol ratio is below DEGENERATE_SYMBOL_RATIO the linearisation is
+    degenerate (e.g. at Schoen's length L* for k = 1) and a ConvergenceError
+    names the mode instead of dividing by it.
+
     Backtracking halves the step while the 2-norm of the residual does not
     decrease, down to step factor 1e-4; iterates are clipped to stay above
     0.1 min of the (restored) start. Raises a non-convergence error carrying
     the last iterate when the line search dies, the residual stagnates
-    (< 1e-3 relative drop over 5 iterations), or max_iter runs out.
+    (< 1e-3 relative drop over 5 iterations), the linear solve misses its
+    tolerance, or max_iter runs out.
     """
     g = g0.with_values(g0.values)
     restoration = None
@@ -285,7 +443,7 @@ def newton_solve(
         g, r, s = _restore_admissibility(op, g, exc)
         restoration = {"blend": s, "off_cone_nodes": len(exc.witness)}
     floor = 0.1 * float(np.min(g.values))
-    norms = [float(np.linalg.norm(r))]
+    norms = [_norm(r)]
     if records is not None:
         margin = min_cone_margin(op, g)
         if restoration is not None:
@@ -305,10 +463,19 @@ def newton_solve(
         if float(np.max(np.abs(r))) <= tol:
             return g
         J = jacobian(op, g)
+        mu = J.circulant_symbol()
+        ratio, negative, mode = _symbol_report(mu)
+        if not ratio >= DEGENERATE_SYMBOL_RATIO:
+            raise ConvergenceError(
+                f"degenerate linearisation at iteration {it}: circulant mode "
+                f"j={mode} has |mu|/max|mu| = {ratio:.3e} "
+                f"< {DEGENERATE_SYMBOL_RATIO:g} (L = {g.L:g}, N = {g.N})",
+                iterate=g,
+            )
         try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian: {exc}", iterate=g) from exc
+            step, krylov = gmres(J, -r, mu)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{exc} at Newton iteration {it}", iterate=g) from exc
 
         alpha = 1.0
         accepted = False
@@ -320,7 +487,7 @@ def newton_solve(
             except (ConeError, PositivityError):
                 alpha *= 0.5
                 continue
-            if float(np.linalg.norm(r_new)) < norms[-1]:
+            if _norm(r_new) < norms[-1]:
                 accepted = True
                 break
             alpha *= 0.5
@@ -331,15 +498,18 @@ def newton_solve(
                 iterate=g,
             )
         g, r = g_new, r_new
-        norms.append(float(np.linalg.norm(r)))
+        norms.append(_norm(r))
         if records is not None:
             records.append(
                 NewtonRecord(
                     t=t_label,
                     iter=it,
                     residual_inf=float(np.max(np.abs(r))),
-                    step_norm=float(np.linalg.norm(alpha * step)),
+                    step_norm=_norm(alpha * step),
                     min_cone_margin=min_cone_margin(op, g),
+                    krylov_iters=krylov,
+                    symbol_ratio=ratio,
+                    negative_modes=negative,
                 )
             )
         if float(np.max(np.abs(r))) > tol and len(norms) > STAGNATION_WINDOW:
@@ -386,6 +556,9 @@ class StepSummary:
     iterations: int
     residual_inf: float
     min_cone_margin: float
+    krylov_iters: int = 0
+    symbol_ratio: float | None = None
+    negative_modes: int | None = None
 
     def to_json_dict(self):
         return {
@@ -393,6 +566,9 @@ class StepSummary:
             "iterations": self.iterations,
             "residual_inf": self.residual_inf,
             "min_cone_margin": self.min_cone_margin,
+            "krylov_iters": self.krylov_iters,
+            "symbol_ratio": self.symbol_ratio,
+            "negative_modes": self.negative_modes,
         }
 
 
@@ -429,7 +605,9 @@ def continuation(
 
     Starts each Newton solve from the previous step's solution (constant
     c0 at t = 0). The trace carries every Newton iteration; a failed step
-    truncates the path with diagnostics instead of guessing.
+    truncates the path with diagnostics instead of guessing. Each step's
+    summary comes from its last Newton record; symbol_ratio and
+    negative_modes are None for a step whose start already met tol.
     """
     if t_steps < 2:
         raise DomainError("t_steps must be at least 2")
@@ -461,13 +639,17 @@ def continuation(
                 result.final = it
             return result
         result.records.extend(recs)
-        r_inf = float(np.max(np.abs(residual(op_t, grid))))
+        # the last record describes the returned grid
+        last = recs[-1]
         result.steps.append(
             StepSummary(
                 t=t,
-                iterations=len(recs) - 1 if recs else 0,
-                residual_inf=r_inf,
-                min_cone_margin=min_cone_margin(op_t, grid),
+                iterations=last.iter,
+                residual_inf=last.residual_inf,
+                min_cone_margin=last.min_cone_margin,
+                krylov_iters=sum(rec.krylov_iters for rec in recs),
+                symbol_ratio=last.symbol_ratio,
+                negative_modes=last.negative_modes,
             )
         )
 

@@ -1,6 +1,7 @@
 """Shared constructions for the tests: a pole-safe random Moebius word
-generator, the standing catalog of conformal factors, and a generic
-root-search oracle for the radial slope solve."""
+generator, the standing catalog of conformal factors, a generic root-search
+oracle for the radial slope solve, and per-node loop oracles for the
+periodic solver's closed-form residual, Jacobian coefficients and margin."""
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from conforma.fields import (
     HarmonicPowerField,
 )
 from conforma.radial import radial_eigenvalues
+from conforma.yamabe import _eigen_partials, node_eigenvalues
 
 
 def random_word(rng, n):
@@ -128,3 +130,49 @@ def implicit_vpp_bracket(op, v, vp, r):
                 ghi *= 0.5
             kept = "hi"
     return 0.5 * (lo + hi)
+
+
+def residual_loop(op, g):
+    """Per-node op.f(lam) - 1; the off-cone nodes, in order, as ConeError
+    witnesses (node index, eigenvalue row)."""
+    lam = node_eigenvalues(g, op.n)
+    res = np.empty(g.N)
+    bad = []
+    for i in range(g.N):
+        try:
+            res[i] = op.f(lam[i]) - 1.0
+        except ConeError:
+            bad.append(i)
+    if bad:
+        raise ConeError(
+            f"eigenvalues leave the cone at nodes {bad}",
+            witness=[(i, lam[i].tolist()) for i in bad],
+        )
+    return res
+
+
+def jacobian_coefficients_loop(op, g):
+    """(diag_v, diag_vp, diag_vpp) from per-node op.grad_f, and for each the
+    per-node sum of its terms' magnitudes, the scale of its rounding error
+    (diag_vp cancels to zero wherever the gradient is a multiple of e)."""
+    up, upp = g.derivatives()
+    dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp = _eigen_partials(g.values, up, upp, op.n)
+    lam = node_eigenvalues(g, op.n)
+    gt = np.empty(g.N)
+    Gs = np.empty(g.N)
+    for i in range(g.N):
+        grad = np.asarray(op.grad_f(lam[i]), dtype=float)
+        gt[i] = grad[0]
+        Gs[i] = float(grad[1:].sum())
+    coeffs = (gt * dt_dv + Gs * ds_dv, gt * dt_dvp + Gs * ds_dvp, gt * dt_dvpp)
+    scales = (
+        np.abs(gt * dt_dv) + np.abs(Gs * ds_dv),
+        np.abs(gt * dt_dvp) + np.abs(Gs * ds_dvp),
+        np.abs(gt * dt_dvpp),
+    )
+    return coeffs, scales
+
+
+def min_cone_margin_loop(op, g):
+    lam = node_eigenvalues(g, op.n)
+    return min(float(op.cone.margin(lam[i])) for i in range(g.N))

@@ -142,24 +142,55 @@ def test_solve_yamabe_trace_always_written(tmp_path):
 
 def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
     # N = 256 spectral is where a derivative rounding floor of eps N^2 ||u||
-    # would sit at tol 1e-10 and let the BLAS thread count decide the outcome
+    # would sit at tol 1e-10 and let the BLAS thread count decide the outcome;
+    # (6, 2, 512, spectral) differed in its last digits under a dense LU step
     src = str(Path(conforma.__file__).resolve().parents[1])
-    argv = [
-        sys.executable, "-m", "conforma.cli", "solve-yamabe", "--n", "5", "--k", "2",
-        "--N", "256", "--scheme", "spectral", "--L", "1", "--t-steps", "11",
-        "--tol", "1e-10",
-    ]
-    raw = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["OMP_NUM_THREADS"] = threads
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([*argv, "--output-dir", str(out)], env=env, capture_output=True)
-        assert proc.returncode == 0, proc.stderr
-        raw.append((out / "result.json").read_bytes())
-    assert raw[0] == raw[1]
-    assert json.loads(raw[0])["result"]["status"] == "ok"
+    cases = [("5", "2", "256"), ("6", "2", "512")]
+    for n, k, nodes in cases:
+        argv = [
+            sys.executable, "-m", "conforma.cli", "solve-yamabe", "--n", n, "--k", k,
+            "--N", nodes, "--scheme", "spectral", "--L", "1", "--t-steps", "11",
+            "--tol", "1e-10",
+        ]
+        raw = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{n}-{nodes}-{threads}"
+            env = {key: v for key, v in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+            env["OMP_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([*argv, "--output-dir", str(out)], env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            raw.append(((out / "result.json").read_bytes(), (out / "trace.jsonl").read_bytes()))
+        assert raw[0] == raw[1]
+        assert json.loads(raw[0][0])["result"]["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("conjugation-test", "--word", "translate:1,2"),
+        ("conjugation-test", "--n", "9"),
+        ("radial-shoot", "--n", "5", "--k", "2", "--v0", "1e300"),
+        ("validate-operator", "--n", "3", "--k", "2", "--samples", "0"),
+        ("homogenize", "--samples", "0"),
+        ("conjugation-test", "--samples", "0"),
+        ("harnack", "--samples", "-1"),
+        ("moving-sphere", "--task", "lemmas", "--h-count", "0"),
+    ],
+    ids=["word-dim", "n9", "v0-overflow", "validate-0", "homogenize-0",
+         "conjugation-0", "harnack-neg", "lemmas-0"],
+)
+def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
+    # a domain error returns 2, an argument rejected by the parser exits 2;
+    # either way "error:" on stderr, no traceback and no artifact
+    try:
+        rc = run(tmp_path, *argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_conjugation_test_command(tmp_path):

@@ -1,11 +1,14 @@
 """Periodic continuation solver on the circle-sphere product: residual,
 Jacobian, Newton, and the homotopy path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conforma.cones import homotopy_operator, make_sigma_k_operator
-from conforma.errors import ConeError, DomainError
+from conforma import yamabe
+from conforma.cones import homogenize, homotopy_operator, make_sigma_k_operator
+from conforma.errors import ConeError, ConvergenceError, DomainError
 from conforma.yamabe import (
     PeriodicGrid,
     background_admissible,
@@ -13,6 +16,7 @@ from conforma.yamabe import (
     constant_start,
     continuation,
     derivative_symbols,
+    gmres,
     jacobian,
     jacobian_fd,
     min_cone_margin,
@@ -21,6 +25,7 @@ from conforma.yamabe import (
     residual,
 )
 from conforma.conformal import product_background_eigenvalues
+from helpers import jacobian_coefficients_loop, min_cone_margin_loop, residual_loop
 
 N = 64
 L = 1.0
@@ -175,12 +180,12 @@ def test_jacobian_circulant_at_constant():
     # circulant; fd4 coefficients make this exact, spectral ones are
     # circulant to relative roundoff
     g4 = constant_grid(CS, scheme="fd4")
-    J4 = jacobian(OP, g4)
+    J4 = np.asarray(jacobian(OP, g4))
     rows = np.array([np.roll(J4[i], -i) for i in range(N)])
     assert np.max(np.abs(rows - rows[0])) == 0.0
 
     g = constant_grid(CS)
-    J = jacobian(OP, g)
+    J = np.asarray(jacobian(OP, g))
     rows = np.array([np.roll(J[i], -i) for i in range(N)])
     asym = np.max(np.abs(rows - rows[0]))
     assert asym <= 1e-10 * np.max(np.abs(J))
@@ -203,7 +208,7 @@ def test_jacobian_spectrum_matches_symbol_at_constant(scheme):
         theta = 2.0 * np.pi * np.arange(N) / N
         s2 = (32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta) - 30.0) / (12.0 * h * h)
     want = np.sort(diag_v + diag_vpp * s2)
-    got = np.linalg.eigvals(jacobian(OP, g))
+    got = np.linalg.eigvals(np.asarray(jacobian(OP, g)))
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got.imag)) <= 1e-10 * scale
     assert np.max(np.abs(np.sort(got.real) - want)) <= 1e-10 * scale
@@ -212,12 +217,184 @@ def test_jacobian_spectrum_matches_symbol_at_constant(scheme):
 def test_jacobian_row_sums_at_constant():
     # derivative of c -> F(c) along constants: -(4/(n-2)) c^{-4/(n-2)-1} f(lam_bg)
     g = constant_grid(CS)
-    J = jacobian(OP, g)
+    J = np.asarray(jacobian(OP, g))
     n = 5
     expected = (-4.0 / (n - 2)) * CS ** (-4.0 / (n - 2) - 1.0) * (
         OP.f(product_background_eigenvalues(n))
     )
     assert np.max(np.abs(J.sum(axis=1) - expected)) <= 1e-8
+
+
+WORKLOAD_NK = [(5, 1), (5, 2), (6, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n,k", WORKLOAD_NK)
+def test_closed_form_matches_loop_oracle(n, k, t, scheme):
+    # the two-cluster kernel against per-node op.f / op.grad_f / cone.margin
+    # loops: 1e-12 relative on an admissible grid, and the same rejected
+    # nodes, message and witnesses on a grid that leaves the cone
+    base = make_sigma_k_operator(n, k)
+    op = base if t == 1.0 else homotopy_operator(base, t)
+    cs = c_star(base)
+    g = constant_grid(cs, scheme=scheme)
+    x = g.nodes()
+    wave = np.sin(2.0 * np.pi * x / L) + 0.4 * np.cos(6.0 * np.pi * x / L)
+
+    on = g.with_values(cs * (1.0 + 0.002 * wave))
+    want = residual_loop(op, on)
+    assert np.max(np.abs(residual(op, on) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    J = jacobian(op, on)
+    coeffs, scales = jacobian_coefficients_loop(op, on)
+    for got, ref, scale in zip((J.diag_v, J.diag_vp, J.diag_vpp), coeffs, scales):
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+    margin = min_cone_margin_loop(op, on)
+    assert margin > 0.0
+    assert abs(min_cone_margin(op, on) - margin) <= 1e-12 * margin
+
+    off = g.with_values(cs * (1.0 + 0.3 * wave))
+    with pytest.raises(ConeError) as ref_err:
+        residual_loop(op, off)
+    with pytest.raises(ConeError) as err:
+        residual(op, off)
+    assert str(err.value) == str(ref_err.value)
+    assert err.value.witness == ref_err.value.witness
+    with pytest.raises(ConeError):
+        jacobian(op, off)
+    assert min_cone_margin(op, off) < 0.0
+
+
+def test_closed_form_needs_two_cluster_operator():
+    # sigma_k^(1/k) and its homotopies carry (k, t); the homotopy keeps
+    # sigma_order None, and operators without the closed form are refused
+    assert OP.two_cluster == (2, 1.0)
+    op_t = homotopy_operator(OP, 0.3)
+    assert op_t.sigma_order is None and op_t.two_cluster == (2, 0.3)
+    deg1 = homogenize(OP)
+    assert deg1.two_cluster is None
+    assert homotopy_operator(deg1, 0.3).two_cluster is None
+    g = constant_grid(CS, 16)
+    for fn in (residual, jacobian, min_cone_margin):
+        with pytest.raises(DomainError):
+            fn(deg1, g)
+
+
+def test_newton_is_matrix_free(monkeypatch):
+    # no dense solve and no per-node f / grad_f call on the Newton path; on
+    # the constant branch the circulant preconditioner is exact, so each
+    # Newton step takes one Krylov iteration
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    calls = []
+
+    def counted(fn):
+        def wrapper(lam):
+            calls.append(1)
+            return fn(lam)
+
+        return wrapper
+
+    op = dataclasses.replace(OP, f=counted(OP.f), grad_f=counted(OP.grad_f))
+    res = continuation(op, L=L, N=N, t_steps=11, tol=1e-10)
+    assert res.status == "ok"
+    assert all(rec.krylov_iters == min(rec.iter, 1) for rec in res.records)
+    assert all("krylov_iters" in rec.to_json_dict() for rec in res.records)
+    records = []
+    newton_solve(op, sinusoid_grid(CS, 0.005), tol=1e-10, records=records)
+    assert records[1].krylov_iters > 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_gmres_matches_dense_solve(scheme):
+    g = constant_grid(CS, scheme=scheme)
+    x = g.nodes()
+    u = CS * (1.0 + 0.004 * np.sin(2.0 * np.pi * x / L) + 0.0005 * np.cos(6.0 * np.pi * x / L))
+    J = jacobian(OP, g.with_values(u))
+    dense = np.asarray(J)
+    b = np.random.default_rng(5).normal(size=N)
+    x, iters = gmres(J, b, J.circulant_symbol())
+    assert 1 < iters < yamabe.KRYLOV_MAX
+    want = np.linalg.solve(dense, b)
+    assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+    assert np.max(np.abs(dense @ x - b)) <= 1e-9 * np.max(np.abs(b))
+    assert gmres(J, np.zeros(N), J.circulant_symbol())[1] == 0
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_circulant_symbol_is_the_constant_branch_spectrum(scheme):
+    # at a constant grid J is the circulant itself: its symbol over the full
+    # spectrum is J's eigenvalues, and GMRES needs one iteration
+    g = constant_grid(CS, scheme=scheme)
+    J = jacobian(OP, g)
+    mu = J.circulant_symbol()
+    full = np.concatenate([mu, np.conj(mu[-2:0:-1])])
+    got = np.linalg.eigvals(np.asarray(J))
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(np.sort(got.real) - np.sort(full.real))) <= 1e-10 * scale
+    assert gmres(J, np.random.default_rng(1).normal(size=N), mu)[1] == 1
+
+
+def test_krylov_cap_raises_naming_linear_solve(monkeypatch):
+    monkeypatch.setattr(yamabe, "KRYLOV_MAX", 2)
+    with pytest.raises(ConvergenceError) as err:
+        newton_solve(OP, sinusoid_grid(CS, 0.005), tol=1e-10)
+    assert "linear solve" in str(err.value)
+    assert "Newton iteration 1" in str(err.value)
+    assert isinstance(err.value.iterate, PeriodicGrid)
+
+
+def test_step_summary_is_the_last_newton_record():
+    res = continuation(OP, L=L, N=N, t_steps=6, tol=1e-10, scheme="fd4")
+    assert res.status == "ok"
+    for step in res.steps:
+        recs = [rec for rec in res.records if rec.t == step.t]
+        assert step.iterations == recs[-1].iter == len(recs) - 1
+        assert step.residual_inf == recs[-1].residual_inf
+        assert step.min_cone_margin == recs[-1].min_cone_margin
+        assert step.krylov_iters == sum(rec.krylov_iters for rec in recs)
+        assert step.symbol_ratio == recs[-1].symbol_ratio
+    # evaluated afresh on the returned grid, the same bits
+    op1 = homotopy_operator(OP, 1.0)
+    assert res.steps[-1].residual_inf == float(np.max(np.abs(residual(op1, res.final))))
+    assert res.steps[-1].min_cone_margin == min_cone_margin(op1, res.final)
+    # the exact t = 0 start needs no linearisation
+    assert res.steps[0].iterations == 0 and res.steps[0].symbol_ratio is None
+    assert all(s.symbol_ratio > yamabe.DEGENERATE_SYMBOL_RATIO for s in res.steps[1:])
+    assert all(s.negative_modes == 1 for s in res.steps[1:])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_degenerate_linearisation_at_schoen_length(n):
+    # k = 1: the constant branch bifurcates at L* = 2 pi / sqrt(n - 2), where
+    # the circulant mode j = 1 of the linearisation vanishes (Schoen 1989)
+    op = make_sigma_k_operator(n, 1)
+    l_star = 2.0 * np.pi / np.sqrt(n - 2.0)
+    res = continuation(op, L=l_star, N=N, t_steps=11, tol=1e-10)
+    assert res.status.startswith("failed_at_t=")
+    assert "degenerate linearisation" in res.failure
+    assert "j=1 " in res.failure
+    for scale, negative in ((0.97, 1), (1.03, 3)):
+        res = continuation(op, L=scale * l_star, N=N, t_steps=11, tol=1e-10)
+        assert res.status == "ok", res.failure
+        assert res.steps[-1].negative_modes == negative
+        assert res.steps[-1].symbol_ratio > 1e-6
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_oracle_jacobian_singular_at_schoen_length(n):
+    op = make_sigma_k_operator(n, 1)
+    l_star = 2.0 * np.pi / np.sqrt(n - 2.0)
+    ratios = []
+    for length in (l_star, 1.05 * l_star):
+        g = PeriodicGrid(L=length, values=np.full(N, c_star(op)))
+        eig = np.abs(np.linalg.eigvals(np.asarray(jacobian(op, g))))
+        ratios.append(np.min(eig) / np.max(eig))
+    assert ratios[0] <= 1e-12
+    assert ratios[1] >= 1e-5
 
 
 def test_newton_converges_from_small_sinusoid():
