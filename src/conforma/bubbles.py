@@ -3,7 +3,7 @@
 The canonical profile is u(x) = (a / (1 + beta*|x - center|^2))^((n-2)/2).
 `beta` is a single slot: it plays the role of b^2 for the full-space family
 and of b for the half-space/ball families (conversion is the caller's
-business; helpers below make it explicit).
+business).
 """
 
 from __future__ import annotations
@@ -19,25 +19,11 @@ __all__ = [
     "bubble_value",
     "bubble_grad",
     "bubble_hess",
-    "bubble_from_initial_conditions",
-    "b_to_beta",
-    "beta_to_b",
     "Residuals",
     "verify_fullspace",
     "halfspace_residual",
     "ball_robin_residual",
 ]
-
-
-def b_to_beta(b: float) -> float:
-    """Full-space theorem parameter b -> canonical beta slot (beta = b^2)."""
-    return b * b
-
-
-def beta_to_b(beta: float) -> float:
-    if beta < 0:
-        raise DomainError("beta < 0 has no real b with beta = b^2")
-    return beta**0.5
 
 
 @dataclass(frozen=True)
@@ -109,23 +95,11 @@ def bubble_values(p: BubbleParams, X: np.ndarray) -> np.ndarray:
     return (p.a / d) ** (0.5 * (p.n - 2))
 
 
-def bubble_from_initial_conditions(v0: float, vpp0: float, n: int) -> BubbleParams:
-    """Bubble matching a radial profile's v(0) and v''(0) (with v'(0)=0)."""
-    if not v0 > 0:
-        raise DomainError(f"v0 must be positive, got {v0}")
-    a = v0 ** (2.0 / (n - 2))
-    beta = (1.0 / (2.0 - n)) * a ** (0.5 * (2.0 - n)) * vpp0
-    return BubbleParams(n=n, a=a, beta=beta, center=np.zeros(n))
-
-
 @dataclass(frozen=True)
 class Residuals:
     r1: float
     r2: float
     samples_used: int
-
-    def to_json_dict(self) -> dict:
-        return {"r1": self.r1, "r2": self.r2, "samples_used": self.samples_used}
 
 
 def verify_fullspace(op, p: BubbleParams, sample_count: int = 100, seed: int = 0) -> Residuals:

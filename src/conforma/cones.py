@@ -23,15 +23,6 @@ BISECT_ITERS = 60
 NEWTON_POLISH = 5
 
 
-def _check_eigenvec(lam) -> tuple:
-    vals = tuple(float(x) for x in lam)
-    if len(vals) < 3:
-        raise DomainError(f"eigenvalue vector needs n >= 3, got n={len(vals)}")
-    if not all(math.isfinite(x) for x in vals):
-        raise DomainError("eigenvalue vector has non-finite entries")
-    return vals
-
-
 def sigma_all(lam) -> list:
     """All elementary symmetric polynomials sigma_1..sigma_n of lam.
 
@@ -47,32 +38,6 @@ def sigma_all(lam) -> list:
         for k in range(m, 0, -1):
             e[k] += x * e[k - 1]
     return e[1:]
-
-
-def sigma_k(lam, k: int) -> float:
-    """k-th elementary symmetric polynomial of the eigenvalue vector."""
-    vals = _check_eigenvec(lam)
-    n = len(vals)
-    if not 1 <= k <= n:
-        raise DomainError(f"k={k} out of range 1..{n}")
-    return sigma_all(vals)[k - 1]
-
-
-def in_gamma_k(lam, k: int) -> bool:
-    """Membership in the Garding cone: sigma_j(lam) > 0 for every j = 1..k."""
-    vals = _check_eigenvec(lam)
-    n = len(vals)
-    if not 1 <= k <= n:
-        raise DomainError(f"k={k} out of range 1..{n}")
-    e = sigma_all(vals)
-    return all(e[j] > 0.0 for j in range(k))
-
-
-def scalar_curvature(lam) -> float:
-    """Scalar curvature encoded by Schouten eigenvalues: 2(n-1) sigma_1."""
-    vals = _check_eigenvec(lam)
-    n = len(vals)
-    return 2.0 * (n - 1) * sigma_all(vals)[0]
 
 
 def _sigma_minor(lam, e, j: int, i: int) -> float:
@@ -91,22 +56,16 @@ def _sigma_minor(lam, e, j: int, i: int) -> float:
 class ConeSpec:
     """Open convex symmetric cone with vertex at the origin."""
 
-    kind = "abstract"
     n: int
 
     def contains(self, lam) -> bool:
         raise NotImplementedError
-
-    def margin(self, lam) -> float:
-        """Positive-inside proxy for the distance to the cone boundary."""
-        return 1.0 if self.contains(lam) else -1.0
 
 
 @dataclass(frozen=True)
 class GammaKCone(ConeSpec):
     n: int
     k: int
-    kind = "gamma_k"
 
     def __post_init__(self):
         if not (self.n >= 3 and 1 <= self.k <= self.n):
@@ -122,35 +81,11 @@ class GammaKCone(ConeSpec):
 
 
 @dataclass(frozen=True)
-class LevelSetCone(ConeSpec):
-    """Cone over the boundary of V = {g > 1} for smooth symmetric g.
-
-    Membership uses the ray structure of such sets: {s : s*lam in V} is a
-    half-line, so lam generates a ray through V iff the far sample is inside.
-    """
-
-    n: int
-    generator: Callable[[Sequence[float]], float]
-    kind = "level_set"
-
-    def contains(self, lam) -> bool:
-        arr = np.asarray(lam, dtype=float)
-        if not np.all(np.isfinite(arr)) or np.all(arr == 0.0):
-            return False
-        try:
-            val = float(self.generator(S_MAX * arr))
-        except (ConeError, DomainError, ValueError, OverflowError, FloatingPointError):
-            return False
-        return val > 1.0  # nan compares false; +inf counts as inside
-
-
-@dataclass(frozen=True)
 class HomotopyCone(ConeSpec):
     """Pullback cone {lam : t*lam + (1-t)*sigma_1(lam)*e in inner}."""
 
     inner: ConeSpec
     t: float
-    kind = "homotopy"
 
     @property
     def n(self):
@@ -190,9 +125,6 @@ class CurvatureOperator:
     homogeneous_degree: Optional[float] = None
     sigma_order: Optional[int] = None
     two_cluster: Optional[tuple] = None
-
-    def __call__(self, lam) -> float:
-        return self.f(lam)
 
     @property
     def n(self) -> int:
@@ -429,54 +361,6 @@ def homotopy_operator(op: CurvatureOperator, t: float) -> CurvatureOperator:
     )
 
 
-def cone_ray_scale(generator: Callable[[np.ndarray], float], lam) -> float:
-    """Scale s_bar > 0 putting s_bar*lam on the boundary of V = {g > 1}.
-
-    The set {s : s*lam in V} is a half-line, so the crossing is unique and
-    bisection is safe. Resolution 1e-10 in s (relative).
-    """
-    arr = np.asarray(lam, dtype=float)
-
-    def inside(s):
-        try:
-            val = float(generator(s * arr))
-        except (ConeError, DomainError, ValueError, FloatingPointError):
-            return False
-        return val > 1.0
-
-    s = 1.0
-    if inside(s):
-        hi = s
-        lo = s
-        while True:
-            lo *= 0.5
-            if lo < S_MIN:
-                raise ConeError("ray enters V at every probed scale down to 1e-9")
-            if not inside(lo):
-                break
-            hi = lo
-    else:
-        lo = s
-        hi = s
-        while True:
-            hi *= 2.0
-            if hi > S_MAX:
-                raise ConeError("no positive multiple of lambda lies in V")
-            if inside(hi):
-                break
-            lo = hi
-
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if inside(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -491,10 +375,6 @@ class CheckResult:
 @dataclass
 class ValidationReport:
     checks: dict
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
 
     def to_json_dict(self) -> dict:
         return {

@@ -36,12 +36,6 @@ class Translate:
     def apply(self, x):
         return x + np.asarray(self.v, dtype=float)
 
-    def jac_det_abs(self, x):
-        return 1.0
-
-    def inverse(self):
-        return Translate(tuple(-c for c in self.v))
-
 
 @dataclass(frozen=True)
 class Scale:
@@ -54,12 +48,6 @@ class Scale:
     def apply(self, x):
         return self.c * x
 
-    def jac_det_abs(self, x):
-        return abs(self.c) ** len(x)
-
-    def inverse(self):
-        return Scale(1.0 / self.c)
-
 
 @dataclass(frozen=True)
 class Invert:
@@ -70,15 +58,6 @@ class Invert:
         if r2 <= self.guard**2:
             raise SingularityError("evaluation inside the inversion pole guard")
         return x / r2
-
-    def jac_det_abs(self, x):
-        r2 = float(x @ x)
-        if r2 <= self.guard**2:
-            raise SingularityError("evaluation inside the inversion pole guard")
-        return r2 ** (-len(x))
-
-    def inverse(self):
-        return Invert(self.guard)
 
 
 @dataclass(frozen=True)
@@ -93,37 +72,6 @@ class MoebiusMap:
             y = g.apply(y)
         return y
 
-    def jac_det_abs(self, x):
-        """|det D psi|(x), by the chain rule along the word."""
-        y = np.asarray(x, dtype=float)
-        det = 1.0
-        for g in self.word:
-            det *= g.jac_det_abs(y)
-            y = g.apply(y)
-        return det
-
-    def inverse(self):
-        return MoebiusMap(tuple(g.inverse() for g in reversed(self.word)))
-
-    def then(self, other: "MoebiusMap") -> "MoebiusMap":
-        """Map equal to: apply self first, then other (other o self)."""
-        return MoebiusMap(self.word + other.word)
-
-
-def identity_map() -> MoebiusMap:
-    return MoebiusMap(())
-
-
-def sphere_inversion_map(x, lam: float) -> MoebiusMap:
-    """y -> x + lam^2 (y - x)/|y - x|^2 as a Mobius word."""
-    if not lam > 0:
-        raise DomainError("inversion radius must be positive")
-    x = tuple(float(c) for c in np.atleast_1d(x))
-    neg = tuple(-c for c in x)
-    return MoebiusMap(
-        (Translate(neg), Scale(1.0 / lam), Invert(), Scale(lam), Translate(x))
-    )
-
 
 # ---------------------------------------------------------------------------
 # Pullback fields (one chain-rule wrapper per generator)
@@ -137,9 +85,6 @@ class _TranslatePullback(ScalarField):
 
     def _value(self, x):
         return self.inner.value(x + self.v)
-
-    def values(self, X):
-        return self.inner.values(np.atleast_2d(X) + self.v)
 
     def _grad(self, x):
         return self.inner.grad(x + self.v)
@@ -157,9 +102,6 @@ class _ScalePullback(ScalarField):
 
     def _value(self, x):
         return self.pref * self.inner.value(self.c * x)
-
-    def values(self, X):
-        return self.pref * self.inner.values(self.c * np.atleast_2d(X))
 
     def _grad(self, x):
         return self.pref * self.c * self.inner.grad(self.c * x)
@@ -185,14 +127,6 @@ class _KelvinPullback(ScalarField):
     def _value(self, x):
         y, r2 = self._point(x)
         return r2 ** (0.5 * (2.0 - self.n)) * self.inner.value(y)
-
-    def values(self, X):
-        X = np.atleast_2d(X)
-        r2 = np.einsum("ij,ij->i", X, X)
-        if np.any(r2 <= self.guard**2):
-            raise SingularityError("evaluation inside the inversion pole guard")
-        Y = X / r2[:, None]
-        return r2 ** (0.5 * (2.0 - self.n)) * self.inner.values(Y)
 
     def _grad(self, x):
         n = self.n
@@ -267,24 +201,9 @@ def pullback_u(u: ScalarField, psi: MoebiusMap) -> ScalarField:
     return out
 
 
-def sphere_inversion_u(u: ScalarField, x, lam: float) -> ScalarField:
-    """u_{x,lam}(y) = (lam/|y-x|)^{n-2} u(x + lam^2 (y-x)/|y-x|^2)."""
-    return pullback_u(u, sphere_inversion_map(x, lam))
-
-
-def sphere_inversion_value(u: ScalarField, x, lam: float, y) -> float:
-    """Direct closed-form evaluation of u_{x,lam}(y) (no pullback chain)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d2 = float((y - x) @ (y - x))
-    if d2 <= POLE_GUARD_ANALYTIC**2:
-        raise SingularityError("u_{x,lam} evaluated at its pole y = x")
-    kernel = (lam * lam / d2) ** (0.5 * (u.n - 2))
-    return kernel * u.value(x + lam * lam * (y - x) / d2)
-
-
 def sphere_inversion_values(u: ScalarField, x, lam: float, Y) -> np.ndarray:
-    """Vectorized direct u_{x,lam} over rows of Y."""
+    """u_{x,lam}(y) = (lam/|y-x|)^{n-2} u(x + lam^2 (y-x)/|y-x|^2) over rows
+    of Y, in closed form."""
     x = np.asarray(x, dtype=float)
     Y = np.atleast_2d(Y)
     D = Y - x
@@ -377,32 +296,3 @@ def conjugation_residual(u: ScalarField, psi: MoebiusMap, sample_points) -> floa
         lam_push = schouten_eigen_flat(u, psi.apply(x))
         worst = max(worst, float(np.max(np.abs(lam_pull - lam_push))))
     return worst
-
-
-@dataclass(frozen=True)
-class SuperharmonicReport:
-    max_laplacian: float
-    tol: float
-    passed: bool
-    samples_used: int
-
-    def to_json_dict(self):
-        return {
-            "max_laplacian": self.max_laplacian,
-            "tol": self.tol,
-            "pass": self.passed,
-            "samples_used": self.samples_used,
-        }
-
-
-def superharmonic_check(u: ScalarField, sample_points) -> SuperharmonicReport:
-    """Reports the largest sampled Laplacian; superharmonic means <= 0
-    (tolerance 1e-8 analytic, 1e-4 finite differences)."""
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    worst = -math.inf
-    for x in pts:
-        worst = max(worst, float(np.trace(u.hess(x))))
-    tol = 1e-4 if u.mode == "fd" else 1e-8
-    return SuperharmonicReport(
-        max_laplacian=worst, tol=tol, passed=worst <= tol, samples_used=len(pts)
-    )

@@ -69,19 +69,11 @@ def msi_violation(
     if not lam > 0:
         raise DomainError(f"inversion radius lam = {lam:g} must be positive")
     x = np.asarray(x, dtype=float)
-    if u.domain is not None:
-        # the inverted sphere B_lam(x) must sit inside the field's domain
-        r = float(np.linalg.norm(x)) + lam
-        probe = x.copy()
-        probe[0] += lam
-        if u.domain.kind == "ball":
-            ok = r <= u.domain.outer
-        else:
-            ok = u.domain.contains(probe, margin=0.0)
-        if not ok:
-            raise GeometryError(
-                f"inversion ball of radius {lam:g} at {x.tolist()} leaves the domain"
-            )
+    # the inverted sphere B_lam(x) must sit inside the field's domain
+    if u.domain is not None and not float(np.linalg.norm(x)) + lam <= u.domain.outer:
+        raise GeometryError(
+            f"inversion ball of radius {lam:g} at {x.tolist()} leaves the domain"
+        )
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dist = np.linalg.norm(pts - x, axis=1)
     keep = dist >= lam * (1.0 + guard)
@@ -97,9 +89,6 @@ def msi_violation(
 class CriticalRadius:
     lambda_bar: float
     flag: str = ""
-
-    def to_json_dict(self):
-        return {"lambda_bar": self.lambda_bar, "flag": self.flag}
 
 
 def critical_radius(u: ScalarField, x, cfg: SweepConfig) -> CriticalRadius:
@@ -198,16 +187,6 @@ class HLemmaReport:
 
     def implication_holds(self) -> bool:
         return (not self.hypothesis_pass) or self.conclusion_pass
-
-    def to_json_dict(self):
-        return {
-            "hypothesis_pass": self.hypothesis_pass,
-            "hypothesis_worst": self.hypothesis_worst,
-            "conclusion_pass": self.conclusion_pass,
-            "conclusion_worst": self.conclusion_worst,
-            "alpha": self.alpha,
-            "a": self.a,
-        }
 
 
 HYPOTHESIS_TOL = 1e-12

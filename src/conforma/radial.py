@@ -142,9 +142,6 @@ class RadialProfile:
     h: float
     status: str = "ok"
 
-    def __len__(self):
-        return len(self.r)
-
     def to_json_dict(self):
         return {
             "n": self.n,
@@ -200,8 +197,8 @@ def shoot(
         )
     if not h > 0:
         raise DomainError("step h must be positive")
-    if not r_max > h:
-        raise DomainError("r_max must exceed the step h")
+    if not (math.isfinite(r_max) and r_max > h):
+        raise DomainError(f"r_max = {r_max:g} must be finite and exceed the step h")
 
     w0 = vpp0_exact(op, v0)
     rs = [0.0]

@@ -20,6 +20,7 @@ cone gates.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -86,8 +87,8 @@ class PeriodicGrid:
     symbols: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise DomainError("circle length L must be positive")
+        if not (self.L > 0 and math.isfinite(self.L)):
+            raise DomainError(f"circle length L = {self.L:g} must be positive and finite")
         self.values = np.asarray(self.values, dtype=float).copy()
         N = len(self.values)
         if N < 8 or N & (N - 1):
@@ -116,7 +117,15 @@ class PeriodicGrid:
         return np.fft.irfft(s1 * uhat, self.N), np.fft.irfft(s2 * uhat, self.N)
 
     def with_values(self, values) -> "PeriodicGrid":
-        return PeriodicGrid(L=self.L, values=values, scheme=self.scheme)
+        """The same grid (L, N, scheme and its symbols) with new values."""
+        values = np.asarray(values, dtype=float).copy()
+        if values.shape != self.values.shape:
+            raise DomainError(f"expected {self.N} grid values, got shape {values.shape}")
+        if not np.all(values > 0):
+            raise PositivityError("grid values must be strictly positive")
+        g = copy.copy(self)
+        g.values = values
+        return g
 
     def write_csv(self, path):
         from . import reporting
@@ -435,6 +444,8 @@ def newton_solve(
     (< 1e-3 relative drop over 5 iterations), the linear solve misses its
     tolerance, or max_iter runs out.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError(f"tolerance tol = {tol:g} must be positive and finite")
     g = g0.with_values(g0.values)
     restoration = None
     try:

@@ -1,21 +1,116 @@
 """Shared constructions for the tests: a pole-safe random Moebius word
-generator, the standing catalog of conformal factors, a generic root-search
-oracle for the radial slope solve, and per-node loop oracles for the
-periodic solver's closed-form residual, Jacobian coefficients and margin."""
+generator, the standing catalog of conformal factors and its non-bubble
+fields, the generator-chain sphere inversion, the bubble matching a radial
+jet, a generic root-search oracle for the radial slope solve, and per-node
+loop oracles for the periodic solver's closed-form residual, Jacobian
+coefficients and margin."""
+
+import math
 
 import numpy as np
 
 from conforma.bubbles import BubbleParams
-from conforma.conformal import Invert, MoebiusMap, Scale, Translate
-from conforma.errors import ConeError, ConvergenceError, DomainError
-from conforma.fields import (
-    BubbleField,
-    ConstantField,
-    GaussianBumpField,
-    HarmonicPowerField,
+from conforma.conformal import Invert, MoebiusMap, Scale, Translate, pullback_u
+from conforma.errors import (
+    ConeError,
+    ConvergenceError,
+    DomainError,
+    GeometryError,
+    PositivityError,
 )
+from conforma.fields import BubbleField, ConstantField, ScalarField
 from conforma.radial import radial_eigenvalues
 from conforma.yamabe import _eigen_partials, node_eigenvalues
+
+
+class GaussianBumpField(ScalarField):
+    """u = base + amp * exp(-|x - center|^2 / width^2), positive for amp > -base."""
+
+    def __init__(self, n, base=1.0, amp=0.3, center=None, width=1.0):
+        if base + min(amp, 0.0) <= 0:
+            raise PositivityError("gaussian bump parameters allow u <= 0")
+        super().__init__(n)
+        self.base = float(base)
+        self.amp = float(amp)
+        self.center = np.zeros(n) if center is None else np.asarray(center, float)
+        self.width = float(width)
+
+    def _bump(self, x):
+        z = x - self.center
+        return self.amp * math.exp(-float(z @ z) / self.width**2), z
+
+    def _value(self, x):
+        b, _ = self._bump(x)
+        return self.base + b
+
+    def values(self, X):
+        Z = np.atleast_2d(X) - self.center
+        return self.base + self.amp * np.exp(
+            -np.einsum("ij,ij->i", Z, Z) / self.width**2
+        )
+
+    def _grad(self, x):
+        b, z = self._bump(x)
+        return b * (-2.0 / self.width**2) * z
+
+    def _hess(self, x):
+        b, z = self._bump(x)
+        w2 = self.width**2
+        return b * (4.0 * np.outer(z, z) / w2**2 - 2.0 * np.eye(self.n) / w2)
+
+
+class HarmonicPowerField(ScalarField):
+    """u = |x|^(2-n), the Kelvin image of the constant 1; singular at 0, so
+    evaluation is guarded to 1e-6 + margin <= |x| <= 1e6 - margin."""
+
+    def _check(self, x, margin=0.0):
+        if not 1e-6 + margin <= float(np.linalg.norm(x)) <= 1e6 - margin:
+            raise GeometryError(
+                f"point {np.asarray(x).tolist()} leaves the pole guard (margin {margin:g})"
+            )
+
+    def _value(self, x):
+        r = float(np.linalg.norm(x))
+        return r ** (2.0 - self.n)
+
+    def _grad(self, x):
+        r = float(np.linalg.norm(x))
+        return (2.0 - self.n) * r ** (-self.n) * x
+
+    def _hess(self, x):
+        n = self.n
+        r = float(np.linalg.norm(x))
+        return (2.0 - n) * (
+            r ** (-n) * np.eye(n) - n * r ** (-n - 2.0) * np.outer(x, x)
+        )
+
+
+def sphere_inversion_map(x, lam):
+    """y -> x + lam^2 (y - x)/|y - x|^2 as a Mobius word."""
+    if not lam > 0:
+        raise DomainError("inversion radius must be positive")
+    x = tuple(float(c) for c in np.atleast_1d(x))
+    neg = tuple(-c for c in x)
+    return MoebiusMap(
+        (Translate(neg), Scale(1.0 / lam), Invert(), Scale(lam), Translate(x))
+    )
+
+
+def sphere_inversion_u(u, x, lam):
+    """u_{x,lam} as the pullback of u by the generator chain of
+    sphere_inversion_map: an oracle for the closed-form
+    conformal.sphere_inversion_values."""
+    return pullback_u(u, sphere_inversion_map(x, lam))
+
+
+def bubble_from_initial_conditions(v0, vpp0, n):
+    """Bubble matching a radial profile's v(0) and v''(0) (with v'(0)=0),
+    solved from the jet alone: an independent check of radial.matched_bubble."""
+    if not v0 > 0:
+        raise DomainError(f"v0 must be positive, got {v0}")
+    a = v0 ** (2.0 / (n - 2.0))
+    beta = (1.0 / (2.0 - n)) * a ** (0.5 * (2.0 - n)) * vpp0
+    return BubbleParams(n=n, a=a, beta=beta, center=np.zeros(n))
 
 
 def random_word(rng, n):

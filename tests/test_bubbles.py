@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import bubble_from_initial_conditions
+
 from conforma.bubbles import (
     BubbleParams,
-    b_to_beta,
     ball_robin_residual,
-    beta_to_b,
-    bubble_from_initial_conditions,
     bubble_grad,
     bubble_hess,
     bubble_value,
@@ -45,14 +44,6 @@ def test_param_validation():
     p = BubbleParams(n=3, a=1.0, beta=-0.5)
     with pytest.raises(DomainError):
         bubble_value(p, np.array([2.0, 0.0, 0.0]))
-
-
-def test_b_beta_conversions():
-    assert b_to_beta(3.0) == 9.0
-    assert beta_to_b(9.0) == 3.0
-    assert b_to_beta(beta_to_b(0.37)) == pytest.approx(0.37, rel=1e-15)
-    with pytest.raises(DomainError):
-        beta_to_b(-1.0)
 
 
 @given(

@@ -176,9 +176,15 @@ def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
         ("conjugation-test", "--samples", "0"),
         ("harnack", "--samples", "-1"),
         ("moving-sphere", "--task", "lemmas", "--h-count", "0"),
+        ("radial-shoot", "--n", "3", "--k", "1", "--r-max", "inf"),
+        ("solve-yamabe", "--L", "inf"),
+        ("solve-yamabe", "--tol", "0"),
+        ("solve-yamabe", "--tol", "-1"),
+        ("solve-yamabe", "--tol", "nan"),
     ],
     ids=["word-dim", "n9", "v0-overflow", "validate-0", "homogenize-0",
-         "conjugation-0", "harnack-neg", "lemmas-0"],
+         "conjugation-0", "harnack-neg", "lemmas-0", "r-max-inf", "L-inf",
+         "tol-0", "tol-neg", "tol-nan"],
 )
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     # a domain error returns 2, an argument rejected by the parser exits 2;

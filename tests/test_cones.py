@@ -11,16 +11,11 @@ from hypothesis import given, settings, strategies as st
 from conforma.cones import (
     GammaKCone,
     HomotopyCone,
-    LevelSetCone,
-    cone_ray_scale,
     homogenize,
     homotopy_operator,
-    in_gamma_k,
     make_sigma_k_operator,
     sample_cone_directions,
-    scalar_curvature,
     sigma_all,
-    sigma_k,
     solve_unit_level,
     validate_operator,
 )
@@ -40,9 +35,9 @@ def test_sigma_all_hand_values():
     assert sigma_all([2.0, -1.0, 1.0]) == [2.0, -1.0, -2.0]
     # sigma_k(e) counts the k-subsets
     for n in (3, 4, 5, 7):
-        e = np.ones(n)
+        e = sigma_all(np.ones(n))
         for k in range(1, n + 1):
-            assert sigma_k(e, k) == pytest.approx(binom(n, k), rel=1e-14)
+            assert e[k - 1] == pytest.approx(binom(n, k), rel=1e-14)
 
 
 def test_sigma_all_matches_polynomial_roots():
@@ -74,7 +69,7 @@ def test_sigma_all_permutation_invariant_bitwise(lam, rnd):
 @settings(max_examples=200, deadline=None)
 def test_gamma_cones_nest(lam):
     n = len(lam)
-    flags = [in_gamma_k(lam, k) for k in range(1, n + 1)]
+    flags = [GammaKCone(n, k).contains(lam) for k in range(1, n + 1)]
     for inner, outer in zip(flags[1:], flags):
         if inner:
             assert outer
@@ -85,13 +80,13 @@ def test_gamma_cones_nest(lam):
 )
 @settings(max_examples=100, deadline=None)
 def test_positive_orthant_in_gamma_n(lam):
-    assert in_gamma_k(lam, len(lam))
+    assert GammaKCone(len(lam), len(lam)).contains(lam)
 
 
 def _component_of_ones(n, k, lo, hi, m):
     """Grid flood fill of {sigma_k > 0} from the all-ones point.
 
-    Independent of in_gamma_k: uses only the sign of sigma_k and
+    Independent of GammaKCone: uses only the sign of sigma_k and
     face-adjacency on a uniform lattice over [lo, hi]^n.
     """
     axis = np.linspace(lo, hi, m)
@@ -121,18 +116,14 @@ def _component_of_ones(n, k, lo, hi, m):
 def test_gamma_k_is_component_of_sigma_k_positive(n, k, m):
     # connected-component characterization against the sigma_j > 0 test
     component, _ = _component_of_ones(n, k, -2.0, 2.0, m)
+    cone = GammaKCone(n, k)
     axis = np.linspace(-2.0, 2.0, m)
     mismatches = 0
     for idx in itertools.product(range(m), repeat=n):
         lam = [axis[i] for i in idx]
-        if in_gamma_k(lam, k) != (idx in component):
+        if cone.contains(lam) != (idx in component):
             mismatches += 1
     assert mismatches == 0
-
-
-def test_scalar_curvature_trace_identity():
-    lam = [0.3, -0.1, 0.7, 0.2]
-    assert scalar_curvature(lam) == pytest.approx(2.0 * 3 * sum(lam), rel=1e-14)
 
 
 def test_sigma_k_operator_values():
@@ -171,16 +162,16 @@ def test_operator_index_validation():
     with pytest.raises(DomainError):
         make_sigma_k_operator(4, 0)
     with pytest.raises(DomainError):
-        sigma_k([1.0, 1.0], 3)
+        GammaKCone(2, 1)
     with pytest.raises(DomainError):
-        in_gamma_k([1.0, 1.0, 1.0], 0)
+        GammaKCone(3, 0)
 
 
 def test_validate_operator_all_checks_pass():
     op = make_sigma_k_operator(3, 2)
     report = validate_operator(op, sample_count=500, seed=0)
     failed = {name: c for name, c in report.checks.items() if not c.passed}
-    assert report.all_passed, failed
+    assert not failed, failed
     assert set(report.checks) == {
         "permutation_symmetry",
         "gradient_positivity",
@@ -196,7 +187,7 @@ def test_validate_operator_all_checks_pass():
 def test_validate_operator_catalog_pass():
     for n, k in [(3, 1), (3, 3), (4, 2), (5, 2), (5, 3), (6, 3)]:
         report = validate_operator(make_sigma_k_operator(n, k), sample_count=200, seed=1)
-        assert report.all_passed, (n, k)
+        assert all(c.passed for c in report.checks.values()), (n, k)
 
 
 def test_validate_operator_flags_wrong_degree():
@@ -239,9 +230,9 @@ def test_validate_operator_flags_decreasing():
 
 def test_solve_unit_level_closed_forms():
     e3 = np.ones(3)
-    s = solve_unit_level(lambda lam: sigma_k(lam, 1), e3)
+    s = solve_unit_level(lambda lam: sigma_all(lam)[0], e3)
     assert s == pytest.approx(1.0 / 3.0, rel=1e-12)
-    s = solve_unit_level(lambda lam: np.sqrt(sigma_k(lam, 2)), e3)
+    s = solve_unit_level(lambda lam: np.sqrt(sigma_all(lam)[1]), e3)
     assert s == pytest.approx(3.0 ** -0.5, rel=1e-12)
 
 
@@ -373,25 +364,6 @@ def test_homotopy_cone_margin_sign_agrees():
     rng = make_rng(12)
     for lam in rng.uniform(-2, 2, size=(100, 3)):
         assert cone.contains(lam) == (cone.margin(lam) > 0.0)
-
-
-def test_cone_ray_scale_closed_forms():
-    s = cone_ray_scale(lambda lam: sigma_k(lam, 1), np.ones(3))
-    assert s == pytest.approx(1.0 / 3.0, rel=1e-9)
-    s = cone_ray_scale(lambda lam: np.sqrt(sigma_k(lam, 2)), np.ones(3))
-    assert s == pytest.approx(3.0 ** -0.5, rel=1e-9)
-    # a point already on {g = 1} has scale 1
-    s = cone_ray_scale(lambda lam: sigma_k(lam, 1), np.array([1.0 / 3] * 3))
-    assert s == pytest.approx(1.0, rel=1e-9)
-
-
-def test_level_set_cone_membership():
-    op = make_sigma_k_operator(3, 2)
-    cone = LevelSetCone(3, generator=op.f)
-    assert cone.contains(np.ones(3) * 5.0)
-    assert not cone.contains(np.array([1.0, -1.0, -1.0]))
-    m = cone.margin(np.ones(3))
-    assert m > 0.0
 
 
 def test_gamma_k_cone_margin_is_min_sigma():

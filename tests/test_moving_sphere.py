@@ -4,15 +4,11 @@ and the explicit Harnack product."""
 import numpy as np
 import pytest
 
+from helpers import GaussianBumpField
+
 from conforma.bubbles import BubbleParams
 from conforma.errors import ConvergenceError, DomainError, GeometryError
-from conforma.fields import (
-    BubbleField,
-    ConstantField,
-    GaussianBumpField,
-    ScalarField,
-    ball,
-)
+from conforma.fields import BubbleField, ConstantField, ScalarField, ball
 from conforma.moving_sphere import (
     AlphaReport,
     SweepConfig,

@@ -102,7 +102,7 @@ def _slope_inputs(op, seed):
     pts = []
     for v0 in (0.5, 2.0):
         prof = shoot(op, v0, h=1e-2, r_max=0.9)
-        for i in range(1, len(prof), 9):
+        for i in range(1, len(prof.r), 9):
             pts.append((float(prof.v[i]), float(prof.vp[i]), float(prof.r[i])))
     rng = np.random.default_rng(seed)
     for _ in range(40):
@@ -180,7 +180,7 @@ def test_shoot_reproduces_bubble(n, k):
     for v0 in (0.5, 2.0):
         prof = shoot(op, v0, h=1e-3, r_max=0.9)
         assert prof.status == "ok"
-        assert len(prof) == 901
+        assert len(prof.r) == 901
         dev = bubble_deviation(prof, matched_bubble(op, v0))
         assert dev <= 1e-9
         assert profile_max_unit_residual(op, prof) <= 1e-10
@@ -237,4 +237,4 @@ def test_profile_serialization(tmp_path):
     prof.write_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "r,v,vp,vpp"
-    assert len(lines) == len(prof) + 1
+    assert len(lines) == len(prof.r) + 1
