@@ -1,0 +1,255 @@
+"""Per-layer timings of the moving-sphere path, written to a BENCH_*.json.
+
+Times, with fixed seeds and one BLAS/OpenMP thread:
+
+- L2 `msi_violation` per radius: one scalar-radius call, and a 12-radius
+  batch divided by 12 (one call where `msi_violation` takes a 1-D radius
+  array, one call per radius where it takes only a scalar);
+- L3 `critical_radius` per call on the criterion-5 inputs, `h_lemma_check`
+  per call on the lemmas catalog, `gradient_bound_check` per bubble field;
+- L4 the handler time (`timing_seconds` of `manifest.json`) of
+  `moving-sphere --task lemmas` and `--task sweep --beta 4.0`, the
+  criterion-5 acceptance test, and the wall time of the tier-1 suite.
+
+Each number is the median of --repeats runs; every run is kept under
+"samples". The reading is stored under --label in --out, next to readings
+of other labels already there; with a "parent" and a "change" reading the
+file also gets parent/change speed-up ratios.
+
+Run from a checkout (it imports that checkout's src/ and tests/):
+
+    python scripts/bench_layers.py --label change --out BENCH_7.json
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OMP_NUM_THREADS"] = "1"
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+
+import conforma  # noqa: E402
+from conforma.bubbles import BubbleParams  # noqa: E402
+from conforma.cli import _h_catalog, main  # noqa: E402
+from conforma.fields import BubbleField, ball  # noqa: E402
+from conforma.moving_sphere import (  # noqa: E402
+    SweepConfig,
+    critical_radius,
+    gradient_bound_check,
+    h_lemma_check,
+    msi_violation,
+)
+from conforma.sampling import ball_points, make_rng, sphere_points  # noqa: E402
+
+
+def timed(fn, repeats):
+    """Median and all samples of the wall time of fn()."""
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return {"median_s": statistics.median(samples), "samples": samples}
+
+
+def per_item(entry, count):
+    """Scale a timed() entry of count items to seconds per item."""
+    return {
+        "median_s": entry["median_s"] / count,
+        "samples": [s / count for s in entry["samples"]],
+        "items_per_sample": count,
+    }
+
+
+def criterion5_inputs():
+    cfg = SweepConfig(
+        lambda_min=0.04,
+        lambda_max=4.0,
+        check_points=ball_points(make_rng(0), 3, 4096, radius=8.0),
+        lambda_steps=256,
+    )
+    centers = np.vstack([np.zeros(3), 0.3 * sphere_points(make_rng(1), 3, 8)])
+    return cfg, centers
+
+
+def msi_batch(u, x, lams, pts):
+    try:
+        return msi_violation(u, x, lams, pts)
+    except (TypeError, ValueError):
+        # a version whose msi_violation takes one scalar radius
+        return [msi_violation(u, x, float(lam), pts) for lam in lams]
+
+
+def layer2(repeats):
+    u = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0), ball(9.0))
+    rng = make_rng(0)
+    x = ball_points(rng, 3, 1, radius=2.0)[0]
+    pts = ball_points(rng, 3, 2048, radius=4.0)
+    lams = 1.0 * np.arange(1, 13) / 13.0
+    return {
+        "msi_violation_scalar_radius_s": timed(
+            lambda: msi_violation(u, x, 0.5, pts), repeats * 20
+        ),
+        "msi_violation_per_radius_in_12_batch_s": per_item(
+            timed(lambda: msi_batch(u, x, lams, pts), repeats * 5), len(lams)
+        ),
+        "points": len(pts),
+    }
+
+
+def layer3(repeats):
+    cfg, centers = criterion5_inputs()
+    u = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0))
+
+    def sweep_centres():
+        for x in centers:
+            critical_radius(u, x, cfg)
+
+    catalog = _h_catalog(make_rng(0), 50)
+
+    def lemma_catalog():
+        for h, hp, alpha, a in catalog:
+            h_lemma_check(h, hp, alpha, a)
+
+    bubble = BubbleField(BubbleParams(3, 1.0, 1.0), domain=ball(9.0))
+    return {
+        "critical_radius_s": per_item(timed(sweep_centres, repeats), len(centers)),
+        "h_lemma_check_s": per_item(timed(lemma_catalog, repeats), len(catalog)),
+        "gradient_bound_check_s": timed(
+            lambda: gradient_bound_check(bubble, 0.5, seed=0), repeats
+        ),
+    }
+
+
+def handler_time(argv, repeats):
+    samples = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(repeats + 1):
+            out = Path(tmp) / str(i)
+            with contextlib.redirect_stderr(io.StringIO()):
+                main(argv + ["--output-dir", str(out)])
+            samples.append(json.loads((out / "manifest.json").read_text())["timing_seconds"])
+    samples = samples[1:]  # the first run pays for lazy imports
+    return {"median_s": statistics.median(samples), "samples": samples}
+
+
+def criterion5(repeats):
+    import test_acceptance
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        return timed(test_acceptance.test_criterion_05_moving_sphere_invariant, repeats)
+
+
+def tier1():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "returncode": proc.returncode, "summary": lines[-1] if lines else ""}
+
+
+def layer4(repeats):
+    return {
+        "moving_sphere_lemmas_handler_s": handler_time(
+            ["moving-sphere", "--task", "lemmas", "--seed", "0"], repeats
+        ),
+        "moving_sphere_sweep_beta4_handler_s": handler_time(
+            ["moving-sphere", "--task", "sweep", "--beta", "4.0", "--seed", "0"], repeats
+        ),
+        "criterion5_s": criterion5(repeats),
+        "tier1": tier1(),
+    }
+
+
+def machine():
+    cpu = platform.processor()
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "cores": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "conforma": conforma.__version__,
+        "threads": os.environ["OMP_NUM_THREADS"],
+    }
+
+
+SPEEDUPS = {
+    "L2 msi_violation scalar radius": ("L2", "msi_violation_scalar_radius_s"),
+    "L2 msi_violation per radius in a 12-radius batch": (
+        "L2", "msi_violation_per_radius_in_12_batch_s"),
+    "L3 critical_radius": ("L3", "critical_radius_s"),
+    "L3 h_lemma_check": ("L3", "h_lemma_check_s"),
+    "L3 gradient_bound_check": ("L3", "gradient_bound_check_s"),
+    "L4 moving-sphere --task lemmas handler": ("L4", "moving_sphere_lemmas_handler_s"),
+    "L4 moving-sphere --task sweep --beta 4.0 handler": (
+        "L4", "moving_sphere_sweep_beta4_handler_s"),
+    "L4 criterion 5": ("L4", "criterion5_s"),
+}
+
+
+def speedups(parent, change):
+    out = {}
+    for name, (layer, key) in SPEEDUPS.items():
+        out[name] = parent[layer][key]["median_s"] / change[layer][key]["median_s"]
+    out["L4 tier-1 wall"] = parent["L4"]["tier1"]["wall_s"] / change["L4"]["tier1"]["wall_s"]
+    return out
+
+
+def main_cli():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True, help="reading name, e.g. parent or change")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
+    ap.add_argument("--repeats", type=int, default=5)
+    args = ap.parse_args()
+
+    reading = {
+        "machine": machine(),
+        "L2": layer2(args.repeats),
+        "L3": layer3(args.repeats),
+        "L4": layer4(args.repeats),
+    }
+    path = Path(args.out)
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc.setdefault("readings", {})[args.label] = reading
+    if {"parent", "change"} <= doc["readings"].keys():
+        doc["speedup_parent_over_change"] = speedups(
+            doc["readings"]["parent"], doc["readings"]["change"]
+        )
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    for name, value in doc.get("speedup_parent_over_change", {}).items():
+        print(f"{name:52s} {value:6.2f}x")
+
+
+if __name__ == "__main__":
+    main_cli()

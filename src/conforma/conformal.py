@@ -210,8 +210,25 @@ def sphere_inversion_values(u: ScalarField, x, lam: float, Y) -> np.ndarray:
     d2 = np.einsum("ij,ij->i", D, D)
     if np.any(d2 <= POLE_GUARD_ANALYTIC**2):
         raise SingularityError("u_{x,lam} evaluated at its pole y = x")
-    kernel = (lam * lam / d2) ** (0.5 * (u.n - 2))
-    return kernel * u.values(x + lam * lam * D / d2[:, None])
+    return sphere_inversion_at_offsets(u, x, lam, D.T, d2)
+
+
+def sphere_inversion_at_offsets(
+    u: ScalarField, x, lam: float, DT: np.ndarray, d2: np.ndarray
+) -> np.ndarray:
+    """u_{x,lam}(x + d) for offsets d given by coordinate, DT = [d_1 ... d_P]
+    of shape (n, P), with d2 = |d|^2 off the pole.
+
+    The offsets and their squared norms do not depend on lam, so a caller
+    that evaluates many radii at one centre computes them once. The mapped
+    points are formed one coordinate row at a time, so each operation runs
+    over P contiguous values instead of P rows of n; every entry goes
+    through the same operations as in the row form, so it gets the same bits.
+    """
+    lam2 = lam * lam
+    kernel = (lam2 / d2) ** (0.5 * (u.n - 2))
+    mapped = x[:, None] + lam2 * DT / d2
+    return kernel * u.values(np.ascontiguousarray(mapped.T))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import sphere_inversion_values
-from .errors import ConvergenceError, DomainError, GeometryError
+from .conformal import POLE_GUARD_ANALYTIC, sphere_inversion_at_offsets
+from .errors import ConvergenceError, DomainError, GeometryError, SingularityError
 from .fields import ScalarField
 from .sampling import ball_points, make_rng
 
@@ -59,30 +59,69 @@ class SweepConfig:
         return ratio - 1.0
 
 
+class _CentreMSI:
+    """The MSI at one centre x over a fixed set of check points, for any
+    number of radii.
+
+    Only the excluded band and the inversion depend on lam: the offsets
+    y - x, their squared norms, the distances |y-x| and the values u(y) are
+    computed once per centre. The points are sorted by distance, so the
+    points a radius keeps (|y-x| >= lam(1+guard)) are a suffix of that order
+    and each radius works on contiguous slices. Each radius keeps exactly
+    the points a fresh evaluation keeps, through the same elementwise
+    operations, so it gets the same bits.
+    """
+
+    def __init__(self, u: ScalarField, x, points, guard: float):
+        self.u = u
+        self.x = np.asarray(x, dtype=float)
+        self.reach = float(np.linalg.norm(self.x))
+        self.guard = guard
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        dist = np.linalg.norm(pts - self.x, axis=1)
+        # a NaN distance is never kept; argsort puts NaN last
+        order = np.argsort(dist, kind="stable")[: np.count_nonzero(~np.isnan(dist))]
+        pts = pts[order]
+        self.dist = dist[order]
+        D = pts - self.x
+        self.d2 = np.einsum("ij,ij->i", D, D)
+        self.DT = np.ascontiguousarray(D.T)
+        self.direct = u.values(pts)
+
+    def violation(self, lam: float) -> float:
+        """max over kept points of u_{x,lam}(y) - u(y)."""
+        if not lam > 0:
+            raise DomainError(f"inversion radius lam = {lam:g} must be positive")
+        domain = self.u.domain
+        # the inverted sphere B_lam(x) must sit inside the field's domain
+        if domain is not None and not self.reach + lam <= domain.outer:
+            raise GeometryError(
+                f"inversion ball of radius {lam:g} at {self.x.tolist()} leaves the domain"
+            )
+        first = int(np.searchsorted(self.dist, lam * (1.0 + self.guard)))
+        if first == len(self.dist):
+            raise DomainError("no check points outside the guarded sphere")
+        d2 = self.d2[first:]
+        if np.any(d2 <= POLE_GUARD_ANALYTIC**2):
+            raise SingularityError("u_{x,lam} evaluated at its pole y = x")
+        inverted = sphere_inversion_at_offsets(self.u, self.x, lam, self.DT[:, first:], d2)
+        return float(np.max(inverted - self.direct[first:]))
+
+
 def msi_violation(
-    u: ScalarField, x, lam: float, points, guard: float = DEFAULT_GUARD
-) -> float:
+    u: ScalarField, x, lam, points, guard: float = DEFAULT_GUARD
+) -> float | np.ndarray:
     """max over check points y with |y-x| >= lam(1+guard) of u_{x,lam}(y) - u(y).
 
-    Nonpositive means MSI holds on the sampled truncation.
+    Nonpositive means MSI holds on the sampled truncation. A scalar lam
+    gives a float. A 1-D lam gives an array with the value at each radius,
+    bit for bit what one call per radius gives; the offsets, distances and
+    u at the points are computed once for all of them.
     """
-    if not lam > 0:
-        raise DomainError(f"inversion radius lam = {lam:g} must be positive")
-    x = np.asarray(x, dtype=float)
-    # the inverted sphere B_lam(x) must sit inside the field's domain
-    if u.domain is not None and not float(np.linalg.norm(x)) + lam <= u.domain.outer:
-        raise GeometryError(
-            f"inversion ball of radius {lam:g} at {x.tolist()} leaves the domain"
-        )
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = np.linalg.norm(pts - x, axis=1)
-    keep = dist >= lam * (1.0 + guard)
-    if not np.any(keep):
-        raise DomainError("no check points outside the guarded sphere")
-    pts = pts[keep]
-    inverted = sphere_inversion_values(u, x, lam, pts)
-    direct = u.values(pts)
-    return float(np.max(inverted - direct))
+    msi = _CentreMSI(u, x, points, guard)
+    if np.ndim(lam) == 0:
+        return msi.violation(lam)
+    return np.array([msi.violation(r) for r in np.asarray(lam, dtype=float).tolist()])
 
 
 @dataclass(frozen=True)
@@ -95,15 +134,16 @@ def critical_radius(u: ScalarField, x, cfg: SweepConfig) -> CriticalRadius:
     """Sampled estimate of lam_bar(x) = sup{mu : MSI holds for all lam < mu}.
 
     Scans the log grid for the first violation beyond violation_tol, then
-    bisects 40 times between the last passing and first failing lambda.
-    Returns lambda_max with flag "unbounded" when the whole range passes,
+    bisects 40 times between the last passing and first failing lambda, all
+    on one per-centre precomputation of the check points. Returns
+    lambda_max with flag "unbounded" when the whole range passes,
     lambda_min with flag "fails_at_min" when even the smallest lambda fails.
     """
-    guard = cfg.grid_guard()
     grid = cfg.lambda_grid()
+    msi = _CentreMSI(u, x, cfg.check_points, cfg.grid_guard())
 
     def violated(lam):
-        return msi_violation(u, x, lam, cfg.check_points, guard) > cfg.violation_tol
+        return msi.violation(lam) > cfg.violation_tol
 
     if violated(grid[0]):
         return CriticalRadius(lambda_bar=float(grid[0]), flag="fails_at_min")
@@ -215,19 +255,23 @@ def h_lemma_check(
         raise DomainError("sample_density must be at least 8")
 
     shrink = 1.0 - 1.0 / d
-    tau = np.linspace(-2.0 * a * shrink, 2.0 * a * shrink, d)[:, None, None]
-    s = np.linspace(-4.0 * a, 4.0 * a, d)[None, :, None]
-    lam = np.linspace(a / d, a * shrink, d)[None, None, :]
+    taus = np.linspace(-2.0 * a * shrink, 2.0 * a * shrink, d)
+    s = np.linspace(-4.0 * a, 4.0 * a, d)[:, None]
+    lam = np.linspace(a / d, a * shrink, d)[None, :]
 
-    diff = s - tau
-    dist = np.abs(diff)
-    mask = lam < dist
-    safe = np.where(mask, dist, 1.0)
-    mapped = tau + lam**2 * diff / safe**2
-    lhs = (lam / safe) ** alpha * h(mapped)
-    rhs = h(np.broadcast_to(s, lhs.shape))
-    gap = np.where(mask, lhs - rhs, -np.inf)
-    hyp_worst = float(np.max(gap))
+    # one (s, lam) slab per tau: d^2 memory, and h(s) once per s
+    rhs = h(s)
+    slab_worst = np.empty(d)
+    for i, tau in enumerate(taus):
+        diff = s - tau
+        dist = np.abs(diff)
+        mask = lam < dist
+        safe = np.where(mask, dist, 1.0)
+        mapped = tau + lam**2 * diff / safe**2
+        lhs = (lam / safe) ** alpha * h(mapped)
+        gap = np.where(mask, lhs - rhs, -np.inf)
+        slab_worst[i] = np.max(gap)
+    hyp_worst = float(np.max(slab_worst))
     scale = float(np.max(np.abs(h(np.linspace(-4.0 * a, 4.0 * a, d)))))
     hyp_pass = hyp_worst <= HYPOTHESIS_TOL * max(1.0, scale)
 
@@ -295,8 +339,8 @@ def gradient_bound_check(
 
     hyp_worst = -math.inf
     for x in centers:
-        for lam in lams:
-            hyp_worst = max(hyp_worst, msi_violation(u, x, float(lam), ys))
+        for worst in msi_violation(u, x, lams, ys).tolist():
+            hyp_worst = max(hyp_worst, worst)
     hyp_pass = hyp_worst <= hypothesis_tol
 
     if not hyp_pass:

@@ -28,6 +28,10 @@ from .bubbles import BubbleParams, bubble_values
 from .cones import CurvatureOperator, two_cluster_sigmas
 from .errors import ConeError, DomainError, PositivityError
 
+# Most RK4 steps one shot may take (r_max / h). A step costs about 17
+# microseconds, so the cap bounds one shot at about three minutes.
+MAX_STEPS = 10**7
+
 
 def _radial_parts(v: float, vp: float, r: float, n: int) -> tuple:
     """(c1, rad0, lam_tang) at r > 0, with lam_rad = rad0 - c1 * v''."""
@@ -199,6 +203,10 @@ def shoot(
         raise DomainError("step h must be positive")
     if not (math.isfinite(r_max) and r_max > h):
         raise DomainError(f"r_max = {r_max:g} must be finite and exceed the step h")
+    if not r_max / h <= MAX_STEPS:
+        raise DomainError(
+            f"r_max / h = {r_max / h:g} steps exceeds the cap of {MAX_STEPS:g} steps"
+        )
 
     w0 = vpp0_exact(op, v0)
     rs = [0.0]

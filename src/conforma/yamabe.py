@@ -47,6 +47,10 @@ KRYLOV_MAX = 100
 # there. On the constant branch the ratio is about 3e-7 at N = 1024, L = 1,
 # and about 1e-17 at Schoen's degenerate length L* = 2 pi / sqrt(n - 2).
 DEGENERATE_SYMBOL_RATIO = 1e-12
+# Loosest accepted Newton tolerance on the sup-norm residual of f = 1. A
+# looser one certifies nothing: for (n, k) = (5, 2) at tol 1 the t = 0 start
+# already passes, with zero iterations, 2.4 away from the constant solution.
+MAX_TOL = 1e-6
 
 
 def _norm(x) -> float:
@@ -446,6 +450,8 @@ def newton_solve(
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tolerance tol = {tol:g} must be positive and finite")
+    if tol > MAX_TOL:
+        raise DomainError(f"tolerance tol = {tol:g} is looser than {MAX_TOL:g}")
     g = g0.with_values(g0.values)
     restoration = None
     try:

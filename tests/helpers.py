@@ -1,24 +1,41 @@
 """Shared constructions for the tests: a pole-safe random Moebius word
 generator, the standing catalog of conformal factors and its non-bubble
 fields, the generator-chain sphere inversion, the bubble matching a radial
-jet, a generic root-search oracle for the radial slope solve, and per-node
+jet, a generic root-search oracle for the radial slope solve, per-node
 loop oracles for the periodic solver's closed-form residual, Jacobian
-coefficients and margin."""
+coefficients and margin, and one-radius-at-a-time oracles for the batched
+moving-sphere kernels."""
 
 import math
 
 import numpy as np
 
 from conforma.bubbles import BubbleParams
-from conforma.conformal import Invert, MoebiusMap, Scale, Translate, pullback_u
+from conforma.conformal import (
+    POLE_GUARD_ANALYTIC,
+    Invert,
+    MoebiusMap,
+    Scale,
+    Translate,
+    pullback_u,
+)
 from conforma.errors import (
     ConeError,
     ConvergenceError,
     DomainError,
     GeometryError,
     PositivityError,
+    SingularityError,
 )
 from conforma.fields import BubbleField, ConstantField, ScalarField
+from conforma.moving_sphere import (
+    BISECT_ITERS,
+    DEFAULT_GUARD,
+    CONCLUSION_TOL,
+    HYPOTHESIS_TOL,
+    CriticalRadius,
+    HLemmaReport,
+)
 from conforma.radial import radial_eigenvalues
 from conforma.yamabe import _eigen_partials, node_eigenvalues
 
@@ -271,3 +288,107 @@ def jacobian_coefficients_loop(op, g):
 def min_cone_margin_loop(op, g):
     lam = node_eigenvalues(g, op.n)
     return min(float(op.cone.margin(lam[i])) for i in range(g.N))
+
+
+def msi_violation_one(u, x, lam, points, guard=DEFAULT_GUARD):
+    """The moving-sphere violation at one radius, with the offsets,
+    distances and u(y) recomputed on every call: the reference for the
+    batched moving_sphere.msi_violation."""
+    if not lam > 0:
+        raise DomainError(f"inversion radius lam = {lam:g} must be positive")
+    x = np.asarray(x, dtype=float)
+    if u.domain is not None and not float(np.linalg.norm(x)) + lam <= u.domain.outer:
+        raise GeometryError(
+            f"inversion ball of radius {lam:g} at {x.tolist()} leaves the domain"
+        )
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dist = np.linalg.norm(pts - x, axis=1)
+    keep = dist >= lam * (1.0 + guard)
+    if not np.any(keep):
+        raise DomainError("no check points outside the guarded sphere")
+    pts = pts[keep]
+    D = pts - x
+    d2 = np.einsum("ij,ij->i", D, D)
+    if np.any(d2 <= POLE_GUARD_ANALYTIC**2):
+        raise SingularityError("u_{x,lam} evaluated at its pole y = x")
+    kernel = (lam * lam / d2) ** (0.5 * (u.n - 2))
+    inverted = kernel * u.values(x + lam * lam * D / d2[:, None])
+    direct = u.values(pts)
+    return float(np.max(inverted - direct))
+
+
+def msi_violation_loop(u, x, lam, points, guard=DEFAULT_GUARD):
+    """msi_violation_one at a scalar lam, or one call per radius of a 1-D lam."""
+    if np.ndim(lam) == 0:
+        return msi_violation_one(u, x, float(lam), points, guard)
+    return np.array([msi_violation_one(u, x, float(r), points, guard) for r in lam])
+
+
+def critical_radius_loop(u, x, cfg):
+    """The critical-radius scan and bisection with one msi_violation_one
+    call per radius: the reference for moving_sphere.critical_radius."""
+    guard = cfg.grid_guard()
+    grid = cfg.lambda_grid()
+
+    def violated(lam):
+        return msi_violation_one(u, x, lam, cfg.check_points, guard) > cfg.violation_tol
+
+    if violated(grid[0]):
+        return CriticalRadius(lambda_bar=float(grid[0]), flag="fails_at_min")
+    lo = grid[0]
+    hi = None
+    for lam in grid[1:]:
+        if violated(lam):
+            hi = lam
+            break
+        lo = lam
+    if hi is None:
+        return CriticalRadius(lambda_bar=float(grid[-1]), flag="unbounded")
+    for _ in range(BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if violated(mid):
+            hi = mid
+        else:
+            lo = mid
+    return CriticalRadius(lambda_bar=0.5 * (lo + hi))
+
+
+def h_lemma_check_cube(h, h_prime, alpha, a, sample_density=64):
+    """The interval-lemma check on one density^3 array, h(s) evaluated at
+    every cell: the reference for the tau-slab moving_sphere.h_lemma_check."""
+    if not a > 0:
+        raise DomainError("interval half-width a must be positive")
+    if alpha < 0:
+        raise DomainError("decay exponent alpha must be nonnegative")
+    d = int(sample_density)
+    if d < 8:
+        raise DomainError("sample_density must be at least 8")
+
+    shrink = 1.0 - 1.0 / d
+    tau = np.linspace(-2.0 * a * shrink, 2.0 * a * shrink, d)[:, None, None]
+    s = np.linspace(-4.0 * a, 4.0 * a, d)[None, :, None]
+    lam = np.linspace(a / d, a * shrink, d)[None, None, :]
+
+    diff = s - tau
+    dist = np.abs(diff)
+    mask = lam < dist
+    safe = np.where(mask, dist, 1.0)
+    mapped = tau + lam**2 * diff / safe**2
+    lhs = (lam / safe) ** alpha * h(mapped)
+    rhs = h(np.broadcast_to(s, lhs.shape))
+    gap = np.where(mask, lhs - rhs, -np.inf)
+    hyp_worst = float(np.max(gap))
+    scale = float(np.max(np.abs(h(np.linspace(-4.0 * a, 4.0 * a, d)))))
+    hyp_pass = hyp_worst <= HYPOTHESIS_TOL * max(1.0, scale)
+
+    sc = np.linspace(-a, a, d)
+    concl_gap = np.abs(h_prime(sc)) - (alpha / (2.0 * a)) * h(sc)
+    concl_worst = float(np.max(concl_gap))
+    return HLemmaReport(
+        hypothesis_pass=hyp_pass,
+        hypothesis_worst=hyp_worst,
+        conclusion_pass=concl_worst <= CONCLUSION_TOL,
+        conclusion_worst=concl_worst,
+        alpha=alpha,
+        a=a,
+    )

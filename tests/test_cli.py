@@ -181,10 +181,12 @@ def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
         ("solve-yamabe", "--tol", "0"),
         ("solve-yamabe", "--tol", "-1"),
         ("solve-yamabe", "--tol", "nan"),
+        ("solve-yamabe", "--n", "5", "--k", "2", "--tol", "1"),
+        ("radial-shoot", "--n", "3", "--k", "1", "--h", "1e-320"),
     ],
     ids=["word-dim", "n9", "v0-overflow", "validate-0", "homogenize-0",
          "conjugation-0", "harnack-neg", "lemmas-0", "r-max-inf", "L-inf",
-         "tol-0", "tol-neg", "tol-nan"],
+         "tol-0", "tol-neg", "tol-nan", "tol-loose", "h-tiny"],
 )
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     # a domain error returns 2, an argument rejected by the parser exits 2;
@@ -196,6 +198,22 @@ def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_radial_shoot_step_cap_returns_quickly(tmp_path):
+    # about 1e15 RK4 steps on a profile that never leaves the cone: without
+    # the step cap this runs until killed
+    src = str(Path(conforma.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [
+        sys.executable, "-m", "conforma.cli", "radial-shoot", "--n", "3", "--k", "1",
+        "--r-max", "1e12", "--h", "1e-3", "--output-dir", str(tmp_path),
+    ]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,11 +3,21 @@ and the explicit Harnack product."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import GaussianBumpField
+from helpers import (
+    GaussianBumpField,
+    critical_radius_loop,
+    h_lemma_check_cube,
+    msi_violation_loop,
+    msi_violation_one,
+)
 
+import conforma.cli
+import conforma.moving_sphere
 from conforma.bubbles import BubbleParams
-from conforma.errors import ConvergenceError, DomainError, GeometryError
+from conforma.cli import _h_catalog, main
+from conforma.errors import ConformaError, ConvergenceError, DomainError, GeometryError
 from conforma.fields import BubbleField, ConstantField, ScalarField, ball
 from conforma.moving_sphere import (
     AlphaReport,
@@ -194,3 +204,126 @@ def test_harnack_bound_scales_with_radius():
     assert rep2.B == pytest.approx(rep1.B / 2.0, rel=1e-12)
     rep3 = harnack_product(u, R=1.0, delta=4.0, n=3)
     assert rep3.B == pytest.approx(rep1.B / 2.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The per-centre and tau-slab kernels against their one-radius and d^3
+# oracles in helpers: same bits, same exceptions
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConformaError as exc:
+        return type(exc)
+
+
+@given(
+    n=st.integers(min_value=3, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=1, max_value=300),
+    constant=st.booleans(),
+    outer=st.sampled_from([None, 2.5, 9.0]),
+    guard=st.sampled_from([0.0, 1e-6, 0.018, 0.3]),
+    lams=st.lists(
+        st.floats(min_value=-0.5, max_value=7.0) | st.sampled_from([0.0, 1e-14]),
+        min_size=1,
+        max_size=8,
+    ),
+    pole=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_msi_violation_matches_per_radius_oracle(
+    n, seed, count, constant, outer, guard, lams, pole
+):
+    rng = make_rng(seed)
+    domain = None if outer is None else ball(outer)
+    if constant:
+        u = ConstantField(n, float(rng.uniform(0.5, 2.0)), domain)
+    else:
+        params = BubbleParams(
+            n=n,
+            a=float(rng.uniform(0.5, 2.0)),
+            beta=float(rng.uniform(0.25, 4.0)),
+            center=ball_points(rng, n, 1, radius=0.5)[0],
+        )
+        u = BubbleField(params, domain)
+    x = ball_points(rng, n, 1, radius=1.5)[0]
+    pts = ball_points(rng, n, count, radius=6.0)
+    if pole:
+        # inside the pole guard of x, kept by radii up to 1e-13
+        pts[0] = x + 1e-13 * sphere_points(rng, n, 1)[0]
+
+    expected = [_outcome(msi_violation_one, u, x, lam, pts, guard) for lam in lams]
+    for lam, want in zip(lams, expected):
+        assert _outcome(msi_violation, u, x, lam, pts, guard) == want
+    got = _outcome(msi_violation, u, x, np.array(lams), pts, guard)
+    failures = [e for e in expected if isinstance(e, type)]
+    if failures:
+        # a batch raises what the first radius that cannot be evaluated raises
+        assert got is failures[0]
+    else:
+        assert got.tolist() == expected
+
+
+def test_critical_radius_matches_per_radius_scan():
+    cfg = sweep_cfg(count=512)
+    bubble = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0), ball(9.0))
+    for x in np.vstack([np.zeros(3), 0.3 * sphere_points(make_rng(1), 3, 2)]):
+        assert critical_radius(bubble, x, cfg) == critical_radius_loop(bubble, x, cfg)
+    # lambda_max = 4 passes the domain edge at 3: the bubble's scan stops at
+    # its first violation (lam ~ 1) before reaching it, the constant's does not
+    small = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0), ball(3.0))
+    assert critical_radius(small, np.zeros(3), cfg) == critical_radius_loop(
+        small, np.zeros(3), cfg
+    )
+    flat = ConstantField(3, 2.0, ball(3.0))
+    for fn in (critical_radius, critical_radius_loop):
+        with pytest.raises(GeometryError):
+            fn(flat, np.zeros(3), cfg)
+
+
+@pytest.mark.parametrize("beta", [0.25, 1.0, 4.0])
+def test_critical_radius_matches_closed_form_at_every_center(beta):
+    # the inversion about x reproduces the centred bubble exactly at
+    # lam_bar(x)^2 = (1 + beta |x|^2) / beta (measured agreement 5e-15)
+    cfg = SweepConfig(
+        lambda_min=0.04,
+        lambda_max=4.0,
+        check_points=ball_points(make_rng(0), 3, 4096, radius=8.0),
+        lambda_steps=256,
+    )
+    centers = np.vstack([np.zeros(3), 0.3 * sphere_points(make_rng(1), 3, 8)])
+    u = BubbleField(BubbleParams(n=3, a=1.0, beta=beta))
+    for x in centers:
+        cr = critical_radius(u, x, cfg)
+        assert cr.flag == ""
+        exact = (1.0 + beta * float(x @ x)) / beta
+        assert abs(cr.lambda_bar**2 - exact) <= 1e-12 * exact
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    item=st.integers(min_value=0, max_value=9),
+    density=st.sampled_from([8, 17, 32, 64]),
+)
+@settings(max_examples=40, deadline=None)
+def test_h_lemma_check_matches_cube_oracle(seed, item, density):
+    # items 0-9 cover each of the five catalog kinds twice
+    h, hp, alpha, a = _h_catalog(make_rng(seed), 10)[item]
+    assert h_lemma_check(h, hp, alpha, a, density) == h_lemma_check_cube(
+        h, hp, alpha, a, density
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 635597269, 1880108470])
+def test_lemmas_result_json_matches_oracle_path(tmp_path, monkeypatch, seed):
+    # 635597269 and 1880108470 exit 1 (a sampled h meets the hypothesis but
+    # not the conclusion); the oracle path must reproduce that too
+    argv = ["moving-sphere", "--task", "lemmas", "--seed", str(seed)]
+    rc = main(argv + ["--output-dir", str(tmp_path / "kernel")])
+    monkeypatch.setattr(conforma.moving_sphere, "msi_violation", msi_violation_loop)
+    monkeypatch.setattr(conforma.cli, "h_lemma_check", h_lemma_check_cube)
+    assert main(argv + ["--output-dir", str(tmp_path / "oracle")]) == rc
+    kernel = (tmp_path / "kernel" / "result.json").read_bytes()
+    assert kernel == (tmp_path / "oracle" / "result.json").read_bytes()
