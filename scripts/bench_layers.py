@@ -1,6 +1,18 @@
-"""Per-layer timings of the moving-sphere path, written to a BENCH_*.json.
+"""Per-layer timings of one path of the code, written to a BENCH_*.json.
 
-Times, with fixed seeds and one BLAS/OpenMP thread:
+Times, with fixed seeds and one BLAS/OpenMP thread, one of two suites.
+
+--suite radial (written to BENCH_8.json by default):
+
+- L1 the radial slope per call on the (v, v', r) nodes of an h=1e-3 shot
+  of every workload (n, k): the callable `shoot` uses (`slope_kernel(op)`
+  where it exists, else `implicit_vpp`), and the public `implicit_vpp`;
+- L3 `shoot` per h=1e-4 shot from v0 = 1 for every workload (n, k), and
+  `profile_max_unit_residual` per profile of those shots;
+- L4 the handler time of `radial-shoot --n 5 --k 2` at h=1e-3 and h=1e-4,
+  the criterion-4 acceptance test, and the wall time of the tier-1 suite.
+
+--suite moving-sphere (written to BENCH_7.json by default):
 
 - L2 `msi_violation` per radius: one scalar-radius call, and a 12-radius
   batch divided by 12 (one call where `msi_violation` takes a 1-D radius
@@ -18,7 +30,10 @@ file also gets parent/change speed-up ratios.
 
 Run from a checkout (it imports that checkout's src/ and tests/):
 
-    python scripts/bench_layers.py --label change --out BENCH_7.json
+    python scripts/bench_layers.py --suite radial --label change
+
+To read an older commit, copy this script into its checkout and run it
+there with --out naming this file.
 """
 
 from __future__ import annotations
@@ -46,8 +61,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 import conforma  # noqa: E402
+from conforma import radial  # noqa: E402
 from conforma.bubbles import BubbleParams  # noqa: E402
 from conforma.cli import _h_catalog, main  # noqa: E402
+from conforma.cones import make_sigma_k_operator  # noqa: E402
 from conforma.fields import BubbleField, ball  # noqa: E402
 from conforma.moving_sphere import (  # noqa: E402
     SweepConfig,
@@ -97,7 +114,7 @@ def msi_batch(u, x, lams, pts):
         return [msi_violation(u, x, float(lam), pts) for lam in lams]
 
 
-def layer2(repeats):
+def ms_layer2(repeats):
     u = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0), ball(9.0))
     rng = make_rng(0)
     x = ball_points(rng, 3, 1, radius=2.0)[0]
@@ -114,7 +131,7 @@ def layer2(repeats):
     }
 
 
-def layer3(repeats):
+def ms_layer3(repeats):
     cfg, centers = criterion5_inputs()
     u = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0))
 
@@ -150,11 +167,11 @@ def handler_time(argv, repeats):
     return {"median_s": statistics.median(samples), "samples": samples}
 
 
-def criterion5(repeats):
+def acceptance(name, repeats):
     import test_acceptance
 
     with contextlib.redirect_stdout(io.StringIO()):
-        return timed(test_acceptance.test_criterion_05_moving_sphere_invariant, repeats)
+        return timed(getattr(test_acceptance, name), repeats)
 
 
 def tier1():
@@ -171,7 +188,7 @@ def tier1():
     return {"wall_s": wall, "returncode": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
-def layer4(repeats):
+def ms_layer4(repeats):
     return {
         "moving_sphere_lemmas_handler_s": handler_time(
             ["moving-sphere", "--task", "lemmas", "--seed", "0"], repeats
@@ -179,7 +196,72 @@ def layer4(repeats):
         "moving_sphere_sweep_beta4_handler_s": handler_time(
             ["moving-sphere", "--task", "sweep", "--beta", "4.0", "--seed", "0"], repeats
         ),
-        "criterion5_s": criterion5(repeats),
+        "criterion5_s": acceptance("test_criterion_05_moving_sphere_invariant", repeats),
+        "tier1": tier1(),
+    }
+
+
+RADIAL_PAIRS = [(3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (5, 3)]
+
+
+def radial_slope(op):
+    """The slope callable shoot uses: slope_kernel(op) where it exists."""
+    kernel = getattr(radial, "slope_kernel", None)
+    if kernel is not None:
+        return kernel(op)
+    return lambda v, vp, r: radial.implicit_vpp(op, v, vp, r)
+
+
+def radial_layer1(repeats):
+    cases = []
+    for n, k in RADIAL_PAIRS:
+        op = make_sigma_k_operator(n, k)
+        prof = radial.shoot(op, 1.0, h=1e-3, r_max=0.9)
+        nodes = list(zip(prof.v.tolist()[1:], prof.vp.tolist()[1:], prof.r.tolist()[1:]))
+        cases.append((op, radial_slope(op), nodes))
+    count = sum(len(nodes) for _, _, nodes in cases)
+
+    def kernel_calls():
+        for _, slope, nodes in cases:
+            for v, vp, r in nodes:
+                slope(v, vp, r)
+
+    def implicit_calls():
+        for op, _, nodes in cases:
+            for v, vp, r in nodes:
+                radial.implicit_vpp(op, v, vp, r)
+
+    return {
+        "slope_per_call_s": per_item(timed(kernel_calls, repeats * 4), count),
+        "implicit_vpp_per_call_s": per_item(timed(implicit_calls, repeats * 4), count),
+    }
+
+
+def radial_layer3(repeats):
+    ops = [make_sigma_k_operator(n, k) for n, k in RADIAL_PAIRS]
+    profiles = []
+
+    def shots():
+        profiles[:] = [radial.shoot(op, 1.0, h=1e-4, r_max=0.9) for op in ops]
+
+    def residuals():
+        for op, prof in zip(ops, profiles):
+            radial.profile_max_unit_residual(op, prof)
+
+    shoot_s = per_item(timed(shots, repeats), len(ops))
+    return {
+        "shoot_h1e-4_s": shoot_s,
+        "residual_check_per_profile_s": per_item(timed(residuals, repeats), len(ops)),
+        "nodes_per_profile": len(profiles[0].r),
+    }
+
+
+def radial_layer4(repeats):
+    argv = ["radial-shoot", "--n", "5", "--k", "2", "--v0", "1", "--seed", "0"]
+    return {
+        "radial_shoot_h1e-3_handler_s": handler_time(argv + ["--h", "1e-3"], repeats * 4),
+        "radial_shoot_h1e-4_handler_s": handler_time(argv + ["--h", "1e-4"], repeats),
+        "criterion4_s": acceptance("test_criterion_04_radial_uniqueness", repeats),
         "tier1": tier1(),
     }
 
@@ -204,23 +286,45 @@ def machine():
     }
 
 
-SPEEDUPS = {
-    "L2 msi_violation scalar radius": ("L2", "msi_violation_scalar_radius_s"),
-    "L2 msi_violation per radius in a 12-radius batch": (
-        "L2", "msi_violation_per_radius_in_12_batch_s"),
-    "L3 critical_radius": ("L3", "critical_radius_s"),
-    "L3 h_lemma_check": ("L3", "h_lemma_check_s"),
-    "L3 gradient_bound_check": ("L3", "gradient_bound_check_s"),
-    "L4 moving-sphere --task lemmas handler": ("L4", "moving_sphere_lemmas_handler_s"),
-    "L4 moving-sphere --task sweep --beta 4.0 handler": (
-        "L4", "moving_sphere_sweep_beta4_handler_s"),
-    "L4 criterion 5": ("L4", "criterion5_s"),
+SUITES = {
+    "moving-sphere": {
+        "out": "BENCH_7.json",
+        "layers": {"L2": ms_layer2, "L3": ms_layer3, "L4": ms_layer4},
+        "speedups": {
+            "L2 msi_violation scalar radius": ("L2", "msi_violation_scalar_radius_s"),
+            "L2 msi_violation per radius in a 12-radius batch": (
+                "L2", "msi_violation_per_radius_in_12_batch_s"),
+            "L3 critical_radius": ("L3", "critical_radius_s"),
+            "L3 h_lemma_check": ("L3", "h_lemma_check_s"),
+            "L3 gradient_bound_check": ("L3", "gradient_bound_check_s"),
+            "L4 moving-sphere --task lemmas handler": (
+                "L4", "moving_sphere_lemmas_handler_s"),
+            "L4 moving-sphere --task sweep --beta 4.0 handler": (
+                "L4", "moving_sphere_sweep_beta4_handler_s"),
+            "L4 criterion 5": ("L4", "criterion5_s"),
+        },
+    },
+    "radial": {
+        "out": "BENCH_8.json",
+        "layers": {"L1": radial_layer1, "L3": radial_layer3, "L4": radial_layer4},
+        "speedups": {
+            "L1 radial slope per call": ("L1", "slope_per_call_s"),
+            "L1 implicit_vpp per call": ("L1", "implicit_vpp_per_call_s"),
+            "L3 shoot per h=1e-4 shot": ("L3", "shoot_h1e-4_s"),
+            "L3 residual check per profile": ("L3", "residual_check_per_profile_s"),
+            "L4 radial-shoot --n 5 --k 2 --h 1e-3 handler": (
+                "L4", "radial_shoot_h1e-3_handler_s"),
+            "L4 radial-shoot --n 5 --k 2 --h 1e-4 handler": (
+                "L4", "radial_shoot_h1e-4_handler_s"),
+            "L4 criterion 4": ("L4", "criterion4_s"),
+        },
+    },
 }
 
 
-def speedups(parent, change):
+def speedups(suite, parent, change):
     out = {}
-    for name, (layer, key) in SPEEDUPS.items():
+    for name, (layer, key) in SUITES[suite]["speedups"].items():
         out[name] = parent[layer][key]["median_s"] / change[layer][key]["median_s"]
     out["L4 tier-1 wall"] = parent["L4"]["tier1"]["wall_s"] / change["L4"]["tier1"]["wall_s"]
     return out
@@ -228,23 +332,22 @@ def speedups(parent, change):
 
 def main_cli():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--suite", choices=sorted(SUITES), default="radial")
     ap.add_argument("--label", required=True, help="reading name, e.g. parent or change")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
+    ap.add_argument("--out", default=None, help="default: the suite's BENCH_*.json at the root")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
+    suite = SUITES[args.suite]
 
-    reading = {
-        "machine": machine(),
-        "L2": layer2(args.repeats),
-        "L3": layer3(args.repeats),
-        "L4": layer4(args.repeats),
-    }
-    path = Path(args.out)
+    reading = {"machine": machine()}
+    for layer, run in suite["layers"].items():
+        reading[layer] = run(args.repeats)
+    path = Path(args.out or ROOT / suite["out"])
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc.setdefault("readings", {})[args.label] = reading
     if {"parent", "change"} <= doc["readings"].keys():
         doc["speedup_parent_over_change"] = speedups(
-            doc["readings"]["parent"], doc["readings"]["change"]
+            args.suite, doc["readings"]["parent"], doc["readings"]["change"]
         )
     path.write_text(json.dumps(doc, indent=2) + "\n")
     for name, value in doc.get("speedup_parent_over_change", {}).items():

@@ -163,6 +163,9 @@ def _cmd_verify_liouville(args):
 
 
 def _cmd_radial_shoot(args):
+    # an infinite tolerance would certify any profile
+    if not (math.isfinite(args.sup_tol) and args.sup_tol > 0):
+        raise DomainError(f"sup_tol = {args.sup_tol:g} must be finite and positive")
     op = make_sigma_k_operator(args.n, args.k)
     profile = shoot(op, args.v0, h=args.h, r_max=args.r_max)
     params = matched_bubble(op, args.v0)

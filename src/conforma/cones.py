@@ -131,6 +131,17 @@ class CurvatureOperator:
         return self.cone.n
 
 
+def gamma_k_check(k: int, e, lam) -> None:
+    """Raise ConeError, lam as witness, at the first of sigma_1..sigma_k in e
+    that is not positive."""
+    for j in range(k):
+        if not e[j] > 0.0:
+            raise ConeError(
+                f"lambda outside Gamma_{k} (sigma_{j + 1} = {e[j]:.6g})",
+                witness=list(lam),
+            )
+
+
 def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
     """(sigma_k^{1/k}, Gamma_k) with its analytic gradient."""
     if not (n >= 3 and 1 <= k <= n):
@@ -140,23 +151,13 @@ def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
 
     def f(lam):
         e = sigma_all(lam)
-        for j in range(k):
-            if not e[j] > 0.0:
-                raise ConeError(
-                    f"lambda outside Gamma_{k} (sigma_{j + 1} = {e[j]:.6g})",
-                    witness=list(lam),
-                )
+        gamma_k_check(k, e, lam)
         return e[k - 1] ** inv_k
 
     def grad_f(lam):
         vals = [float(x) for x in lam]
         e = sigma_all(vals)
-        for j in range(k):
-            if not e[j] > 0.0:
-                raise ConeError(
-                    f"lambda outside Gamma_{k} (sigma_{j + 1} = {e[j]:.6g})",
-                    witness=vals,
-                )
+        gamma_k_check(k, e, vals)
         front = inv_k * e[k - 1] ** (inv_k - 1.0)
         return np.array(
             [front * _sigma_minor(vals, e, k - 1, i) for i in range(n)]

@@ -25,52 +25,78 @@ import numpy as np
 
 from . import reporting
 from .bubbles import BubbleParams, bubble_values
-from .cones import CurvatureOperator, two_cluster_sigmas
+from .cones import CurvatureOperator, gamma_k_check
 from .errors import ConeError, DomainError, PositivityError
 
-# Most RK4 steps one shot may take (r_max / h). A step costs about 17
-# microseconds, so the cap bounds one shot at about three minutes.
+# Most RK4 steps one shot may take (r_max / h). A step (four slope calls)
+# costs about 7 microseconds on a 2-vCPU Xeon VM, so the cap bounds one shot
+# at about 70 seconds.
 MAX_STEPS = 10**7
+# Nodes per array pass of profile_max_unit_residual (about 1 MiB of rows).
+RESIDUAL_SLAB = 1 << 14
 
 
-def _radial_parts(v: float, vp: float, r: float, n: int) -> tuple:
-    """(c1, rad0, lam_tang) at r > 0, with lam_rad = rad0 - c1 * v''."""
-    if not v > 0.0:
-        raise PositivityError(f"profile value v = {v:.6g} is not positive")
-    q1 = v ** (-(n + 2.0) / (n - 2.0))
-    q2 = v ** (-2.0 * n / (n - 2.0))
+def _coefficients(n: int) -> tuple:
+    """(e1, e2, c, c_rad, c_tang) of the eigenvalues at r > 0:
+    lam_rad = -c v^e1 v'' + c_rad v^e2 v'^2 and
+    lam_tang = -c v^e1 v'/r - c_tang v^e2 v'^2."""
     c = 2.0 / (n - 2.0)
-    vp2 = vp * vp
-    c1 = c * q1
-    rad0 = c * (n - 1.0) / (n - 2.0) * q2 * vp2
-    lam_tang = -c1 * (vp / r) - c / (n - 2.0) * q2 * vp2
-    return c1, rad0, lam_tang
+    return (
+        -(n + 2.0) / (n - 2.0),
+        -2.0 * n / (n - 2.0),
+        c,
+        c * (n - 1.0) / (n - 2.0),
+        c / (n - 2.0),
+    )
 
 
-def _lambda_list(v: float, vp: float, w: float, r: float, n: int) -> list:
-    """Eigenvalue list (lam_rad, lam_tang x (n-1)) at r > 0; pure floats."""
-    c1, rad0, lam_tang = _radial_parts(v, vp, r, n)
-    out = [lam_tang] * n
-    out[0] = -c1 * w + rad0
-    return out
+def _check_nodes(v, vp, vpp, r) -> None:
+    """Raise for the first node radial_eigenvalues refuses: a negative
+    radius, center data with v'(0) != 0, or a value v that is not positive."""
+    negative = r < 0
+    center = (r == 0.0) & (np.abs(vp) > 1e-12 * np.maximum(1.0, np.abs(vpp)))
+    faults = np.flatnonzero(negative | center | ~(v > 0.0))
+    if faults.size:
+        i = faults[0]
+        if negative[i]:
+            raise DomainError(f"radius r = {r[i]:g} is negative")
+        if center[i]:
+            raise DomainError(f"center data inconsistent: v'(0) = {vp[i]:.6g} must vanish")
+        raise PositivityError(f"profile value v = {v[i]:.6g} is not positive")
+
+
+def _eigenvalue_rows(v, vp, vpp, r, n: int) -> np.ndarray:
+    """(nodes, n) eigenvalue rows (lam_rad, lam_tang x (n-1)); the center
+    formula where r = 0; unchecked (nan or inf at refused nodes)."""
+    e1, e2, c, c_rad, c_tang = _coefficients(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c1 = c * v**e1
+        q2 = v**e2
+        vp2 = vp * vp
+        lam0 = -c1 * vpp
+        rad = lam0 + c_rad * q2 * vp2
+        tang = -c1 * (vp / r) - c_tang * q2 * vp2
+    center = r == 0.0
+    lam = np.empty((len(r), n))
+    lam[:, 0] = np.where(center, lam0, rad)
+    lam[:, 1:] = np.where(center, lam0, tang)[:, None]
+    return lam
 
 
 def radial_eigenvalues(v: float, vp: float, vpp: float, r: float, n: int) -> np.ndarray:
     """Conformal eigenvalues of a radial factor at radius r (r = 0 allowed)."""
     if n < 3:
         raise DomainError("radial eigenvalues need n >= 3")
-    if r < 0:
-        raise DomainError(f"radius r = {r:g} is negative")
-    if r == 0.0:
-        if abs(vp) > 1e-12 * max(1.0, abs(vpp)):
-            raise DomainError(
-                f"center data inconsistent: v'(0) = {vp:.6g} must vanish"
-            )
-        if not v > 0.0:
-            raise PositivityError(f"profile value v = {v:.6g} is not positive")
-        lam0 = -(2.0 / (n - 2.0)) * v ** (-(n + 2.0) / (n - 2.0)) * vpp
-        return np.full(n, lam0)
-    return np.asarray(_lambda_list(v, vp, vpp, r, n), dtype=float)
+    node = np.array([[v], [vp], [vpp], [r]], dtype=float)
+    _check_nodes(*node)
+    return _eigenvalue_rows(*node, n)[0]
+
+
+def _sigma_order(op: CurvatureOperator, what: str) -> int:
+    k = op.sigma_order
+    if k is None:
+        raise DomainError(f"{what} needs a sigma_k operator, got {op.name}")
+    return k
 
 
 def mu_star(op: CurvatureOperator) -> float:
@@ -80,9 +106,7 @@ def mu_star(op: CurvatureOperator) -> float:
     operators without a recorded sigma_k order get a DomainError, as in
     implicit_vpp.
     """
-    k = op.sigma_order
-    if k is None:
-        raise DomainError(f"closed-form mu* needs a sigma_k operator, got {op.name}")
+    k = _sigma_order(op, "closed-form mu*")
     return math.comb(op.n, k) ** (-1.0 / k)
 
 
@@ -104,32 +128,58 @@ def matched_bubble(op: CurvatureOperator, v0: float) -> BubbleParams:
     return BubbleParams(n=n, a=a, beta=beta)
 
 
-def implicit_vpp(op: CurvatureOperator, v: float, vp: float, r: float) -> float:
-    """Solve f(lam(v, v', w, r)) = 1 for the vertical slope w = v''.
+def slope_kernel(op: CurvatureOperator):
+    """The map (v, v', r) -> v'' solving f(lam(v, v', v'', r)) = 1, for one
+    sigma_k operator; every constant is computed once, here.
 
-    The spectrum is (a, b x m) with a = lam_rad affine in w, b = lam_tang
-    free of w and m = n - 1. For f = sigma_k^{1/k} the equation reads
+    The spectrum is (a, b x m) with a = lam_rad affine in v'', b = lam_tang
+    free of it and m = n - 1. For f = sigma_k^{1/k} the equation reads
     C(m,k) b^k + a C(m,k-1) b^(k-1) = 1, so a is one division away. The
     divisor is sigma_{k-1} of the spectrum with a removed, positive on
     Gamma_k: the data admit a slope exactly when the divisor is positive and
-    sigma_j(a, b^m) > 0 for every j < k.
+    sigma_j(a, b^m) = C(m,j) b^j + a C(m,j-1) b^(j-1) > 0 for every j < k.
+    Off the cone the slope raises ConeError, at v <= 0 PositivityError and
+    at r <= 0 DomainError (use vpp0_exact at the center). The float
+    operations and their order are fixed: tests/helpers.py keeps a form that
+    recomputes every constant per call, and the slopes agree bit for bit.
     """
-    if not r > 0:
-        raise DomainError("implicit slope needs r > 0 (use vpp0_exact at 0)")
-    k = op.sigma_order
-    if k is None:
-        raise DomainError(f"closed-form slope needs a sigma_k operator, got {op.name}")
-    m = op.n - 1
-    c1, rad0, b = _radial_parts(v, vp, r, m + 1)
-    div = math.comb(m, k - 1) * b ** (k - 1)
-    if div > 0.0:
-        a = (1.0 - math.comb(m, k) * b**k) / div
-        if all(s > 0.0 for s in two_cluster_sigmas(a, b, m, k - 1)):
-            return (rad0 - a) / c1
-    raise ConeError(
-        "no admissible vertical slope: data off the cone "
-        f"(v={v:.6g}, v'={vp:.6g}, r={r:.6g})"
-    )
+    k = _sigma_order(op, "closed-form slope")
+    n = op.n
+    m = n - 1
+    e1, e2, c, c_rad, c_tang = _coefficients(n)
+    comb_k = float(math.comb(m, k))
+    comb_k1 = float(math.comb(m, k - 1))
+    lower = [(float(math.comb(m, j)), j, float(math.comb(m, j - 1))) for j in range(1, k)]
+
+    def slope(v: float, vp: float, r: float) -> float:
+        if not r > 0:
+            raise DomainError("implicit slope needs r > 0 (use vpp0_exact at 0)")
+        if not v > 0.0:
+            raise PositivityError(f"profile value v = {v:.6g} is not positive")
+        c1 = c * v**e1
+        q2 = v**e2
+        vp2 = vp * vp
+        b = -c1 * (vp / r) - c_tang * q2 * vp2
+        div = comb_k1 * b ** (k - 1)
+        if div > 0.0:
+            a = (1.0 - comb_k * b**k) / div
+            for comb_j, j, comb_j1 in lower:
+                if not comb_j * b**j + a * comb_j1 * b ** (j - 1) > 0.0:
+                    break
+            else:
+                return (c_rad * q2 * vp2 - a) / c1
+        raise ConeError(
+            "no admissible vertical slope: data off the cone "
+            f"(v={v:.6g}, v'={vp:.6g}, r={r:.6g})"
+        )
+
+    return slope
+
+
+def implicit_vpp(op: CurvatureOperator, v: float, vp: float, r: float) -> float:
+    """Solve f(lam(v, v', w, r)) = 1 for the vertical slope w = v''
+    (one call of slope_kernel(op))."""
+    return slope_kernel(op)(v, vp, r)
 
 
 @dataclass
@@ -164,16 +214,16 @@ class RadialProfile:
         reporting.write_csv(path, ("r", "v", "vp", "vpp"), rows)
 
 
-def _rk4_step(op, r, v, vp, w_node, h):
-    """One RK4 step of (v, v')' = (v', w(r, v, v')); w_node is the slope at
-    the left node, reused as the k1 stage."""
+def _rk4_step(slope, r, v, vp, w_node, h):
+    """One RK4 step of (v, v')' = (v', slope(v, v', r)); w_node is the slope
+    at the left node, reused as the k1 stage."""
     k1v, k1w = vp, w_node
     k2v = vp + 0.5 * h * k1w
-    k2w = implicit_vpp(op, v + 0.5 * h * k1v, k2v, r + 0.5 * h)
+    k2w = slope(v + 0.5 * h * k1v, k2v, r + 0.5 * h)
     k3v = vp + 0.5 * h * k2w
-    k3w = implicit_vpp(op, v + 0.5 * h * k2v, k3v, r + 0.5 * h)
+    k3w = slope(v + 0.5 * h * k2v, k3v, r + 0.5 * h)
     k4v = vp + h * k3w
-    k4w = implicit_vpp(op, v + h * k3v, k4v, r + h)
+    k4w = slope(v + h * k3v, k4v, r + h)
     v_next = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     vp_next = vp + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
     return v_next, vp_next
@@ -188,9 +238,9 @@ def shoot(
     """Integrate the radial f = 1 profile from v(0) = v0, v'(0) = 0.
 
     First node reached by the Taylor step v(h) = v0 + v''(0) h^2/2,
-    v'(h) = v''(0) h; after that classical RK4 with the slope solved
-    implicitly at every stage. Stops early with status "cone_exit" or
-    "positivity_loss" when the data leaves the admissible set.
+    v'(h) = v''(0) h; after that classical RK4 with the slope from
+    slope_kernel(op) at every stage. Stops early with status "cone_exit"
+    or "positivity_loss" when the data leaves the admissible set.
     """
     if not v0 > 0:
         raise PositivityError(f"center value v0 = {v0:.6g} is not positive")
@@ -209,6 +259,7 @@ def shoot(
         )
 
     w0 = vpp0_exact(op, v0)
+    slope = slope_kernel(op)
     rs = [0.0]
     vs = [v0]
     vps = [0.0]
@@ -219,7 +270,7 @@ def shoot(
     v1 = v0 + 0.5 * w0 * h * h
     vp1 = w0 * h
     try:
-        w1 = implicit_vpp(op, v1, vp1, h)
+        w1 = slope(v1, vp1, h)
         rs.append(h)
         vs.append(v1)
         vps.append(vp1)
@@ -234,8 +285,8 @@ def shoot(
         for i in range(1, steps):
             r = i * h
             try:
-                v, vp = _rk4_step(op, r, v, vp, w, h)
-                w = implicit_vpp(op, v, vp, r + h)
+                v, vp = _rk4_step(slope, r, v, vp, w, h)
+                w = slope(v, vp, r + h)
             except ConeError:
                 status = "cone_exit"
                 break
@@ -277,17 +328,42 @@ def bubble_deviation(profile: RadialProfile, params: BubbleParams) -> float:
     return float(np.max(np.abs(profile.v - bubble_values(params, x)), initial=0.0))
 
 
+def _slab_unit_residual(k: int, n: int, v, vp, vpp, r) -> float:
+    """max |sigma_k^{1/k} - 1| over one slab of nodes; raises for the first
+    node of the slab that is refused or off Gamma_k."""
+    lam = _eigenvalue_rows(v, vp, vpp, r, n)
+    e = [np.ones(len(r))] + [np.zeros(len(r)) for _ in range(k)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for m, x in enumerate(np.sort(lam, axis=1).T, start=1):
+            for j in range(min(m, k), 0, -1):
+                e[j] += x * e[j - 1]
+    sig = np.array(e[1:])
+    off = np.flatnonzero(~np.all(sig > 0.0, axis=0))
+    last = off[0] + 1 if off.size else len(r)
+    _check_nodes(v[:last], vp[:last], vpp[:last], r[:last])
+    if off.size:
+        gamma_k_check(k, sig[:, off[0]].tolist(), lam[off[0]])
+    return float(np.max(np.abs(sig[-1] ** (1.0 / k) - 1.0), initial=0.0))
+
+
 def profile_max_unit_residual(op: CurvatureOperator, profile: RadialProfile) -> float:
-    """max over nodes of |f(lam) - 1| along the integrated profile."""
+    """max over nodes of |f(lam) - 1| along the integrated profile.
+
+    Array passes over the profile, independent of the closed-form slope: the
+    (nodes, n) eigenvalue rows are sorted and sigma_1..sigma_k built by the
+    product-expansion recurrence of cones.sigma_all, one column at a time.
+    The first node refused by radial_eigenvalues or off Gamma_k raises what
+    a node-by-node evaluation of op.f would. A pass takes RESIDUAL_SLAB
+    nodes, so the temporaries stay small at any step count shoot accepts.
+    """
+    k = _sigma_order(op, "closed-form unit residual")
     worst = 0.0
-    for r, v, vp, w in zip(
-        profile.r.tolist(),
-        profile.v.tolist(),
-        profile.vp.tolist(),
-        profile.vpp.tolist(),
-    ):
-        lam = radial_eigenvalues(v, vp, w, r, profile.n)
-        worst = max(worst, abs(op.f(lam) - 1.0))
+    for lo in range(0, len(profile.r), RESIDUAL_SLAB):
+        nodes = slice(lo, lo + RESIDUAL_SLAB)
+        worst = max(worst, _slab_unit_residual(
+            k, profile.n, profile.v[nodes], profile.vp[nodes], profile.vpp[nodes],
+            profile.r[nodes],
+        ))
     return worst
 
 

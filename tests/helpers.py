@@ -1,7 +1,9 @@
 """Shared constructions for the tests: a pole-safe random Moebius word
 generator, the standing catalog of conformal factors and its non-bubble
 fields, the generator-chain sphere inversion, the bubble matching a radial
-jet, a generic root-search oracle for the radial slope solve, per-node
+jet, a generic root-search oracle for the radial slope solve, the
+per-node radial eigenvalues, slope, shoot and unit-residual loop that the
+per-operator slope kernel and the whole-profile check replaced, per-node
 loop oracles for the periodic solver's closed-form residual, Jacobian
 coefficients and margin, and one-radius-at-a-time oracles for the batched
 moving-sphere kernels."""
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from conforma.bubbles import BubbleParams
+from conforma.cones import two_cluster_sigmas
 from conforma.conformal import (
     POLE_GUARD_ANALYTIC,
     Invert,
@@ -36,7 +39,7 @@ from conforma.moving_sphere import (
     CriticalRadius,
     HLemmaReport,
 )
-from conforma.radial import radial_eigenvalues
+from conforma.radial import RadialProfile, vpp0_exact
 from conforma.yamabe import _eigen_partials, node_eigenvalues
 
 
@@ -180,7 +183,7 @@ def implicit_vpp_bracket(op, v, vp, r):
     n = op.n
 
     def geval(w):
-        lam = radial_eigenvalues(v, vp, w, r, n)
+        lam = radial_eigenvalues_node(v, vp, w, r, n)
         try:
             return op.f(lam) - 1.0
         except ConeError:
@@ -242,6 +245,116 @@ def implicit_vpp_bracket(op, v, vp, r):
                 ghi *= 0.5
             kept = "hi"
     return 0.5 * (lo + hi)
+
+
+def _radial_parts_node(v, vp, r, n):
+    """(c1, rad0, lam_tang) at r > 0, with lam_rad = rad0 - c1 * v''."""
+    if not v > 0.0:
+        raise PositivityError(f"profile value v = {v:.6g} is not positive")
+    q1 = v ** (-(n + 2.0) / (n - 2.0))
+    q2 = v ** (-2.0 * n / (n - 2.0))
+    c = 2.0 / (n - 2.0)
+    vp2 = vp * vp
+    c1 = c * q1
+    rad0 = c * (n - 1.0) / (n - 2.0) * q2 * vp2
+    lam_tang = -c1 * (vp / r) - c / (n - 2.0) * q2 * vp2
+    return c1, rad0, lam_tang
+
+
+def radial_eigenvalues_node(v, vp, vpp, r, n):
+    """Scalar conformal eigenvalues of a radial factor at one radius, by
+    libm powers on Python floats (r = 0 allowed)."""
+    if n < 3:
+        raise DomainError("radial eigenvalues need n >= 3")
+    if r < 0:
+        raise DomainError(f"radius r = {r:g} is negative")
+    if r == 0.0:
+        if abs(vp) > 1e-12 * max(1.0, abs(vpp)):
+            raise DomainError(
+                f"center data inconsistent: v'(0) = {vp:.6g} must vanish"
+            )
+        if not v > 0.0:
+            raise PositivityError(f"profile value v = {v:.6g} is not positive")
+        lam0 = -(2.0 / (n - 2.0)) * v ** (-(n + 2.0) / (n - 2.0)) * vpp
+        return np.full(n, lam0)
+    c1, rad0, lam_tang = _radial_parts_node(v, vp, r, n)
+    out = [lam_tang] * n
+    out[0] = -c1 * vpp + rad0
+    return np.asarray(out, dtype=float)
+
+
+def implicit_vpp_node(op, v, vp, r):
+    """Closed-form slope recomputing every constant per call: the bits
+    slope_kernel must reproduce."""
+    if not r > 0:
+        raise DomainError("implicit slope needs r > 0 (use vpp0_exact at 0)")
+    k = op.sigma_order
+    if k is None:
+        raise DomainError(f"closed-form slope needs a sigma_k operator, got {op.name}")
+    m = op.n - 1
+    c1, rad0, b = _radial_parts_node(v, vp, r, m + 1)
+    div = math.comb(m, k - 1) * b ** (k - 1)
+    if div > 0.0:
+        a = (1.0 - math.comb(m, k) * b**k) / div
+        if all(s > 0.0 for s in two_cluster_sigmas(a, b, m, k - 1)):
+            return (rad0 - a) / c1
+    raise ConeError(
+        "no admissible vertical slope: data off the cone "
+        f"(v={v:.6g}, v'={vp:.6g}, r={r:.6g})"
+    )
+
+
+def shoot_stagewise(op, v0, h, r_max=0.9):
+    """radial.shoot with implicit_vpp_node at every RK4 stage (no input
+    checks): the profile the kernel-driven shoot must reproduce bit for bit."""
+    w0 = vpp0_exact(op, v0)
+    rs, vs, vps, ws = [0.0], [v0], [0.0], [w0]
+    status = "ok"
+    v, vp, w = v0 + 0.5 * w0 * h * h, w0 * h, None
+    try:
+        w = implicit_vpp_node(op, v, vp, h)
+        rs.append(h)
+        vs.append(v)
+        vps.append(vp)
+        ws.append(w)
+        for i in range(1, int(round(r_max / h))):
+            r = i * h
+            k1v, k1w = vp, w
+            k2v = vp + 0.5 * h * k1w
+            k2w = implicit_vpp_node(op, v + 0.5 * h * k1v, k2v, r + 0.5 * h)
+            k3v = vp + 0.5 * h * k2w
+            k3w = implicit_vpp_node(op, v + 0.5 * h * k2v, k3v, r + 0.5 * h)
+            k4v = vp + h * k3w
+            k4w = implicit_vpp_node(op, v + h * k3v, k4v, r + h)
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            vp = vp + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            w = implicit_vpp_node(op, v, vp, r + h)
+            rs.append(r + h)
+            vs.append(v)
+            vps.append(vp)
+            ws.append(w)
+    except ConeError:
+        status = "cone_exit"
+    except PositivityError:
+        status = "positivity_loss"
+    return RadialProfile(
+        r=np.asarray(rs), v=np.asarray(vs), vp=np.asarray(vps), vpp=np.asarray(ws),
+        n=op.n, operator=op.name, v0=v0, h=h, status=status,
+    )
+
+
+def profile_max_unit_residual_loop(op, profile):
+    """max over nodes of |op.f(lam) - 1|, one node at a time."""
+    worst = 0.0
+    for r, v, vp, w in zip(
+        profile.r.tolist(),
+        profile.v.tolist(),
+        profile.vp.tolist(),
+        profile.vpp.tolist(),
+    ):
+        lam = radial_eigenvalues_node(v, vp, w, r, profile.n)
+        worst = max(worst, abs(op.f(lam) - 1.0))
+    return worst
 
 
 def residual_loop(op, g):

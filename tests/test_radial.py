@@ -3,8 +3,14 @@ implicit vertical slope, RK4 convergence."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import implicit_vpp_bracket
+from helpers import (
+    implicit_vpp_bracket,
+    implicit_vpp_node,
+    profile_max_unit_residual_loop,
+    shoot_stagewise,
+)
 
 from conforma.cones import (
     homogenize,
@@ -14,8 +20,10 @@ from conforma.cones import (
     solve_unit_level,
     two_cluster_sigmas,
 )
+from conforma import radial
 from conforma.errors import ConeError, DomainError, PositivityError
 from conforma.radial import (
+    RadialProfile,
     bubble_deviation,
     implicit_vpp,
     matched_bubble,
@@ -24,6 +32,7 @@ from conforma.radial import (
     profile_max_unit_residual,
     radial_eigenvalues,
     shoot,
+    slope_kernel,
     vpp0_exact,
 )
 from conforma.bubbles import BubbleParams, bubble_value
@@ -148,6 +157,107 @@ def test_implicit_vpp_matches_root_search_oracle(n, k):
         assert other.sigma_order is None
         with pytest.raises(DomainError):
             implicit_vpp(other, 1.0, -0.1, 0.5)
+
+
+def _bits(solve, *args):
+    """A slope's bits, or its exception's type and message."""
+    try:
+        return solve(*args).hex()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc), str(exc)
+
+
+# (v, v', r) shaped like profile data (v' = -t v r, mostly on the cone),
+# and arbitrary floats: zeros, negatives, nan, inf and powers that overflow
+_profile_like = st.tuples(
+    st.floats(0.05, 5.0), st.floats(0.0, 3.0), st.floats(1e-4, 2.0)
+).map(lambda d: (d[0], -d[1] * d[0] * d[2], d[2]))
+_any_data = st.tuples(st.floats(), st.floats(), st.floats())
+
+
+@given(st.sampled_from(WORKLOAD_PAIRS), st.one_of(_profile_like, _any_data))
+@settings(max_examples=400, deadline=None)
+def test_slope_kernel_matches_per_call_slope_bit_for_bit(nk, data):
+    v, vp, r = data
+    op = make_sigma_k_operator(*nk)
+    kernel = slope_kernel(op)
+    want = _bits(implicit_vpp_node, op, v, vp, r)
+    assert _bits(kernel, v, vp, r) == want
+    assert _bits(implicit_vpp, op, v, vp, r) == want
+
+
+# shots that stop early: a cone exit inside the RK4 loop, and a profile that
+# crosses zero; both only at coarse steps
+EARLY_STOPS = [((3, 3, 1.5, 0.42), "cone_exit"), ((3, 1, 3.25, 0.18), "positivity_loss")]
+
+
+def _oracle_shots():
+    for n, k in WORKLOAD_PAIRS:
+        for v0 in (0.5, 1.0, 2.0):
+            yield (n, k, v0, 1e-3, 0.9), "ok"
+    for (n, k, v0, h), status in EARLY_STOPS:
+        yield (n, k, v0, h, 5.0), status
+
+
+@pytest.mark.parametrize("n,k,v0,h,r_max,status", [(*a, s) for a, s in _oracle_shots()])
+def test_shoot_and_residual_match_per_node_oracles(n, k, v0, h, r_max, status):
+    op = make_sigma_k_operator(n, k)
+    prof = shoot(op, v0, h=h, r_max=r_max)
+    ref = shoot_stagewise(op, v0, h, r_max=r_max)
+    assert prof.status == ref.status == status
+    for name in ("r", "v", "vp", "vpp"):
+        assert np.array_equal(getattr(prof, name), getattr(ref, name)), name
+    res = profile_max_unit_residual(op, prof)
+    assert abs(res - profile_max_unit_residual_loop(op, ref)) <= 1e-15
+
+
+def _tampered(prof, **changes):
+    arrays = {name: getattr(prof, name).copy() for name in ("r", "v", "vp", "vpp")}
+    for key, value in changes.items():
+        name, i = key.rsplit("_", 1)
+        arrays[name][int(i)] = value
+    return RadialProfile(**arrays, n=prof.n, operator=prof.operator, v0=prof.v0, h=prof.h)
+
+
+def test_residual_check_slabs_change_nothing(monkeypatch):
+    op = make_sigma_k_operator(5, 2)
+    prof = shoot(op, 1.0, h=1e-3, r_max=0.9)
+    whole = profile_max_unit_residual(op, prof)
+    assert len(prof.r) < radial.RESIDUAL_SLAB
+    for slab in (1, 7, 450):
+        monkeypatch.setattr(radial, "RESIDUAL_SLAB", slab)
+        assert profile_max_unit_residual(op, prof) == whole
+
+
+@pytest.mark.parametrize("slab", [4, 1 << 14])
+@pytest.mark.parametrize("n,k", WORKLOAD_PAIRS)
+def test_residual_check_raises_what_the_node_loop_raises(n, k, slab, monkeypatch):
+    monkeypatch.setattr(radial, "RESIDUAL_SLAB", slab)
+    op = make_sigma_k_operator(n, k)
+    prof = shoot(op, 1.0, h=0.05, r_max=0.9)
+    off = 1e3  # v'' this large drives lam_rad, and sigma_1, far negative
+    cases = {
+        "off-cone": ({"vpp_7": off}, ConeError),
+        "off-cone first": ({"vpp_7": off, "v_9": -1.0}, ConeError),
+        "nonpositive first": ({"v_4": 0.0, "vpp_7": off}, PositivityError),
+        "center slope": ({"vp_0": 0.5}, DomainError),
+        "negative radius": ({"r_3": -0.1}, DomainError),
+        "nan value": ({"v_5": float("nan")}, PositivityError),
+    }
+    for name, (changes, kind) in cases.items():
+        bad = _tampered(prof, **changes)
+        with pytest.raises(kind) as got:
+            profile_max_unit_residual(op, bad)
+        with pytest.raises(kind) as want:
+            profile_max_unit_residual_loop(op, bad)
+        assert str(got.value) == str(want.value), name
+        if kind is ConeError:
+            assert len(got.value.witness) == n
+            assert got.value.witness == pytest.approx(want.value.witness, rel=1e-14), name
+    # like the slope, the whole-profile check needs a recorded sigma_k order
+    for other in (homogenize(op), homotopy_operator(op, 0.5)):
+        with pytest.raises(DomainError):
+            profile_max_unit_residual(other, prof)
 
 
 @pytest.mark.parametrize("n,k", WORKLOAD_PAIRS)
