@@ -21,6 +21,7 @@ from . import __version__, reporting
 from .bubbles import (
     BubbleParams,
     ball_robin_residual,
+    bubble_value,
     halfspace_residual,
     verify_fullspace,
 )
@@ -169,6 +170,10 @@ def _cmd_radial_shoot(args):
     op = make_sigma_k_operator(args.n, args.k)
     profile = shoot(op, args.v0, h=args.h, r_max=args.r_max)
     params = matched_bubble(op, args.v0)
+    # a bubble (decreasing in r) within sup_tol of v0 passes a constant profile too
+    flat = args.v0 - bubble_value(params, np.eye(args.n)[0] * args.r_max)
+    if not flat > args.sup_tol:
+        raise DomainError(f"matched bubble varies by {flat:.3g} <= sup_tol over [0, r_max]")
     sup_error = bubble_deviation(profile, params)
     unit_res = profile_max_unit_residual(op, profile)
     passed = profile.status == "ok" and sup_error <= args.sup_tol
@@ -412,23 +417,22 @@ def _cmd_homogenize(args):
     rng = make_rng(args.seed)
     lams = sample_cone_directions(rng, n, args.samples)
 
+    vals = [deg1.f(lam) for lam in lams]  # one root solve per sample
     gap = 0.0
-    for lam in lams:
+    for lam, val in zip(lams, vals):
         target = sigma_all(lam)[k - 1] ** (1.0 / k)
-        gap = max(gap, abs(deg1.f(lam) - target))
+        gap = max(gap, abs(val - target))
 
     deg_gap = 0.0
-    for lam in lams[: min(len(lams), 100)]:
-        base = deg1.f(lam)
+    for lam, base in zip(lams[:100], vals):
         for s in (0.5, 2.0, 7.3):
             deg_gap = max(deg_gap, abs(deg1.f(s * lam) - s * base) / (s * base))
 
     conc_worst = -math.inf
     pairs = min(args.triples, len(lams) - 1)
     for i in range(pairs):
-        lam, mu = lams[i], lams[i + 1]
-        mid = deg1.f(0.5 * (lam + mu))
-        conc_worst = max(conc_worst, 0.5 * (deg1.f(lam) + deg1.f(mu)) - mid)
+        mid = deg1.f(0.5 * (lams[i] + lams[i + 1]))
+        conc_worst = max(conc_worst, 0.5 * (vals[i] + vals[i + 1]) - mid)
 
     checks = {
         "closed_form_gap": {"pass": gap <= 1e-10, "value": gap, "tol": 1e-10},

@@ -9,10 +9,11 @@ connects a semilinear t = 0 problem (solved from a constant start) to the
 full operator at t = 1.
 
 Every node spectrum has the two-cluster shape (lambda_t, lambda_s^{n-1}), so
-residual, cone margin and Jacobian coefficients are array expressions of
-cones.two_cluster_kernel. The Newton step is solved matrix-free by GMRES,
-right-preconditioned by the circulant with node-mean coefficients, which is
-the exact Jacobian on the constant branch and is inverted by FFT.
+residual, cone margin and Jacobian coefficients are array expressions of one
+cones.two_cluster_kernel pass per grid (evaluate). The Newton step is solved
+matrix-free by GMRES, right-preconditioned by the circulant with node-mean
+coefficients, which is the exact Jacobian on the constant branch and is
+inverted by FFT.
 
 Existence is not certified: solutions are accepted only through residual and
 cone gates.
@@ -167,13 +168,6 @@ def _gate(lam: np.ndarray, margin: np.ndarray) -> None:
         )
 
 
-def residual(op: CurvatureOperator, g: PeriodicGrid) -> np.ndarray:
-    """Per-node f(lam) - 1, gated on cone membership at every node."""
-    _, _, lam, (f, _, _, margin) = _node_kernel(op, g)
-    _gate(lam, margin)
-    return f - 1.0
-
-
 def _eigen_partials(u, up, upp, n):
     """Partial derivatives of (lambda_t, lambda_s) in (v, v', v'')."""
     e4 = 4.0 / (n - 2.0)
@@ -243,19 +237,31 @@ class Linearisation:
         return J if dtype is None else J.astype(dtype)
 
 
-def jacobian(op: CurvatureOperator, g: PeriodicGrid) -> Linearisation:
-    """d(residual_i)/d(u_j) through the two eigenvalue branches, as the
-    coefficients of v, v' and v'' at every node."""
-    u = g.values
-    up, upp, lam, (_, gt, Gs, margin) = _node_kernel(op, g)
+def evaluate(op: CurvatureOperator, g: PeriodicGrid):
+    """(residual, min cone margin, jacobian) of g from one two-cluster kernel
+    pass, gated on cone membership at every node; the only evaluation
+    newton_solve makes of a grid."""
+    up, upp, lam, (f, gt, Gs, margin) = _node_kernel(op, g)
     _gate(lam, margin)
-    dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp = _eigen_partials(u, up, upp, op.n)
-    return Linearisation(
+    dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp = _eigen_partials(g.values, up, upp, op.n)
+    J = Linearisation(
         diag_v=gt * dt_dv + Gs * ds_dv,
         diag_vp=gt * dt_dvp + Gs * ds_dvp,
         diag_vpp=gt * dt_dvpp,
         symbols=g.symbols,
     )
+    return f - 1.0, float(np.min(margin)), J
+
+
+def residual(op: CurvatureOperator, g: PeriodicGrid) -> np.ndarray:
+    """Per-node f(lam) - 1, gated on cone membership at every node."""
+    return evaluate(op, g)[0]
+
+
+def jacobian(op: CurvatureOperator, g: PeriodicGrid) -> Linearisation:
+    """d(residual_i)/d(u_j) through the two eigenvalue branches, as the
+    coefficients of v, v' and v'' at every node."""
+    return evaluate(op, g)[2]
 
 
 def _symbol_report(mu: np.ndarray) -> tuple[float, int, int]:
@@ -380,16 +386,16 @@ class NewtonRecord:
 
 def _restore_admissibility(
     op: CurvatureOperator, g0: PeriodicGrid, rejection: ConeError
-) -> tuple[PeriodicGrid, np.ndarray, float]:
+) -> tuple[PeriodicGrid, tuple, float]:
     """Blend an off-cone start toward its mean until the residual is defined.
 
     u_s = (1 - s) u0 + s mean(u0) stays positive, and at s = 1 it is a
     constant, whose node eigenvalues are a positive multiple of the
     background ones, so it is admissible whenever the background is.
-    Bisects (RESTORE_BISECTIONS halvings) for the smallest admissible s,
-    then steps RESTORE_INSET of the remaining way toward the mean. Returns
-    (grid, residual, s). Re-raises ``rejection`` when the mean itself is
-    off the cone.
+    Bisects (RESTORE_BISECTIONS halvings) for the smallest s whose cone
+    margin is positive, then steps RESTORE_INSET of the remaining way toward
+    the mean. Returns (grid, evaluate(op, grid), s). Re-raises ``rejection``
+    when the mean itself is off the cone.
     """
     u0 = g0.values
     mean = float(np.mean(u0))
@@ -397,21 +403,18 @@ def _restore_admissibility(
     def blend(s):
         return g0.with_values((1.0 - s) * u0 + s * mean)
 
-    try:
-        residual(op, blend(1.0))
-    except ConeError:
+    if not min_cone_margin(op, blend(1.0)) > 0.0:
         raise rejection from None
     lo, hi = 0.0, 1.0
     for _ in range(RESTORE_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        try:
-            residual(op, blend(mid))
+        if min_cone_margin(op, blend(mid)) > 0.0:
             hi = mid
-        except ConeError:
+        else:
             lo = mid
     s = hi + RESTORE_INSET * (1.0 - hi)
     g = blend(s)
-    return g, residual(op, g), s
+    return g, evaluate(op, g), s
 
 
 def newton_solve(
@@ -455,16 +458,13 @@ def newton_solve(
     g = g0.with_values(g0.values)
     restoration = None
     try:
-        r = residual(op, g)
+        r, margin, J = evaluate(op, g)
     except ConeError as exc:
-        g, r, s = _restore_admissibility(op, g, exc)
-        restoration = {"blend": s, "off_cone_nodes": len(exc.witness)}
+        g, (r, margin, J), s = _restore_admissibility(op, g, exc)
+        restoration = {"blend": s, "off_cone_nodes": len(exc.witness), "cone_margin": margin}
     floor = 0.1 * float(np.min(g.values))
     norms = [_norm(r)]
     if records is not None:
-        margin = min_cone_margin(op, g)
-        if restoration is not None:
-            restoration["cone_margin"] = margin
         records.append(
             NewtonRecord(
                 t=t_label,
@@ -479,7 +479,6 @@ def newton_solve(
     for it in range(1, max_iter + 1):
         if float(np.max(np.abs(r))) <= tol:
             return g
-        J = jacobian(op, g)
         mu = J.circulant_symbol()
         ratio, negative, mode = _symbol_report(mu)
         if not ratio >= DEGENERATE_SYMBOL_RATIO:
@@ -500,11 +499,11 @@ def newton_solve(
             cand = np.maximum(g.values + alpha * step, floor)
             try:
                 g_new = g.with_values(cand)
-                r_new = residual(op, g_new)
+                ev = evaluate(op, g_new)
             except (ConeError, PositivityError):
                 alpha *= 0.5
                 continue
-            if _norm(r_new) < norms[-1]:
+            if _norm(ev[0]) < norms[-1]:
                 accepted = True
                 break
             alpha *= 0.5
@@ -514,7 +513,7 @@ def newton_solve(
                 f"(residual {norms[-1]:.3e})",
                 iterate=g,
             )
-        g, r = g_new, r_new
+        g, (r, margin, J) = g_new, ev
         norms.append(_norm(r))
         if records is not None:
             records.append(
@@ -523,7 +522,7 @@ def newton_solve(
                     iter=it,
                     residual_inf=float(np.max(np.abs(r))),
                     step_norm=_norm(alpha * step),
-                    min_cone_margin=min_cone_margin(op, g),
+                    min_cone_margin=margin,
                     krylov_iters=krylov,
                     symbol_ratio=ratio,
                     negative_modes=negative,

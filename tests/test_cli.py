@@ -186,11 +186,14 @@ def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
         ("radial-shoot", "--n", "3", "--k", "2", "--sup-tol", "inf"),
         ("radial-shoot", "--n", "3", "--k", "2", "--sup-tol", "nan"),
         ("radial-shoot", "--n", "3", "--k", "2", "--sup-tol", "-1"),
+        # the matched bubble varies by less than sup_tol: a constant passes
+        ("radial-shoot", "--n", "3", "--k", "2", "--v0", "1e-30"),
+        ("radial-shoot", "--n", "3", "--k", "1", "--v0", "1e-3", "--h", "1e-3"),
     ],
     ids=["word-dim", "n9", "v0-overflow", "validate-0", "homogenize-0",
          "conjugation-0", "harnack-neg", "lemmas-0", "r-max-inf", "L-inf",
          "tol-0", "tol-neg", "tol-nan", "tol-loose", "h-tiny",
-         "sup-tol-inf", "sup-tol-nan", "sup-tol-neg"],
+         "sup-tol-inf", "sup-tol-nan", "sup-tol-neg", "flat-bubble", "flat-bubble-h"],
 )
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     # a domain error returns 2, an argument rejected by the parser exits 2;

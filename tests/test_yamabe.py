@@ -449,6 +449,44 @@ def test_newton_restores_off_cone_start(scheme, start):
     assert all(rec.restoration is None for rec in records[1:])
 
 
+def _kernel_passes(monkeypatch):
+    """Record (operator, grid bytes) of every two-cluster kernel pass."""
+    seen = []
+    kernel = yamabe._node_kernel
+
+    def recorded(op, g):
+        seen.append((op.two_cluster, g.values.tobytes()))
+        return kernel(op, g)
+
+    monkeypatch.setattr(yamabe, "_node_kernel", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (7, 3)])
+def test_continuation_evaluates_each_grid_once(monkeypatch, n, k):
+    # residual, record margin and the next Jacobian share one kernel pass
+    seen = _kernel_passes(monkeypatch)
+    res = continuation(make_sigma_k_operator(n, k), L=L, N=N, t_steps=11, tol=1e-10)
+    assert res.status == "ok"
+    assert len(set(seen)) == len(seen) >= len(res.records)
+
+
+def test_restoration_evaluates_each_grid_once(monkeypatch):
+    seen = _kernel_passes(monkeypatch)
+    g = constant_grid(CS)
+    g0 = g.with_values(CS * (1.0 + 0.1 * np.sin(2.0 * np.pi * g.nodes() / L)))
+    records = []
+    newton_solve(OP, g0, tol=1e-10, records=records)
+    # the start, the mean, the bisected blends and the restored grid
+    assert len(set(seen)) == len(seen) > 3 + yamabe.RESTORE_BISECTIONS
+    # pinned bits: the margin probe makes the gated residual's blend decisions
+    rest = records[0].restoration
+    assert list(rest) == ["blend", "off_cone_nodes", "cone_margin"]
+    assert rest["blend"] == float.fromhex("0x1.e7e9700000000p-1")
+    assert rest["off_cone_nodes"] == 29
+    assert rest["cone_margin"] == float.fromhex("0x1.047770d14f438p-1")
+
+
 def test_newton_inadmissible_background_keeps_cone_error():
     # sigma_2 at n=4 puts the product background on the cone boundary
     # (sigma_2 = 0), so no blend toward a constant can restore admissibility:
