@@ -1,6 +1,18 @@
 """Per-layer timings of one path of the code, written to a BENCH_*.json.
 
-Times, with fixed seeds and one BLAS/OpenMP thread, one of two suites.
+Times, with fixed seeds and one BLAS/OpenMP thread, one of three suites.
+
+--suite cones (written to BENCH_10.json by default):
+
+- L0 the sigma_1..sigma_k kernel per row on the 499 rays of each
+  `homogenize` workload argv: `sigma_all` one row per call, and
+  `sigma_rows` on all rows at once where it exists;
+- L1 the unit-level ray solve per ray on the same rays: one
+  `solve_unit_level` call on the rows where it takes rows, else one call per
+  ray;
+- L4 the handler time of `homogenize --op sigma2 --n 3`, `homogenize --op
+  sigma3 --n 4` and `validate-operator --n 6 --k 4`, the criterion-8
+  (homogenization) acceptance test, and the wall time of the tier-1 suite.
 
 --suite radial (written to BENCH_8.json by default):
 
@@ -30,7 +42,7 @@ file also gets parent/change speed-up ratios.
 
 Run from a checkout (it imports that checkout's src/ and tests/):
 
-    python scripts/bench_layers.py --suite radial --label change
+    python scripts/bench_layers.py --suite cones --label change
 
 To read an older commit, copy this script into its checkout and run it
 there with --out naming this file.
@@ -64,6 +76,7 @@ import conforma  # noqa: E402
 from conforma import radial  # noqa: E402
 from conforma.bubbles import BubbleParams  # noqa: E402
 from conforma.cli import _h_catalog, main  # noqa: E402
+from conforma import cones  # noqa: E402
 from conforma.cones import make_sigma_k_operator  # noqa: E402
 from conforma.fields import BubbleField, ball  # noqa: E402
 from conforma.moving_sphere import (  # noqa: E402
@@ -266,6 +279,72 @@ def radial_layer4(repeats):
     }
 
 
+HOMOGENIZE_PAIRS = [(3, 2), (4, 3)]
+
+
+def homogenize_rays(n, k):
+    """The 100 samples, 300 scaled rays and 99 midpoints that
+    `homogenize --op sigma<k> --n <n> --seed 0` solves."""
+    lams = cones.sample_cone_directions(make_rng(0), n, 100)
+    scaled = (lams[:, None, :] * np.array([0.5, 2.0, 7.3])[:, None]).reshape(-1, n)
+    return make_sigma_k_operator(n, k), np.concatenate([lams, scaled, 0.5 * (lams[:-1] + lams[1:])])
+
+
+def cones_layer0(repeats):
+    cases = [(k, homogenize_rays(n, k)[1]) for n, k in HOMOGENIZE_PAIRS]
+    count = sum(len(rays) for _, rays in cases)
+
+    def per_row():
+        for _, rays in cases:
+            for row in rays:
+                cones.sigma_all(row)
+
+    out = {"sigma_all_per_row_s": per_item(timed(per_row, repeats * 4), count), "rows": count}
+    if hasattr(cones, "sigma_rows"):
+        def rows():
+            for k, rays in cases:
+                cones.sigma_rows(rays, k)
+
+        out["sigma_rows_per_row_s"] = per_item(timed(rows, repeats * 40), count)
+    return out
+
+
+def ray_solve(op, rays):
+    """All rays in one call where solve_unit_level takes rows, else one call per ray."""
+    try:
+        return cones.solve_unit_level(op.f, rays)
+    except TypeError:
+        # a version whose solve_unit_level and op.f take one vector
+        return [cones.solve_unit_level(op.f, row) for row in rays]
+
+
+def cones_layer1(repeats):
+    cases = [homogenize_rays(n, k) for n, k in HOMOGENIZE_PAIRS]
+    count = sum(len(rays) for _, rays in cases)
+
+    def solves():
+        for op, rays in cases:
+            ray_solve(op, rays)
+
+    return {"ray_solve_per_ray_s": per_item(timed(solves, repeats), count), "rays": count}
+
+
+def cones_layer4(repeats):
+    return {
+        "homogenize_sigma2_n3_handler_s": handler_time(
+            ["homogenize", "--op", "sigma2", "--n", "3", "--seed", "0"], repeats * 2
+        ),
+        "homogenize_sigma3_n4_handler_s": handler_time(
+            ["homogenize", "--op", "sigma3", "--n", "4", "--seed", "0"], repeats * 2
+        ),
+        "validate_operator_n6_k4_handler_s": handler_time(
+            ["validate-operator", "--n", "6", "--k", "4", "--seed", "0"], repeats * 2
+        ),
+        "criterion8_s": acceptance("test_criterion_08_homogenization", repeats),
+        "tier1": tier1(),
+    }
+
+
 def machine():
     cpu = platform.processor()
     try:
@@ -287,6 +366,18 @@ def machine():
 
 
 SUITES = {
+    "cones": {
+        "out": "BENCH_10.json",
+        "layers": {"L0": cones_layer0, "L1": cones_layer1, "L4": cones_layer4},
+        "speedups": {
+            "L1 unit-level ray solve per ray": ("L1", "ray_solve_per_ray_s"),
+            "L4 homogenize --op sigma2 --n 3 handler": ("L4", "homogenize_sigma2_n3_handler_s"),
+            "L4 homogenize --op sigma3 --n 4 handler": ("L4", "homogenize_sigma3_n4_handler_s"),
+            "L4 validate-operator --n 6 --k 4 handler": (
+                "L4", "validate_operator_n6_k4_handler_s"),
+            "L4 criterion 8": ("L4", "criterion8_s"),
+        },
+    },
     "moving-sphere": {
         "out": "BENCH_7.json",
         "layers": {"L2": ms_layer2, "L3": ms_layer3, "L4": ms_layer4},
@@ -327,6 +418,11 @@ def speedups(suite, parent, change):
     for name, (layer, key) in SUITES[suite]["speedups"].items():
         out[name] = parent[layer][key]["median_s"] / change[layer][key]["median_s"]
     out["L4 tier-1 wall"] = parent["L4"]["tier1"]["wall_s"] / change["L4"]["tier1"]["wall_s"]
+    rows = change.get("L0", {}).get("sigma_rows_per_row_s")
+    if rows is not None:
+        out["L0 sigma_all per row over sigma_rows per row (change)"] = (
+            change["L0"]["sigma_all_per_row_s"]["median_s"] / rows["median_s"]
+        )
     return out
 
 

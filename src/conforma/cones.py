@@ -40,6 +40,22 @@ def sigma_all(lam) -> list:
     return e[1:]
 
 
+def sigma_rows(lams, k: int) -> np.ndarray:
+    """sigma_1..sigma_k of every row of an (m, n) array, as a (k, m) array.
+
+    The recurrence of sigma_all run column by column over the sorted rows and
+    stopped at order k, so every value has the bits sigma_all gives that row.
+    Rows holding inf or nan give inf or nan sigmas, without a warning.
+    """
+    cols = np.sort(np.asarray(lams, dtype=float), axis=1).T
+    e = [np.ones(cols.shape[1])] + [np.zeros(cols.shape[1]) for _ in range(k)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for m, x in enumerate(cols, start=1):
+            for j in range(min(m, k), 0, -1):
+                e[j] += x * e[j - 1]
+    return np.array(e[1:])
+
+
 def _sigma_minor(lam, e, j: int, i: int) -> float:
     """sigma_j of lam with entry i removed, from the full sigmas e."""
     # s_m(lam minus i) satisfies s_m = e_m - lam_i * s_{m-1}
@@ -143,16 +159,28 @@ def gamma_k_check(k: int, e, lam) -> None:
 
 
 def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
-    """(sigma_k^{1/k}, Gamma_k) with its analytic gradient."""
+    """(sigma_k^{1/k}, Gamma_k) with its analytic gradient.
+
+    f takes one vector, or an (m, n) array of rows and returns m values with
+    the bits of m one-vector calls; off Gamma_k it raises ConeError with the
+    first offending row as witness. grad_f takes one vector.
+    """
     if not (n >= 3 and 1 <= k <= n):
         raise DomainError(f"bad operator indices n={n}, k={k}")
     cone = GammaKCone(n, k)
     inv_k = 1.0 / k
 
     def f(lam):
-        e = sigma_all(lam)
-        gamma_k_check(k, e, lam)
-        return e[k - 1] ** inv_k
+        if getattr(lam, "ndim", 1) == 1:
+            e = sigma_all(lam)
+            gamma_k_check(k, e, lam)
+            return e[k - 1] ** inv_k
+        sig = sigma_rows(lam, k)
+        off = np.flatnonzero(~np.all(sig > 0.0, axis=0))
+        if off.size:
+            gamma_k_check(k, sig[:, off[0]].tolist(), lam[off[0]])
+        # libm pow, as for one vector: np.power differs from it in the last bit
+        return np.array([x**inv_k for x in sig[-1].tolist()])
 
     def grad_f(lam):
         vals = [float(x) for x in lam]
@@ -212,89 +240,104 @@ def two_cluster_kernel(k: int, t: float, m: int, a, b):
 
 
 def solve_unit_level(
-    fn: Callable[[np.ndarray], float],
+    fn: Callable[[np.ndarray], object],
     lam,
     dfn_ds: Optional[Callable[[float, np.ndarray], float]] = None,
     tol: float = 1e-12,
-) -> float:
-    """Unique s > 0 with fn(s*lam) = 1 on a ray where fn is increasing.
+):
+    """Unique s > 0 with fn(s*lam) = 1 on each ray where fn is increasing.
 
-    Bracket by doubling/halving from s=1 within [1e-9, 1e9], 60 bisections,
-    then up to 5 Newton steps. Raises ConvergenceError when no bracket exists
-    (numerical failure of the unbounded-growth hypothesis).
+    lam is one vector, and then fn takes one vector and this returns a float;
+    or rows (..., n), and then fn takes an (m, n) array of scaled rows and
+    returns m values, and this returns the roots in the leading shape of lam.
+    Every row follows the one-vector policy on its own: bracket by
+    doubling/halving from s=1 within [S_MIN, S_MAX]; BISECT_ITERS bisections,
+    a row's bracket staying put once its midpoint equals an end or is an
+    exact root; then, given dfn_ds(s, row), up to NEWTON_POLISH Newton steps
+    inside the bracket. Raises ConvergenceError, naming the row for rows input, when a
+    row has no bracket (numerical failure of the unbounded-growth hypothesis)
+    or ends with |fn - 1| > tol.
     """
     arr = np.asarray(lam, dtype=float)
+    rows = arr.reshape(-1, arr.shape[-1])
 
-    def g(s):
-        return float(fn(s * arr)) - 1.0
+    def g(s, idx=None):
+        """fn - 1 on the rows idx (default all) scaled by s."""
+        if idx is not None and not idx.size:
+            return np.zeros(0)
+        if arr.ndim == 1:
+            return np.array([float(fn(s[0] * arr)) - 1.0])
+        scaled = s[:, None] * (rows if idx is None else rows[idx])
+        return np.asarray(fn(scaled), dtype=float) - 1.0
 
-    s = 1.0
-    gs = g(s)
-    if gs == 0.0:
-        return s
-    if gs > 0.0:
-        hi, ghi = s, gs
-        lo = s
-        while True:
-            lo *= 0.5
-            if lo < S_MIN:
-                raise ConvergenceError(
-                    "no root of f(s*lambda)=1 with s in [1e-9, 1e9] (lower side)"
-                )
-            glo = g(lo)
-            if glo < 0.0:
-                break
-            hi, ghi = lo, glo
-    else:
-        lo, glo = s, gs
-        hi = s
-        while True:
-            hi *= 2.0
-            if hi > S_MAX:
-                raise ConvergenceError(
-                    "no root of f(s*lambda)=1 with s in [1e-9, 1e9] (upper side)"
-                )
-            ghi = g(hi)
-            if ghi > 0.0:
-                break
-            lo, glo = hi, ghi
+    def where(i):
+        return "" if arr.ndim == 1 else f" at row {i}"
 
+    s = np.ones(len(rows))
+    resid = g(s)
+    down = resid > 0.0
+    lo, hi = s.copy(), s.copy()
+
+    # a row with f = 1 exactly at s = 1 keeps lo = hi = 1
+    pending = np.flatnonzero(resid != 0.0)
+    while pending.size:
+        dn = down[pending]
+        trial = np.where(dn, lo[pending] * 0.5, hi[pending] * 2.0)
+        out = np.where(dn, trial < S_MIN, trial > S_MAX)
+        if out.any():
+            i = pending[np.argmax(out)]
+            side = "lower" if down[i] else "upper"
+            raise ConvergenceError(
+                f"no root of f(s*lambda)=1 with s in [1e-9, 1e9] ({side} side){where(i)}"
+            )
+        gt = g(trial, pending)
+        open_ = np.where(dn, ~(gt < 0.0), ~(gt > 0.0))
+        lo[pending] = np.where(dn | open_, trial, lo[pending])
+        hi[pending] = np.where(dn & ~open_, hi[pending], trial)
+        pending = pending[open_]
+
+    # Every row takes every bisection step. The one-vector rules stop a row
+    # once its midpoint equals lo or hi, or lands on an exact root; from then
+    # on f - 1 at the midpoint is that of lo or hi (of the sign that keeps
+    # them) or 0, so the bracket, and s = (lo + hi) / 2, no longer move.
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
         gm = g(mid)
-        if gm > 0.0:
-            hi = mid
-        elif gm < 0.0:
-            lo = mid
-        else:
-            return mid
+        np.copyto(hi, mid, where=gm > 0.0)
+        np.copyto(lo, mid, where=gm < 0.0)
 
     s = 0.5 * (lo + hi)
+    resid = g(s)
     if dfn_ds is not None:
+        live = np.flatnonzero(np.abs(resid) > tol)
         for _ in range(NEWTON_POLISH):
-            gs = g(s)
-            if abs(gs) <= tol:
+            if not live.size:
                 break
-            d = dfn_ds(s, arr)
-            if d == 0.0 or not math.isfinite(d):
-                break
-            step = gs / d
-            cand = s - step
-            if not (lo <= cand <= hi) or cand <= 0.0:
-                break
-            s = cand
+            d = np.array([dfn_ds(float(s[i]), rows[i]) for i in live])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = s[live] - resid[live] / d
+            step = (d != 0.0) & np.isfinite(d) & (lo[live] <= cand) & (cand <= hi[live])
+            step &= cand > 0.0
+            live = live[step]
+            s[live] = cand[step]
+            resid[live] = g(s[live], live)
+            live = live[np.abs(resid[live]) > tol]
 
-    if abs(g(s)) > tol:
-        raise ConvergenceError(f"ray solve stalled at |f-1| = {abs(g(s)):.3g}")
-    return s
+    stalled = np.flatnonzero(np.abs(resid) > tol)
+    if stalled.size:
+        i = stalled[0]
+        raise ConvergenceError(
+            f"ray solve stalled at |f-1| = {abs(resid[i]):.3g}{where(i)}"
+        )
+    return float(s[0]) if arr.ndim == 1 else s.reshape(arr.shape[:-1])
 
 
 def homogenize(op: CurvatureOperator) -> CurvatureOperator:
     """Degree-1 operator with the same unit level set as op.
 
-    f_tilde(lam) = 1/phi(lam) where phi solves f(phi*lam) = 1.
+    f_tilde(lam) = 1/phi(lam) where phi solves f(phi*lam) = 1; f_tilde takes
+    (m, n) rows, solving every ray in one solve_unit_level call, whenever
+    op.f takes rows.
     """
 
     def dfn_ds(s, arr):
@@ -465,7 +508,7 @@ def validate_operator(
     checks["gradient_positivity"] = CheckResult(worst < 0.0, worst, witness)
 
     # midpoint concavity
-    worst, witness = 0.0, []
+    worst, witness, pairs = 0.0, [], 0
     for i in range(0, len(samples) - 1, 2):
         lam, mu = samples[i], samples[i + 1]
         try:
@@ -473,11 +516,13 @@ def validate_operator(
             fmid = op.f(0.5 * (lam + mu))
         except ConeError:
             continue
+        pairs += 1
         unit = max(1.0, abs(fl), abs(fm))
         v = (0.5 * (fl + fm) - fmid) / unit
         if v > worst:
             worst, witness = v, list(lam) + list(mu)
-    checks["midpoint_concavity"] = CheckResult(worst <= 1e-9, worst, witness)
+    # no pair evaluated is no evidence
+    checks["midpoint_concavity"] = CheckResult(pairs > 0 and worst <= 1e-9, worst, witness)
 
     # ray growth: f(s*lam) increasing over a log grid (finite test of
     # unbounded growth along rays)

@@ -25,14 +25,15 @@ import numpy as np
 
 from . import reporting
 from .bubbles import BubbleParams, bubble_values
-from .cones import CurvatureOperator, gamma_k_check
+from .cones import CurvatureOperator, gamma_k_check, sigma_rows
 from .errors import ConeError, DomainError, PositivityError
 
 # Most RK4 steps one shot may take (r_max / h). A step (four slope calls)
 # costs about 7 microseconds on a 2-vCPU Xeon VM, so the cap bounds one shot
 # at about 70 seconds.
 MAX_STEPS = 10**7
-# Nodes per array pass of profile_max_unit_residual (about 1 MiB of rows).
+# Nodes per array pass of profile_max_unit_residual and bubble_deviation
+# (about 1 MiB of rows).
 RESIDUAL_SLAB = 1 << 14
 
 
@@ -309,32 +310,36 @@ def shoot(
 
 
 def bubble_deviation(profile: RadialProfile, params: BubbleParams) -> float:
-    """sup over grid nodes of |v(r_i) - bubble(r_i)|."""
+    """sup over grid nodes of |v(r_i) - bubble(r_i)|.
+
+    The bubble is evaluated at the points (r_i, 0, ..., 0) through
+    bubbles.bubble_values, RESIDUAL_SLAB nodes at a time, so the temporaries
+    stay small at any step count shoot accepts.
+    """
     if params.n != profile.n:
         raise DomainError("dimension mismatch between profile and bubble")
-    r = profile.r
-    denom = 1.0 + params.beta * r * r
-    near_pole = denom <= 0.1
-    if np.any(near_pole):
-        i = int(np.argmax(near_pole))
-        raise DomainError(
-            f"bubble denominator {denom[i]:.3g} too close to its pole at r={r[i]:g}"
-        )
-    x = np.zeros((len(r), profile.n))
-    x[:, 0] = r
-    return float(np.max(np.abs(profile.v - bubble_values(params, x)), initial=0.0))
+    slab_worst = []
+    for lo in range(0, len(profile.r), RESIDUAL_SLAB):
+        r = profile.r[lo : lo + RESIDUAL_SLAB]
+        denom = 1.0 + params.beta * r * r
+        near_pole = denom <= 0.1
+        if np.any(near_pole):
+            i = int(np.argmax(near_pole))
+            raise DomainError(
+                f"bubble denominator {denom[i]:.3g} too close to its pole at r={r[i]:g}"
+            )
+        x = np.zeros((len(r), profile.n))
+        x[:, 0] = r
+        v = profile.v[lo : lo + RESIDUAL_SLAB]
+        slab_worst.append(np.max(np.abs(v - bubble_values(params, x))))
+    return float(np.max(slab_worst, initial=0.0))
 
 
 def _slab_unit_residual(k: int, n: int, v, vp, vpp, r) -> float:
     """max |sigma_k^{1/k} - 1| over one slab of nodes; raises for the first
     node of the slab that is refused or off Gamma_k."""
     lam = _eigenvalue_rows(v, vp, vpp, r, n)
-    e = [np.ones(len(r))] + [np.zeros(len(r)) for _ in range(k)]
-    with np.errstate(invalid="ignore", over="ignore"):
-        for m, x in enumerate(np.sort(lam, axis=1).T, start=1):
-            for j in range(min(m, k), 0, -1):
-                e[j] += x * e[j - 1]
-    sig = np.array(e[1:])
+    sig = sigma_rows(lam, k)
     off = np.flatnonzero(~np.all(sig > 0.0, axis=0))
     last = off[0] + 1 if off.size else len(r)
     _check_nodes(v[:last], vp[:last], vpp[:last], r[:last])
@@ -346,9 +351,9 @@ def _slab_unit_residual(k: int, n: int, v, vp, vpp, r) -> float:
 def profile_max_unit_residual(op: CurvatureOperator, profile: RadialProfile) -> float:
     """max over nodes of |f(lam) - 1| along the integrated profile.
 
-    Array passes over the profile, independent of the closed-form slope: the
-    (nodes, n) eigenvalue rows are sorted and sigma_1..sigma_k built by the
-    product-expansion recurrence of cones.sigma_all, one column at a time.
+    Array passes over the profile, independent of the closed-form slope:
+    sigma_1..sigma_k of the (nodes, n) eigenvalue rows come from
+    cones.sigma_rows, the recurrence of cones.sigma_all over sorted rows.
     The first node refused by radial_eigenvalues or off Gamma_k raises what
     a node-by-node evaluation of op.f would. A pass takes RESIDUAL_SLAB
     nodes, so the temporaries stay small at any step count shoot accepts.

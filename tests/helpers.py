@@ -5,15 +5,26 @@ jet, a generic root-search oracle for the radial slope solve, the
 per-node radial eigenvalues, slope, shoot and unit-residual loop that the
 per-operator slope kernel and the whole-profile check replaced, per-node
 loop oracles for the periodic solver's closed-form residual, Jacobian
-coefficients and margin, and one-radius-at-a-time oracles for the batched
-moving-sphere kernels."""
+coefficients and margin, one-radius-at-a-time oracles for the batched
+moving-sphere kernels, the whole-profile bubble deviation, and the
+one-ray-at-a-time unit-level solve with the per-sample homogenize handler
+built on it."""
 
 import math
 
 import numpy as np
 
-from conforma.bubbles import BubbleParams
-from conforma.cones import two_cluster_sigmas
+from conforma.bubbles import BubbleParams, bubble_values
+from conforma.cones import (
+    BISECT_ITERS as RAY_BISECT_ITERS,
+    NEWTON_POLISH,
+    S_MAX,
+    S_MIN,
+    make_sigma_k_operator,
+    sample_cone_directions,
+    sigma_all,
+    two_cluster_sigmas,
+)
 from conforma.conformal import (
     POLE_GUARD_ANALYTIC,
     Invert,
@@ -40,6 +51,7 @@ from conforma.moving_sphere import (
     HLemmaReport,
 )
 from conforma.radial import RadialProfile, vpp0_exact
+from conforma.sampling import make_rng
 from conforma.yamabe import _eigen_partials, node_eigenvalues
 
 
@@ -505,3 +517,135 @@ def h_lemma_check_cube(h, h_prime, alpha, a, sample_density=64):
         alpha=alpha,
         a=a,
     )
+
+
+def bubble_deviation_full(profile, params):
+    """sup over grid nodes of |v(r_i) - bubble(r_i)| in one pass over a
+    (nodes, n) point array: the reference for the slabbed
+    radial.bubble_deviation."""
+    if params.n != profile.n:
+        raise DomainError("dimension mismatch between profile and bubble")
+    r = profile.r
+    denom = 1.0 + params.beta * r * r
+    near_pole = denom <= 0.1
+    if np.any(near_pole):
+        i = int(np.argmax(near_pole))
+        raise DomainError(
+            f"bubble denominator {denom[i]:.3g} too close to its pole at r={r[i]:g}"
+        )
+    x = np.zeros((len(r), profile.n))
+    x[:, 0] = r
+    return float(np.max(np.abs(profile.v - bubble_values(params, x)), initial=0.0))
+
+
+def solve_unit_level_scalar(fn, lam, dfn_ds=None, tol=1e-12):
+    """Unique s > 0 with fn(s*lam) = 1 for one vector lam, one scalar fn call
+    at a time: the reference for the row-batched cones.solve_unit_level."""
+    arr = np.asarray(lam, dtype=float)
+
+    def g(s):
+        return float(fn(s * arr)) - 1.0
+
+    s = 1.0
+    gs = g(s)
+    if gs == 0.0:
+        return s
+    if gs > 0.0:
+        hi, ghi = s, gs
+        lo = s
+        while True:
+            lo *= 0.5
+            if lo < S_MIN:
+                raise ConvergenceError(
+                    "no root of f(s*lambda)=1 with s in [1e-9, 1e9] (lower side)"
+                )
+            glo = g(lo)
+            if glo < 0.0:
+                break
+            hi, ghi = lo, glo
+    else:
+        lo, glo = s, gs
+        hi = s
+        while True:
+            hi *= 2.0
+            if hi > S_MAX:
+                raise ConvergenceError(
+                    "no root of f(s*lambda)=1 with s in [1e-9, 1e9] (upper side)"
+                )
+            ghi = g(hi)
+            if ghi > 0.0:
+                break
+            lo, glo = hi, ghi
+
+    for _ in range(RAY_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        gm = g(mid)
+        if gm > 0.0:
+            hi = mid
+        elif gm < 0.0:
+            lo = mid
+        else:
+            return mid
+
+    s = 0.5 * (lo + hi)
+    if dfn_ds is not None:
+        for _ in range(NEWTON_POLISH):
+            gs = g(s)
+            if abs(gs) <= tol:
+                break
+            d = dfn_ds(s, arr)
+            if d == 0.0 or not math.isfinite(d):
+                break
+            step = gs / d
+            cand = s - step
+            if not (lo <= cand <= hi) or cand <= 0.0:
+                break
+            s = cand
+
+    if abs(g(s)) > tol:
+        raise ConvergenceError(f"ray solve stalled at |f-1| = {abs(g(s)):.3g}")
+    return s
+
+
+def homogenize_handler_loop(args):
+    """The homogenize command solving one ray per call of
+    solve_unit_level_scalar: the reference for the batched cli handler."""
+    k = int(args.op[len("sigma"):])
+    n = args.n
+    op = make_sigma_k_operator(n, k)
+
+    def dfn_ds(s, arr):
+        return float(np.dot(op.grad_f(s * arr), arr))
+
+    def deg1(lam):
+        return 1.0 / solve_unit_level_scalar(op.f, lam, dfn_ds=dfn_ds)
+
+    lams = sample_cone_directions(make_rng(args.seed), n, args.samples)
+    vals = [deg1(lam) for lam in lams]
+    gap = 0.0
+    for lam, val in zip(lams, vals):
+        gap = max(gap, abs(val - sigma_all(lam)[k - 1] ** (1.0 / k)))
+    deg_gap = 0.0
+    for lam, base in zip(lams[:100], vals):
+        for s in (0.5, 2.0, 7.3):
+            deg_gap = max(deg_gap, abs(deg1(s * lam) - s * base) / (s * base))
+    conc_worst = -math.inf
+    pairs = min(args.triples, len(lams) - 1)
+    for i in range(pairs):
+        mid = deg1(0.5 * (lams[i] + lams[i + 1]))
+        conc_worst = max(conc_worst, 0.5 * (vals[i] + vals[i + 1]) - mid)
+    checks = {
+        "closed_form_gap": {"pass": gap <= 1e-10, "value": gap, "tol": 1e-10},
+        "degree_one": {"pass": deg_gap <= 1e-9, "value": deg_gap, "tol": 1e-9},
+        "midpoint_concavity": {
+            "pass": pairs > 0 and conc_worst <= 1e-9,
+            "worst": conc_worst,
+            "pairs": pairs,
+        },
+    }
+    passed = all(c["pass"] for c in checks.values())
+    result = {"operator": op.name, "n": n, "k": k, "samples": args.samples,
+              "checks": checks}
+    return result, passed, []

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import conforma
+from conforma import cli
 from conforma.cli import main
+from helpers import homogenize_handler_loop
 
 
 def run(tmp_path, *argv):
@@ -115,6 +117,35 @@ def test_homogenize_command(tmp_path):
              "--samples", "60", "--triples", "100")
     assert rc == 0
     assert read_result(tmp_path)["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("homogenize", "--op", "sigma2", "--n", "3"),
+    ("homogenize", "--op", "sigma3", "--n", "4"),
+])
+@pytest.mark.parametrize("seed", ["0", "1", "17"])
+def test_homogenize_batched_matches_per_ray_oracle(tmp_path, monkeypatch, argv, seed):
+    # every ray in one batched solve writes the bytes of one solve per ray
+    assert run(tmp_path / "batched", *argv, "--seed", seed) == 0
+    monkeypatch.setattr(cli, "_cmd_homogenize", homogenize_handler_loop)
+    assert run(tmp_path / "oracle", *argv, "--seed", seed) == 0
+    got = (tmp_path / "batched" / "result.json").read_bytes()
+    assert got == (tmp_path / "oracle" / "result.json").read_bytes()
+
+
+def test_homogenize_concavity_needs_a_pair(tmp_path):
+    # one sample forms no midpoint pair: the check has no evidence and fails
+    rc = run(tmp_path, "homogenize", "--op", "sigma2", "--n", "3", "--samples", "1")
+    assert rc == 1
+    check = read_result(tmp_path)["result"]["checks"]["midpoint_concavity"]
+    assert check == {"pass": False, "worst": "-inf", "pairs": 0}
+
+
+def test_validate_operator_concavity_needs_a_pair(tmp_path):
+    rc = run(tmp_path, "validate-operator", "--n", "3", "--k", "2", "--samples", "1")
+    assert rc == 1
+    check = read_result(tmp_path)["result"]["checks"]["midpoint_concavity"]
+    assert check == {"pass": False, "worst_violation": 0.0, "witness": []}
 
 
 def test_solve_yamabe_artifacts(tmp_path):

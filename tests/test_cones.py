@@ -16,11 +16,13 @@ from conforma.cones import (
     make_sigma_k_operator,
     sample_cone_directions,
     sigma_all,
+    sigma_rows,
     solve_unit_level,
     validate_operator,
 )
 from conforma.errors import ConeError, ConvergenceError, DomainError
 from conforma.sampling import make_rng
+from helpers import solve_unit_level_scalar
 
 
 def binom(n, k):
@@ -240,6 +242,113 @@ def test_solve_unit_level_no_bracket():
     # bounded below 1 on the whole ray: no crossing exists
     with pytest.raises(ConvergenceError):
         solve_unit_level(lambda lam: float(lam[0]) / (1.0 + float(lam[0])), np.ones(3))
+
+
+def _ray_slope(op):
+    def dfn_ds(s, arr):
+        return float(np.dot(op.grad_f(s * arr), arr))
+
+    return dfn_ds
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    log_scales=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8),
+)
+def test_batched_unit_level_matches_scalar_oracle(n, data, seed, log_scales):
+    k = data.draw(st.integers(1, n), label="k")
+    op = make_sigma_k_operator(n, k)
+    dirs = make_rng(seed).dirichlet(np.ones(n), size=len(log_scales))
+    rows = np.vstack([
+        dirs * 10.0 ** np.array(log_scales)[:, None],
+        100.0 * np.ones(n),  # f > 1 at s = 1: brackets by halving
+        0.01 / n * np.ones(n),  # f < 1 at s = 1: brackets by doubling
+    ])
+    dfn_ds = _ray_slope(op)
+    got = solve_unit_level(op.f, rows, dfn_ds=dfn_ds)
+    want = [solve_unit_level_scalar(op.f, row, dfn_ds=dfn_ds) for row in rows]
+    assert got.shape == (len(rows),)
+    assert got.tolist() == want
+    # the one-vector form is the same solve
+    assert solve_unit_level(op.f, rows[0], dfn_ds=dfn_ds) == want[0]
+    assert type(solve_unit_level(op.f, rows[0])) is float
+
+
+def test_batched_unit_level_exact_root_row():
+    # sigma_1 of (1/4, 1/4, 1/2) is exactly 1: that row keeps s = 1
+    op = make_sigma_k_operator(3, 1)
+    rows = np.array([[0.25, 0.25, 0.5], [3.0, 1.0, 2.0], [0.01, 0.02, 0.03]])
+    got = solve_unit_level(op.f, rows, dfn_ds=_ray_slope(op))
+    assert got[0] == 1.0
+    assert got.tolist() == [solve_unit_level_scalar(op.f, row) for row in rows]
+    # leading axes keep their shape
+    assert solve_unit_level(op.f, rows.reshape(3, 1, 3)).shape == (3, 1)
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 3), (8, 8)])
+def test_batched_unit_level_newton_polish_matches_oracle(n, k):
+    # f - 1 near the root moves in steps of about 1.1e-16 and 2.2e-16, so at
+    # tol 1.5e-16 the bisected root often misses and the Newton polish runs
+    op = make_sigma_k_operator(n, k)
+    slope = _ray_slope(op)
+    calls = []
+
+    def dfn_ds(s, arr):
+        calls.append(s)
+        return slope(s, arr)
+
+    rows, want, stalled = [], [], []
+    for row in sample_cone_directions(make_rng(1), n, 200):
+        try:
+            want.append(solve_unit_level_scalar(op.f, row, dfn_ds=slope, tol=1.5e-16))
+            rows.append(row)
+        except ConvergenceError:
+            stalled.append(row)
+    got = solve_unit_level(op.f, np.array(rows), dfn_ds=dfn_ds, tol=1.5e-16)
+    assert calls and stalled
+    assert got.tolist() == want
+    with pytest.raises(ConvergenceError, match="stalled .* at row 1"):
+        solve_unit_level(op.f, np.array([rows[0], stalled[0]]), dfn_ds=slope, tol=1.5e-16)
+
+
+def test_batched_unit_level_failures_name_the_row():
+    def smaller(rows):
+        return np.minimum(rows[:, 0], rows[:, 1])
+
+    # min(s, -s) stays below 1 on the ray of row 1: no crossing exists
+    rows = np.array([[2.0, 3.0, 1.0], [1.0, -1.0, 1.0]])
+    with pytest.raises(ConvergenceError, match="upper side.* at row 1"):
+        solve_unit_level(smaller, rows)
+    assert solve_unit_level(smaller, rows[:1]).tolist() == [0.5]
+    # off Gamma_2 at every scale: ConeError with that row as witness
+    op = make_sigma_k_operator(3, 2)
+    with pytest.raises(ConeError) as info:
+        solve_unit_level(op.f, np.array([[1.0, 2.0, 3.0], [-5.0, 1.0, 1.0]]))
+    assert info.value.witness == [-5.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_sigma_rows_matches_sigma_all(n):
+    rows = make_rng(n).normal(size=(50, n)) * 10.0 ** make_rng(n + 1).uniform(-3, 3, (50, 1))
+    for k in range(1, n + 1):
+        sig = sigma_rows(rows, k)
+        assert sig.shape == (k, 50)
+        assert sig.T.tolist() == [sigma_all(row)[:k] for row in rows]
+
+
+def test_sigma_k_rows_match_one_vector_calls():
+    for n, k in [(3, 2), (4, 3), (6, 4)]:
+        op = make_sigma_k_operator(n, k)
+        rows = sample_cone_directions(make_rng(n), n, 200)
+        assert op.f(rows).tolist() == [op.f(row) for row in rows]
+        bad = rows.copy()
+        bad[7] = -bad[7]
+        with pytest.raises(ConeError) as info:
+            op.f(bad)
+        assert info.value.witness == bad[7].tolist()
 
 
 def test_homogenize_sigma2_matches_sqrt():

@@ -1,11 +1,14 @@
 """Radial shooting against the closed-form bubble: exact center jet,
 implicit vertical slope, RK4 convergence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    bubble_deviation_full,
     implicit_vpp_bracket,
     implicit_vpp_node,
     profile_max_unit_residual_loop,
@@ -335,6 +338,35 @@ def test_bubble_deviation_pole_check():
     with pytest.raises(DomainError, match="r=0.5"):
         bubble_deviation(prof, BubbleParams(n=3, a=1.0, beta=-4.0))
     assert bubble_deviation(prof, BubbleParams(n=3, a=1.0, beta=-3.0)) > 0.0
+
+
+def test_bubble_deviation_matches_one_pass_oracle():
+    # 45 001 nodes: three slabs, the last one short
+    for n, k in [(3, 1), (5, 2)]:
+        op = make_sigma_k_operator(n, k)
+        prof = shoot(op, 1.0, h=2e-5, r_max=0.9)
+        assert len(prof.r) > 2 * radial.RESIDUAL_SLAB
+        for params in (
+            matched_bubble(op, 1.0),
+            BubbleParams(n=n, a=1.3, beta=0.7, center=np.linspace(0.2, -0.1, n)),
+        ):
+            assert bubble_deviation(prof, params) == bubble_deviation_full(prof, params)
+
+
+def test_bubble_deviation_memory_stays_at_slab_size():
+    nodes = 400_001
+    r = np.linspace(0.0, 0.9, nodes)
+    prof = RadialProfile(r=r, v=np.ones(nodes), vp=np.zeros(nodes), vpp=np.zeros(nodes),
+                         n=3, operator="synthetic", v0=1.0, h=r[1])
+    params = BubbleParams(n=3, a=1.0, beta=1.0 / 6.0)
+    tracemalloc.start()
+    try:
+        bubble_deviation(prof, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few node arrays at most; the one-pass form held about ten
+    assert peak <= 2 * r.nbytes, peak
 
 
 def test_profile_serialization(tmp_path):
