@@ -2,16 +2,19 @@
 
 Times, with fixed seeds and one BLAS/OpenMP thread, one of three suites.
 
---suite cones (written to BENCH_10.json by default):
+--suite cones (written to BENCH_11.json by default):
 
 - L0 the sigma_1..sigma_k kernel per row on the 499 rays of each
   `homogenize` workload argv: `sigma_all` one row per call, and
-  `sigma_rows` on all rows at once where it exists;
+  `sigma_rows` on all rows at once where it exists; and `op.grad_f` per row
+  on the same rays: one row per call, and all rows in one call where
+  `grad_f` takes rows;
 - L1 the unit-level ray solve per ray on the same rays: one
   `solve_unit_level` call on the rows where it takes rows, else one call per
   ray;
 - L4 the handler time of `homogenize --op sigma2 --n 3`, `homogenize --op
-  sigma3 --n 4` and `validate-operator --n 6 --k 4`, the criterion-8
+  sigma3 --n 4` and the three `validate-operator` argvs of the checks
+  workload (`--n 3 --k 2`, `--n 5 --k 3`, `--n 6 --k 4`), the criterion-8
   (homogenization) acceptance test, and the wall time of the tier-1 suite.
 
 --suite radial (written to BENCH_8.json by default):
@@ -306,6 +309,25 @@ def cones_layer0(repeats):
                 cones.sigma_rows(rays, k)
 
         out["sigma_rows_per_row_s"] = per_item(timed(rows, repeats * 40), count)
+
+    ops = [(make_sigma_k_operator(n, k), homogenize_rays(n, k)[1]) for n, k in HOMOGENIZE_PAIRS]
+
+    def grad_per_row():
+        for op, rays in ops:
+            for row in rays:
+                op.grad_f(row)
+
+    out["grad_f_per_row_s"] = per_item(timed(grad_per_row, repeats * 4), count)
+    try:
+        ops[0][0].grad_f(ops[0][1])
+    except TypeError:
+        return out  # a version whose grad_f takes one vector
+
+    def grad_rows():
+        for op, rays in ops:
+            op.grad_f(rays)
+
+    out["grad_f_rows_per_row_s"] = per_item(timed(grad_rows, repeats * 40), count)
     return out
 
 
@@ -337,6 +359,12 @@ def cones_layer4(repeats):
         "homogenize_sigma3_n4_handler_s": handler_time(
             ["homogenize", "--op", "sigma3", "--n", "4", "--seed", "0"], repeats * 2
         ),
+        "validate_operator_n3_k2_handler_s": handler_time(
+            ["validate-operator", "--n", "3", "--k", "2", "--seed", "0"], repeats * 2
+        ),
+        "validate_operator_n5_k3_handler_s": handler_time(
+            ["validate-operator", "--n", "5", "--k", "3", "--seed", "0"], repeats * 2
+        ),
         "validate_operator_n6_k4_handler_s": handler_time(
             ["validate-operator", "--n", "6", "--k", "4", "--seed", "0"], repeats * 2
         ),
@@ -367,12 +395,17 @@ def machine():
 
 SUITES = {
     "cones": {
-        "out": "BENCH_10.json",
+        "out": "BENCH_11.json",
         "layers": {"L0": cones_layer0, "L1": cones_layer1, "L4": cones_layer4},
         "speedups": {
+            "L0 grad_f one row per call": ("L0", "grad_f_per_row_s"),
             "L1 unit-level ray solve per ray": ("L1", "ray_solve_per_ray_s"),
             "L4 homogenize --op sigma2 --n 3 handler": ("L4", "homogenize_sigma2_n3_handler_s"),
             "L4 homogenize --op sigma3 --n 4 handler": ("L4", "homogenize_sigma3_n4_handler_s"),
+            "L4 validate-operator --n 3 --k 2 handler": (
+                "L4", "validate_operator_n3_k2_handler_s"),
+            "L4 validate-operator --n 5 --k 3 handler": (
+                "L4", "validate_operator_n5_k3_handler_s"),
             "L4 validate-operator --n 6 --k 4 handler": (
                 "L4", "validate_operator_n6_k4_handler_s"),
             "L4 criterion 8": ("L4", "criterion8_s"),
@@ -418,11 +451,14 @@ def speedups(suite, parent, change):
     for name, (layer, key) in SUITES[suite]["speedups"].items():
         out[name] = parent[layer][key]["median_s"] / change[layer][key]["median_s"]
     out["L4 tier-1 wall"] = parent["L4"]["tier1"]["wall_s"] / change["L4"]["tier1"]["wall_s"]
-    rows = change.get("L0", {}).get("sigma_rows_per_row_s")
-    if rows is not None:
-        out["L0 sigma_all per row over sigma_rows per row (change)"] = (
-            change["L0"]["sigma_all_per_row_s"]["median_s"] / rows["median_s"]
-        )
+    for one, rows, name in [
+        ("sigma_all_per_row_s", "sigma_rows_per_row_s", "sigma_all per row over sigma_rows"),
+        ("grad_f_per_row_s", "grad_f_rows_per_row_s", "grad_f one row per call over rows"),
+    ]:
+        if rows in change.get("L0", {}):
+            out[f"L0 {name} per row (change)"] = (
+                change["L0"][one]["median_s"] / change["L0"][rows]["median_s"]
+            )
     return out
 
 

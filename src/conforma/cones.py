@@ -31,7 +31,7 @@ def sigma_all(lam) -> list:
     small sigmas entirely when the entries are strongly scaled). Entries are
     sorted first so the result is bit-identical under permutation of the input.
     """
-    vals = sorted(float(x) for x in lam)
+    vals = sorted(np.asarray(lam, dtype=float).tolist())
     n = len(vals)
     e = [1.0] + [0.0] * n
     for m, x in enumerate(vals, start=1):
@@ -48,12 +48,15 @@ def sigma_rows(lams, k: int) -> np.ndarray:
     Rows holding inf or nan give inf or nan sigmas, without a warning.
     """
     cols = np.sort(np.asarray(lams, dtype=float), axis=1).T
-    e = [np.ones(cols.shape[1])] + [np.zeros(cols.shape[1]) for _ in range(k)]
+    e = np.zeros((k + 1, cols.shape[1]))
+    e[0] = 1.0
     with np.errstate(invalid="ignore", over="ignore"):
         for m, x in enumerate(cols, start=1):
-            for j in range(min(m, k), 0, -1):
-                e[j] += x * e[j - 1]
-    return np.array(e[1:])
+            # sigma_all's downward sweep over j reads each e[j - 1] before
+            # updating it: one update of the orders 1..min(m, k) at once
+            top = min(m, k)
+            e[1 : top + 1] += x * e[:top]
+    return e[1:]
 
 
 def _sigma_minor(lam, e, j: int, i: int) -> float:
@@ -70,11 +73,15 @@ def _sigma_minor(lam, e, j: int, i: int) -> float:
 
 
 class ConeSpec:
-    """Open convex symmetric cone with vertex at the origin."""
+    """Open convex symmetric cone with vertex at the origin.
+
+    contains takes one vector and returns a bool, or an (m, n) array of rows
+    and returns m bools with the answers of m one-vector calls.
+    """
 
     n: int
 
-    def contains(self, lam) -> bool:
+    def contains(self, lam):
         raise NotImplementedError
 
 
@@ -87,9 +94,11 @@ class GammaKCone(ConeSpec):
         if not (self.n >= 3 and 1 <= self.k <= self.n):
             raise DomainError(f"bad Garding cone indices n={self.n}, k={self.k}")
 
-    def contains(self, lam) -> bool:
-        e = sigma_all(lam)
-        return all(e[j] > 0.0 for j in range(self.k))
+    def contains(self, lam):
+        if getattr(lam, "ndim", 1) == 1:
+            e = sigma_all(lam)
+            return all(e[j] > 0.0 for j in range(self.k))
+        return np.all(sigma_rows(lam, self.k) > 0.0, axis=0)
 
     def margin(self, lam) -> float:
         e = sigma_all(lam)
@@ -108,10 +117,16 @@ class HomotopyCone(ConeSpec):
         return self.inner.n
 
     def _map(self, lam):
-        s1 = float(sum(float(x) for x in lam))
-        return [self.t * float(x) + (1.0 - self.t) * s1 for x in lam]
+        if getattr(lam, "ndim", 1) == 1:
+            s1 = float(sum(float(x) for x in lam))
+            return [self.t * float(x) + (1.0 - self.t) * s1 for x in lam]
+        rows = np.asarray(lam, dtype=float)
+        s1 = np.zeros(len(rows))
+        for col in rows.T:  # left to right, as sum() adds one vector
+            s1 = s1 + col
+        return self.t * rows + ((1.0 - self.t) * s1)[:, None]
 
-    def contains(self, lam) -> bool:
+    def contains(self, lam):
         return self.inner.contains(self._map(lam))
 
     def margin(self, lam) -> float:
@@ -131,7 +146,9 @@ class CurvatureOperator:
     two_cluster is (k, t) when f(lam) = sigma_k^{1/k}(t lam + (1-t)
     sigma_1(lam) e) on the pullback of Gamma_k (t = 1 for sigma_k itself,
     set by make_sigma_k_operator and homotopy_operator), which licenses
-    two_cluster_kernel; None otherwise.
+    two_cluster_kernel; None otherwise. takes_rows is True when f and grad_f
+    also take an (m, n) array of rows and return the m values (gradients) of
+    m one-vector calls, raising ConeError when a row is off the cone.
     """
 
     name: str
@@ -141,6 +158,7 @@ class CurvatureOperator:
     homogeneous_degree: Optional[float] = None
     sigma_order: Optional[int] = None
     two_cluster: Optional[tuple] = None
+    takes_rows: bool = False
 
     @property
     def n(self) -> int:
@@ -161,35 +179,47 @@ def gamma_k_check(k: int, e, lam) -> None:
 def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
     """(sigma_k^{1/k}, Gamma_k) with its analytic gradient.
 
-    f takes one vector, or an (m, n) array of rows and returns m values with
-    the bits of m one-vector calls; off Gamma_k it raises ConeError with the
-    first offending row as witness. grad_f takes one vector.
+    f and grad_f take one vector, or an (m, n) array of rows and return m
+    values (gradients) with the bits of m one-vector calls; off Gamma_k they
+    raise ConeError with the first offending row as witness.
     """
     if not (n >= 3 and 1 <= k <= n):
         raise DomainError(f"bad operator indices n={n}, k={k}")
     cone = GammaKCone(n, k)
     inv_k = 1.0 / k
 
+    def checked_rows(lam):
+        sig = sigma_rows(lam, k)
+        off = np.flatnonzero(~np.all(sig > 0.0, axis=0))
+        if off.size:
+            gamma_k_check(k, sig[:, off[0]].tolist(), lam[off[0]])
+        return sig
+
     def f(lam):
         if getattr(lam, "ndim", 1) == 1:
             e = sigma_all(lam)
             gamma_k_check(k, e, lam)
             return e[k - 1] ** inv_k
-        sig = sigma_rows(lam, k)
-        off = np.flatnonzero(~np.all(sig > 0.0, axis=0))
-        if off.size:
-            gamma_k_check(k, sig[:, off[0]].tolist(), lam[off[0]])
         # libm pow, as for one vector: np.power differs from it in the last bit
-        return np.array([x**inv_k for x in sig[-1].tolist()])
+        return np.array([x**inv_k for x in checked_rows(lam)[-1].tolist()])
 
     def grad_f(lam):
-        vals = [float(x) for x in lam]
-        e = sigma_all(vals)
-        gamma_k_check(k, e, vals)
-        front = inv_k * e[k - 1] ** (inv_k - 1.0)
-        return np.array(
-            [front * _sigma_minor(vals, e, k - 1, i) for i in range(n)]
-        )
+        if getattr(lam, "ndim", 1) == 1:
+            vals = [float(x) for x in lam]
+            e = sigma_all(vals)
+            gamma_k_check(k, e, vals)
+            front = inv_k * e[k - 1] ** (inv_k - 1.0)
+            return np.array(
+                [front * _sigma_minor(vals, e, k - 1, i) for i in range(n)]
+            )
+        rows = np.asarray(lam, dtype=float)
+        sig = checked_rows(rows)
+        front = np.array([inv_k * x ** (inv_k - 1.0) for x in sig[-1].tolist()])
+        # the _sigma_minor recurrence for every entry of every row at once
+        minor = np.ones_like(rows)
+        for m in range(1, k):
+            minor = sig[m - 1][:, None] - rows * minor
+        return front[:, None] * minor
 
     return CurvatureOperator(
         name=f"sigma{k}_n{n}",
@@ -199,6 +229,7 @@ def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
         homogeneous_degree=1.0,
         sigma_order=k,
         two_cluster=(k, 1.0),
+        takes_rows=True,
     )
 
 
@@ -251,9 +282,10 @@ def solve_unit_level(
     or rows (..., n), and then fn takes an (m, n) array of scaled rows and
     returns m values, and this returns the roots in the leading shape of lam.
     Every row follows the one-vector policy on its own: bracket by
-    doubling/halving from s=1 within [S_MIN, S_MAX]; BISECT_ITERS bisections,
-    a row's bracket staying put once its midpoint equals an end or is an
-    exact root; then, given dfn_ds(s, row), up to NEWTON_POLISH Newton steps
+    doubling/halving from s=1 within [S_MIN, S_MAX]; up to BISECT_ITERS
+    bisections, a row stopping once its midpoint equals an end or is not on
+    either side of the root (fn - 1 is 0 or nan there, and the row keeps that
+    midpoint); then, given dfn_ds(s, row), up to NEWTON_POLISH Newton steps
     inside the bracket. Raises ConvergenceError, naming the row for rows input, when a
     row has no bracket (numerical failure of the unbounded-growth hypothesis)
     or ends with |fn - 1| > tol.
@@ -261,14 +293,19 @@ def solve_unit_level(
     arr = np.asarray(lam, dtype=float)
     rows = arr.reshape(-1, arr.shape[-1])
 
-    def g(s, idx=None):
-        """fn - 1 on the rows idx (default all) scaled by s."""
-        if idx is not None and not idx.size:
+    def g(s, sub=rows):
+        """fn - 1 on the rows sub (of rows) scaled by s."""
+        if not len(sub):
             return np.zeros(0)
         if arr.ndim == 1:
             return np.array([float(fn(s[0] * arr)) - 1.0])
-        scaled = s[:, None] * (rows if idx is None else rows[idx])
-        return np.asarray(fn(scaled), dtype=float) - 1.0
+        return np.asarray(fn(s[:, None] * sub), dtype=float) - 1.0
+
+    def g_row(s, i):
+        """fn - 1 on row i scaled by the float s, as a float."""
+        if arr.ndim == 1:
+            return float(fn(s * arr)) - 1.0
+        return float(fn(s * rows[i : i + 1])[0]) - 1.0
 
     def where(i):
         return "" if arr.ndim == 1 else f" at row {i}"
@@ -278,33 +315,70 @@ def solve_unit_level(
     down = resid > 0.0
     lo, hi = s.copy(), s.copy()
 
+    def no_bracket(i):
+        side = "lower" if down[i] else "upper"
+        return ConvergenceError(
+            f"no root of f(s*lambda)=1 with s in [1e-9, 1e9] ({side} side){where(i)}"
+        )
+
+    # In both loops below the last row left steps on Python floats, with the
+    # rules of the array step: numpy on one-element arrays would cost more
+    # than fn itself.
+
     # a row with f = 1 exactly at s = 1 keeps lo = hi = 1
     pending = np.flatnonzero(resid != 0.0)
-    while pending.size:
+    while pending.size > 1:
         dn = down[pending]
         trial = np.where(dn, lo[pending] * 0.5, hi[pending] * 2.0)
         out = np.where(dn, trial < S_MIN, trial > S_MAX)
         if out.any():
-            i = pending[np.argmax(out)]
-            side = "lower" if down[i] else "upper"
-            raise ConvergenceError(
-                f"no root of f(s*lambda)=1 with s in [1e-9, 1e9] ({side} side){where(i)}"
-            )
-        gt = g(trial, pending)
+            raise no_bracket(pending[np.argmax(out)])
+        gt = g(trial, rows[pending])
         open_ = np.where(dn, ~(gt < 0.0), ~(gt > 0.0))
         lo[pending] = np.where(dn | open_, trial, lo[pending])
         hi[pending] = np.where(dn & ~open_, hi[pending], trial)
         pending = pending[open_]
+    if pending.size == 1:
+        i = pending[0]
+        dn, a, b = bool(down[i]), float(lo[i]), float(hi[i])
+        open_ = True
+        while open_:
+            trial = a * 0.5 if dn else b * 2.0
+            if (trial < S_MIN) if dn else (trial > S_MAX):
+                raise no_bracket(i)
+            gt = g_row(trial, i)
+            open_ = (not gt < 0.0) if dn else (not gt > 0.0)
+            a = trial if dn or open_ else a
+            b = b if dn and not open_ else trial
+        lo[i], hi[i] = a, b
 
-    # Every row takes every bisection step. The one-vector rules stop a row
-    # once its midpoint equals lo or hi, or lands on an exact root; from then
-    # on f - 1 at the midpoint is that of lo or hi (of the sign that keeps
-    # them) or 0, so the bracket, and s = (lo + hi) / 2, no longer move.
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        np.copyto(hi, mid, where=gm > 0.0)
-        np.copyto(lo, mid, where=gm < 0.0)
+    # Only the rows whose midpoint still moves are bisected: the brackets of
+    # the active rows act are a, b, and go back to lo, hi when rows stop. A
+    # row whose midpoint has f - 1 of neither sign takes a = b = mid, and
+    # stops at the next step, so s = (lo + hi) / 2 is that midpoint.
+    act = np.flatnonzero(lo != hi)
+    a, b, sub = lo[act], hi[act], rows[act]
+    steps = 0
+    while act.size > 1 and steps < BISECT_ITERS:
+        steps += 1
+        mid = 0.5 * (a + b)
+        moving = (a < mid) & (mid < b)
+        if not moving.all():
+            lo[act], hi[act] = a, b
+            act, a, b, sub, mid = (x[moving] for x in (act, a, b, sub, mid))
+        gm = g(mid, sub)
+        a, b = np.where(gm > 0.0, a, mid), np.where(gm < 0.0, b, mid)
+    lo[act], hi[act] = a, b
+    if act.size == 1:
+        i = act[0]
+        a, b = float(lo[i]), float(hi[i])
+        for _ in range(BISECT_ITERS - steps):
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break
+            gm = g_row(mid, i)
+            a, b = (a if gm > 0.0 else mid), (b if gm < 0.0 else mid)
+        lo[i], hi[i] = a, b
 
     s = 0.5 * (lo + hi)
     resid = g(s)
@@ -320,7 +394,7 @@ def solve_unit_level(
             step &= cand > 0.0
             live = live[step]
             s[live] = cand[step]
-            resid[live] = g(s[live], live)
+            resid[live] = g(s[live], rows[live])
             live = live[np.abs(resid[live]) > tol]
 
     stalled = np.flatnonzero(np.abs(resid) > tol)
@@ -439,37 +513,92 @@ def sample_cone_directions(rng: np.random.Generator, n: int, count: int) -> np.n
     return dirs * scales[:, None]
 
 
-def _boundary_point(op, rng, lam):
-    """Walk from interior lam along a random direction to the cone boundary.
+def _evaluate(fn, rows, batched, shape=()):
+    """fn on every row: the values, nan where fn raised ConeError, and the
+    mask of the rows it evaluated.
 
-    Returns the last strictly-inside iterate of the bisection, or None when no
-    exit was found.
+    A batched fn takes all rows in one call; when that call raises ConeError
+    the rows are taken one at a time, so that an off-cone row drops out alone.
     """
-    cone = op.cone
-    base = np.asarray(lam, dtype=float)
-    scale = float(np.linalg.norm(base))
-    for _ in range(8):
-        v = rng.normal(size=base.size)
-        v /= np.linalg.norm(v)
-        for direction in (v, -v):
-            tau_out = None
-            tau = scale
-            for _ in range(12):
-                if not cone.contains(base + tau * direction):
-                    tau_out = tau
+    if batched and len(rows):
+        try:
+            return np.asarray(fn(rows), dtype=float), np.ones(len(rows), dtype=bool)
+        except ConeError:
+            pass
+    vals = np.full((len(rows),) + shape, np.nan)
+    ok = np.zeros(len(rows), dtype=bool)
+    for i, row in enumerate(rows):
+        try:
+            vals[i] = fn(row)
+        except ConeError:
+            continue
+        ok[i] = True
+    return vals, ok
+
+
+def _first_worst(values, ok, start):
+    """(worst, index) as a loop over values keeps them: from start, each
+    value where ok that is greater than the worst so far replaces it, so the
+    index is the first one of the largest such value, and None when no value
+    is taken. nan is never greater, so it never becomes the worst."""
+    taken = ok & (values > start)
+    if not taken.any():
+        return start, None
+    i = int(np.argmax(np.where(taken, values, -np.inf)))
+    return float(values[i]), i
+
+
+def _pymax(first, *rest):
+    """Elementwise Python max(first, *rest): a later value replaces the
+    running one only when greater, so a nan replaces nothing and a leading
+    nan stays."""
+    out = first
+    for x in rest:
+        out = np.where(x > out, x, out)
+    return out
+
+
+def _check(passed, worst, rows, i) -> CheckResult:
+    return CheckResult(bool(passed), float(worst), [] if i is None else rows[i].tolist())
+
+
+def _boundary_points(cone, rng, starts):
+    """Walk from each interior start along a random direction to the cone
+    boundary.
+
+    Each start draws directions until one of v, -v leaves the cone within 12
+    doublings of the step; then every found exit is bisected at once. Returns
+    the indices of the starts with an exit and, for each, the last strictly
+    inside iterate of its bisection.
+    """
+
+    def first_exit(base, direction, taus):
+        inside = cone.contains(base + taus[:, None] * direction)
+        return None if inside.all() else float(taus[np.argmin(inside)])
+
+    found, dirs, outs = [], [], []
+    for i, base in enumerate(starts):
+        taus = float(np.linalg.norm(base)) * 2.0 ** np.arange(12)
+        for _ in range(8):
+            v = rng.normal(size=base.size)
+            v /= np.linalg.norm(v)
+            for direction in (v, -v):
+                tau = first_exit(base, direction, taus)
+                if tau is not None:
                     break
-                tau *= 2.0
-            if tau_out is None:
-                continue
-            lo, hi = 0.0, tau_out
-            for _ in range(BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                if cone.contains(base + mid * direction):
-                    lo = mid
-                else:
-                    hi = mid
-            return base + lo * direction
-    return None
+            if tau is not None:
+                found.append(i)
+                dirs.append(direction)
+                outs.append(tau)
+                break
+    bases, dirs = starts[found], np.array(dirs).reshape(-1, starts.shape[1])
+    lo, hi = np.zeros(len(found)), np.array(outs)
+    for _ in range(BISECT_ITERS if found else 0):
+        mid = 0.5 * (lo + hi)
+        inside = cone.contains(bases + mid[:, None] * dirs)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return np.array(found, dtype=np.intp), bases + lo[:, None] * dirs
 
 
 def validate_operator(
@@ -477,134 +606,125 @@ def validate_operator(
 ) -> ValidationReport:
     """Sampled hypothesis checks: symmetry, gradient positivity, concavity,
     ray growth, cone nesting, boundary vanishing, and (when tagged) degree
-    homogeneity. Failures land in the report, never as exceptions."""
+    homogeneity. Failures land in the report, never as exceptions.
+
+    Each check evaluates all its samples in one call of op.f, op.grad_f or
+    op.cone.contains on rows (op.f and op.grad_f one row per call unless
+    op.takes_rows), and keeps the witness a loop over its samples keeps: the
+    first sample whose value exceeds the worst so far. A sample where op.f
+    or op.grad_f raises ConeError drops out, and a check with no sample
+    evaluated fails: no evidence is no pass.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
     n = op.cone.n
     samples = sample_cone_directions(rng, n, sample_count)
+    m = len(samples)
     checks = {}
 
-    # permutation symmetry
-    worst, witness = 0.0, []
-    for lam in samples:
-        perm = rng.permutation(n)
-        try:
-            d = abs(op.f(lam) - op.f(lam[perm]))
-        except ConeError:
-            continue
-        if d > worst:
-            worst, witness = d, list(lam)
-    checks["permutation_symmetry"] = CheckResult(worst <= 1e-12, worst, witness)
+    def f(rows):
+        return _evaluate(op.f, rows, op.takes_rows)
 
-    # gradient positivity (hypothesis: components of grad f positive on the cone)
-    worst, witness = -math.inf, []
-    for lam in samples:
-        try:
-            g = np.asarray(op.grad_f(lam), dtype=float)
-        except ConeError:
-            continue
-        v = float(-g.min())
-        if v > worst:
-            worst, witness = v, list(lam)
-    checks["gradient_positivity"] = CheckResult(worst < 0.0, worst, witness)
+    def f_grid(points):
+        """f on an (h, K, n) array: (h, K) values and mask."""
+        vals, ok = f(points.reshape(-1, n))
+        return vals.reshape(points.shape[:2]), ok.reshape(points.shape[:2])
 
-    # midpoint concavity
-    worst, witness, pairs = 0.0, [], 0
-    for i in range(0, len(samples) - 1, 2):
-        lam, mu = samples[i], samples[i + 1]
-        try:
-            fl, fm = op.f(lam), op.f(mu)
-            fmid = op.f(0.5 * (lam + mu))
-        except ConeError:
-            continue
-        pairs += 1
-        unit = max(1.0, abs(fl), abs(fm))
-        v = (0.5 * (fl + fm) - fmid) / unit
-        if v > worst:
-            worst, witness = v, list(lam) + list(mu)
-    # no pair evaluated is no evidence
-    checks["midpoint_concavity"] = CheckResult(pairs > 0 and worst <= 1e-9, worst, witness)
+    # the checks mirror Python float arithmetic, which does not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_s, ok_s = f(samples)
 
-    # ray growth: f(s*lam) increasing over a log grid (finite test of
-    # unbounded growth along rays)
-    worst, witness = 0.0, []
-    s_grid = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 17))
-    for lam in samples[: min(64, len(samples))]:
-        try:
-            vals = [op.f(s * lam) for s in s_grid]
-        except ConeError:
-            continue
-        v = max(
-            (vals[j] - vals[j + 1]) for j in range(len(vals) - 1)
+        # permutation symmetry
+        perms = np.array([rng.permutation(n) for _ in range(m)], dtype=np.intp)
+        f_p, ok_p = f(np.take_along_axis(samples, perms.reshape(m, n), axis=1))
+        ok = ok_s & ok_p
+        worst, i = _first_worst(np.abs(f_s - f_p), ok, 0.0)
+        checks["permutation_symmetry"] = _check(ok.any() and worst <= 1e-12, worst, samples, i)
+
+        # gradient positivity (hypothesis: components of grad f positive on the cone)
+        g, ok = _evaluate(op.grad_f, samples, op.takes_rows, (n,))
+        worst, i = _first_worst(-g.min(axis=1), ok, -math.inf)
+        checks["gradient_positivity"] = _check(ok.any() and worst < 0.0, worst, samples, i)
+
+        # midpoint concavity: samples 2i and 2i + 1 form pair i
+        pairs = slice(0, m - m % 2, 2), slice(1, m - m % 2, 2)
+        lam, mu = (samples[p] for p in pairs)
+        fl, fm = (f_s[p] for p in pairs)
+        f_mid, ok = f(0.5 * (lam + mu))
+        ok &= ok_s[pairs[0]] & ok_s[pairs[1]]
+        unit = _pymax(np.ones(len(lam)), np.abs(fl), np.abs(fm))
+        worst, i = _first_worst((0.5 * (fl + fm) - f_mid) / unit, ok, 0.0)
+        # no pair evaluated is no evidence
+        checks["midpoint_concavity"] = _check(
+            ok.any() and worst <= 1e-9, worst, np.hstack([lam, mu]), i
         )
-        if v > worst:
-            worst, witness = v, list(lam)
-    checks["ray_growth"] = CheckResult(worst <= 0.0, worst, witness)
 
-    # cone nesting, positive orthant side: every positive vector is a member
-    worst, witness = 0.0, []
-    for lam in samples:
-        if not op.cone.contains(lam):
-            worst, witness = 1.0, list(lam)
-            break
-    checks["cone_contains_positive_orthant"] = CheckResult(worst == 0.0, worst, witness)
+        # ray growth: f(s*lam) increasing over a log grid (finite test of
+        # unbounded growth along rays)
+        s_grid = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 17))
+        head = samples[:64]
+        vals, ok = f_grid(head[:, None, :] * s_grid[:, None])
+        ok = ok.all(axis=1)
+        worst, i = _first_worst(_pymax(*(vals[:, :-1] - vals[:, 1:]).T), ok, 0.0)
+        checks["ray_growth"] = _check(ok.any() and worst <= 0.0, worst, head, i)
 
-    # cone nesting, Gamma_1 side: members have positive entry sum
-    worst, witness = -math.inf, []
-    members = []
-    for lam in samples[: min(200, len(samples))]:
-        members.append(lam)
-        jitter = lam + rng.normal(0.0, 0.4 * np.linalg.norm(lam) / math.sqrt(n), size=n)
-        if op.cone.contains(jitter):
-            members.append(jitter)
-    for lam in members:
-        v = float(-np.sum(lam))
-        if v > worst:
-            worst, witness = v, list(lam)
-    checks["cone_inside_gamma1"] = CheckResult(worst < 0.0, worst, witness)
-
-    # boundary vanishing: f decays below 1e-3 along segments approaching
-    # sampled boundary points (unit scale)
-    worst, witness = 0.0, []
-    n_boundary = max(4, min(20, sample_count // 10))
-    # reach 1e-12: sigma_k^{1/k}-type operators vanish like eps^{1/k}, so the
-    # shallow end of the grid must sit well below (1e-3)^k
-    eps_grid = [10.0 ** (-j) for j in range(1, 13)]
-    for lam in samples[:n_boundary]:
-        lam = lam / np.linalg.norm(lam)
-        bpt = _boundary_point(op, rng, lam)
-        if bpt is None:
-            continue
-        norm = np.linalg.norm(bpt)
-        if norm > 0:
-            bpt, lam_in = bpt / norm, lam / norm
-        else:
-            lam_in = lam
-        try:
-            seq = [op.f(bpt + e * (lam_in - bpt)) for e in eps_grid]
-        except ConeError:
-            worst, witness = max(worst, 1.0), list(bpt)
-            continue
-        increase = max(
-            (seq[j + 1] - seq[j]) for j in range(len(seq) - 1)
+        # cone nesting, positive orthant side: every positive vector is a member
+        outside = np.flatnonzero(~op.cone.contains(samples))
+        i = int(outside[0]) if outside.size else None
+        checks["cone_contains_positive_orthant"] = _check(
+            m > 0 and i is None, 0.0 if i is None else 1.0, samples, i
         )
-        v = max(seq[-1], increase)
-        if v > worst:
-            worst, witness = v, list(bpt)
-    checks["boundary_vanishing"] = CheckResult(worst < 1e-3, worst, witness)
 
-    # tagged homogeneity
-    if op.homogeneous_degree is not None:
-        d = op.homogeneous_degree
+        # cone nesting, Gamma_1 side: members (the samples, each followed by
+        # its jitter when that is in the cone) have positive entry sum
+        head = samples[:200]
+        jitters = np.array([
+            lam + rng.normal(0.0, 0.4 * np.linalg.norm(lam) / math.sqrt(n), size=n)
+            for lam in head
+        ]).reshape(-1, n)
+        kept = np.stack([np.ones(len(head), dtype=bool), op.cone.contains(jitters)], axis=1)
+        members = np.stack([head, jitters], axis=1)[kept]
+        worst, i = _first_worst(-members.sum(axis=1), np.ones(len(members), dtype=bool), -math.inf)
+        checks["cone_inside_gamma1"] = _check(len(members) and worst < 0.0, worst, members, i)
+
+        # boundary vanishing: f decays below 1e-3 along segments approaching
+        # sampled boundary points (unit scale)
+        n_boundary = max(4, min(20, sample_count // 10))
+        starts = np.array([lam / np.linalg.norm(lam) for lam in samples[:n_boundary]])
+        found, bpts = _boundary_points(op.cone, rng, starts.reshape(-1, n))
+        norms = np.array([np.linalg.norm(bpt) for bpt in bpts])
+        unit = np.where(norms > 0, norms, 1.0)[:, None]
+        ends, lams = bpts / unit, starts[found] / unit
+        # reach 1e-12: sigma_k^{1/k}-type operators vanish like eps^{1/k}, so the
+        # shallow end of the grid must sit well below (1e-3)^k
+        eps_grid = np.array([10.0 ** (-j) for j in range(1, 13)])
+        seq, ok = f_grid(ends[:, None, :] + eps_grid[:, None] * (lams - ends)[:, None, :])
+        ok = ok.all(axis=1)
+        v = _pymax(seq[:, -1], _pymax(*(seq[:, 1:] - seq[:, :-1]).T))
         worst, witness = 0.0, []
-        for lam in samples[: min(100, len(samples))]:
-            try:
-                f1 = op.f(lam)
-                for s in (0.5, 2.0, 7.3):
-                    v = abs(op.f(s * lam) - s**d * f1) / max(1e-30, abs(s**d * f1))
-                    if v > worst:
-                        worst, witness = v, list(lam)
-            except ConeError:
-                continue
-        checks["degree_homogeneity"] = CheckResult(worst <= 1e-9, worst, witness)
+        for end, v_i, ok_i in zip(ends, v.tolist(), ok.tolist()):
+            # an off-cone segment point fails the check at that boundary point
+            if not ok_i:
+                worst, witness = max(worst, 1.0), end.tolist()
+            elif v_i > worst:
+                worst, witness = v_i, end.tolist()
+        checks["boundary_vanishing"] = CheckResult(
+            len(ends) > 0 and worst < 1e-3, worst, witness
+        )
+
+        # tagged homogeneity
+        if op.homogeneous_degree is not None:
+            d = op.homogeneous_degree
+            scales = (0.5, 2.0, 7.3)
+            head = samples[:100]
+            vals, ok = f_grid(head[:, None, :] * np.array(scales)[:, None])
+            target = np.array([s**d for s in scales]) * f_s[: len(head), None]
+            size = np.abs(target)
+            v = np.abs(vals - target) / np.where(size > 1e-30, size, 1e-30)
+            # a sample counts up to its first scale off the cone
+            ok = ok_s[: len(head), None] & np.logical_and.accumulate(ok, axis=1)
+            worst, i = _first_worst(v.ravel(), ok.ravel(), 0.0)
+            checks["degree_homogeneity"] = _check(
+                ok.any() and worst <= 1e-9, worst, head, None if i is None else i // len(scales)
+            )
 
     return ValidationReport(checks=checks)

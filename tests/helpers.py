@@ -8,7 +8,7 @@ loop oracles for the periodic solver's closed-form residual, Jacobian
 coefficients and margin, one-radius-at-a-time oracles for the batched
 moving-sphere kernels, the whole-profile bubble deviation, and the
 one-ray-at-a-time unit-level solve with the per-sample homogenize handler
-built on it."""
+built on it, and the one-sample-at-a-time operator validation."""
 
 import math
 
@@ -18,6 +18,8 @@ from conforma.bubbles import BubbleParams, bubble_values
 from conforma.cones import (
     BISECT_ITERS as RAY_BISECT_ITERS,
     NEWTON_POLISH,
+    CheckResult,
+    ValidationReport,
     S_MAX,
     S_MIN,
     make_sigma_k_operator,
@@ -649,3 +651,172 @@ def homogenize_handler_loop(args):
     result = {"operator": op.name, "n": n, "k": k, "samples": args.samples,
               "checks": checks}
     return result, passed, []
+
+
+def boundary_point_loop(op, rng, lam):
+    """Walk from interior lam along a random direction to the cone boundary.
+
+    Returns the last strictly-inside iterate of the bisection, or None when no
+    exit was found.
+    """
+    cone = op.cone
+    base = np.asarray(lam, dtype=float)
+    scale = float(np.linalg.norm(base))
+    for _ in range(8):
+        v = rng.normal(size=base.size)
+        v /= np.linalg.norm(v)
+        for direction in (v, -v):
+            tau_out = None
+            tau = scale
+            for _ in range(12):
+                if not cone.contains(base + tau * direction):
+                    tau_out = tau
+                    break
+                tau *= 2.0
+            if tau_out is None:
+                continue
+            lo, hi = 0.0, tau_out
+            for _ in range(RAY_BISECT_ITERS):
+                mid = 0.5 * (lo + hi)
+                if cone.contains(base + mid * direction):
+                    lo = mid
+                else:
+                    hi = mid
+            return base + lo * direction
+    return None
+
+
+def validate_operator_loop(op, sample_count=500, seed=0):
+    """cones.validate_operator one sample, and one one-vector call of op.f,
+    op.grad_f or op.cone.contains, at a time: the reference for the checks
+    on rows. Unlike them it passes a check with no sample evaluated."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = op.cone.n
+    samples = sample_cone_directions(rng, n, sample_count)
+    checks = {}
+
+    # permutation symmetry
+    worst, witness = 0.0, []
+    for lam in samples:
+        perm = rng.permutation(n)
+        try:
+            d = abs(op.f(lam) - op.f(lam[perm]))
+        except ConeError:
+            continue
+        if d > worst:
+            worst, witness = d, list(lam)
+    checks["permutation_symmetry"] = CheckResult(worst <= 1e-12, worst, witness)
+
+    # gradient positivity (hypothesis: components of grad f positive on the cone)
+    worst, witness = -math.inf, []
+    for lam in samples:
+        try:
+            g = np.asarray(op.grad_f(lam), dtype=float)
+        except ConeError:
+            continue
+        v = float(-g.min())
+        if v > worst:
+            worst, witness = v, list(lam)
+    checks["gradient_positivity"] = CheckResult(worst < 0.0, worst, witness)
+
+    # midpoint concavity
+    worst, witness, pairs = 0.0, [], 0
+    for i in range(0, len(samples) - 1, 2):
+        lam, mu = samples[i], samples[i + 1]
+        try:
+            fl, fm = op.f(lam), op.f(mu)
+            fmid = op.f(0.5 * (lam + mu))
+        except ConeError:
+            continue
+        pairs += 1
+        unit = max(1.0, abs(fl), abs(fm))
+        v = (0.5 * (fl + fm) - fmid) / unit
+        if v > worst:
+            worst, witness = v, list(lam) + list(mu)
+    # no pair evaluated is no evidence
+    checks["midpoint_concavity"] = CheckResult(pairs > 0 and worst <= 1e-9, worst, witness)
+
+    # ray growth: f(s*lam) increasing over a log grid (finite test of
+    # unbounded growth along rays)
+    worst, witness = 0.0, []
+    s_grid = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 17))
+    for lam in samples[: min(64, len(samples))]:
+        try:
+            vals = [op.f(s * lam) for s in s_grid]
+        except ConeError:
+            continue
+        v = max(
+            (vals[j] - vals[j + 1]) for j in range(len(vals) - 1)
+        )
+        if v > worst:
+            worst, witness = v, list(lam)
+    checks["ray_growth"] = CheckResult(worst <= 0.0, worst, witness)
+
+    # cone nesting, positive orthant side: every positive vector is a member
+    worst, witness = 0.0, []
+    for lam in samples:
+        if not op.cone.contains(lam):
+            worst, witness = 1.0, list(lam)
+            break
+    checks["cone_contains_positive_orthant"] = CheckResult(worst == 0.0, worst, witness)
+
+    # cone nesting, Gamma_1 side: members have positive entry sum
+    worst, witness = -math.inf, []
+    members = []
+    for lam in samples[: min(200, len(samples))]:
+        members.append(lam)
+        jitter = lam + rng.normal(0.0, 0.4 * np.linalg.norm(lam) / math.sqrt(n), size=n)
+        if op.cone.contains(jitter):
+            members.append(jitter)
+    for lam in members:
+        v = float(-np.sum(lam))
+        if v > worst:
+            worst, witness = v, list(lam)
+    checks["cone_inside_gamma1"] = CheckResult(worst < 0.0, worst, witness)
+
+    # boundary vanishing: f decays below 1e-3 along segments approaching
+    # sampled boundary points (unit scale)
+    worst, witness = 0.0, []
+    n_boundary = max(4, min(20, sample_count // 10))
+    # reach 1e-12: sigma_k^{1/k}-type operators vanish like eps^{1/k}, so the
+    # shallow end of the grid must sit well below (1e-3)^k
+    eps_grid = [10.0 ** (-j) for j in range(1, 13)]
+    for lam in samples[:n_boundary]:
+        lam = lam / np.linalg.norm(lam)
+        bpt = boundary_point_loop(op, rng, lam)
+        if bpt is None:
+            continue
+        norm = np.linalg.norm(bpt)
+        if norm > 0:
+            bpt, lam_in = bpt / norm, lam / norm
+        else:
+            lam_in = lam
+        try:
+            seq = [op.f(bpt + e * (lam_in - bpt)) for e in eps_grid]
+        except ConeError:
+            worst, witness = max(worst, 1.0), list(bpt)
+            continue
+        increase = max(
+            (seq[j + 1] - seq[j]) for j in range(len(seq) - 1)
+        )
+        v = max(seq[-1], increase)
+        if v > worst:
+            worst, witness = v, list(bpt)
+    checks["boundary_vanishing"] = CheckResult(worst < 1e-3, worst, witness)
+
+    # tagged homogeneity
+    if op.homogeneous_degree is not None:
+        d = op.homogeneous_degree
+        worst, witness = 0.0, []
+        for lam in samples[: min(100, len(samples))]:
+            try:
+                f1 = op.f(lam)
+                for s in (0.5, 2.0, 7.3):
+                    v = abs(op.f(s * lam) - s**d * f1) / max(1e-30, abs(s**d * f1))
+                    if v > worst:
+                        worst, witness = v, list(lam)
+            except ConeError:
+                continue
+        checks["degree_homogeneity"] = CheckResult(worst <= 1e-9, worst, witness)
+
+    return ValidationReport(checks=checks)

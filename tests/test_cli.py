@@ -11,7 +11,7 @@ import pytest
 import conforma
 from conforma import cli
 from conforma.cli import main
-from helpers import homogenize_handler_loop
+from helpers import homogenize_handler_loop, validate_operator_loop
 
 
 def run(tmp_path, *argv):
@@ -146,6 +146,21 @@ def test_validate_operator_concavity_needs_a_pair(tmp_path):
     assert rc == 1
     check = read_result(tmp_path)["result"]["checks"]["midpoint_concavity"]
     assert check == {"pass": False, "worst_violation": 0.0, "witness": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate-operator", "--n", "3", "--k", "2"),
+    ("validate-operator", "--n", "5", "--k", "3"),
+    ("validate-operator", "--n", "6", "--k", "4"),
+])
+@pytest.mark.parametrize("seed", ["0", "635597269", "1880108470"])
+def test_validate_operator_rows_match_loop_oracle(tmp_path, monkeypatch, argv, seed):
+    # the checks on rows write the bytes of one sample per call
+    assert run(tmp_path / "rows", *argv, "--seed", seed) == 0
+    monkeypatch.setattr(cli, "validate_operator", validate_operator_loop)
+    assert run(tmp_path / "oracle", *argv, "--seed", seed) == 0
+    got = (tmp_path / "rows" / "result.json").read_bytes()
+    assert got == (tmp_path / "oracle" / "result.json").read_bytes()
 
 
 def test_solve_yamabe_artifacts(tmp_path):

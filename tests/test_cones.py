@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conforma.cones import (
+    CurvatureOperator,
     GammaKCone,
     HomotopyCone,
     homogenize,
@@ -21,8 +22,9 @@ from conforma.cones import (
     validate_operator,
 )
 from conforma.errors import ConeError, ConvergenceError, DomainError
+from conforma.reporting import dumps_json
 from conforma.sampling import make_rng
-from helpers import solve_unit_level_scalar
+from helpers import solve_unit_level_scalar, validate_operator_loop
 
 
 def binom(n, k):
@@ -192,7 +194,7 @@ def test_validate_operator_catalog_pass():
         assert all(c.passed for c in report.checks.values()), (n, k)
 
 
-def test_validate_operator_flags_wrong_degree():
+def _wrong_degree_operator():
     base = make_sigma_k_operator(3, 1)
 
     def f(lam):
@@ -201,33 +203,93 @@ def test_validate_operator_flags_wrong_degree():
     def grad_f(lam):
         return 2.0 * base.f(lam) * base.grad_f(lam)
 
-    from conforma.cones import CurvatureOperator
-
-    bad = CurvatureOperator(
+    return CurvatureOperator(
         name="sigma1_squared",
         f=f,
         grad_f=grad_f,
         cone=base.cone,
         homogeneous_degree=1.0,  # lie: actual degree is 2
     )
-    report = validate_operator(bad, sample_count=300, seed=0)
-    assert not report.checks["degree_homogeneity"].passed
-    assert not report.checks["midpoint_concavity"].passed
 
 
-def test_validate_operator_flags_decreasing():
+def _decreasing_operator():
     base = make_sigma_k_operator(3, 1)
-    from conforma.cones import CurvatureOperator
-
-    bad = CurvatureOperator(
+    return CurvatureOperator(
         name="minus_sigma1",
         f=lambda lam: -base.f(lam),
         grad_f=lambda lam: -base.grad_f(lam),
         cone=base.cone,
         homogeneous_degree=1.0,
     )
-    report = validate_operator(bad, sample_count=300, seed=0)
+
+
+def test_validate_operator_flags_wrong_degree():
+    report = validate_operator(_wrong_degree_operator(), sample_count=300, seed=0)
+    assert not report.checks["degree_homogeneity"].passed
+    assert not report.checks["midpoint_concavity"].passed
+
+
+def test_validate_operator_flags_decreasing():
+    report = validate_operator(_decreasing_operator(), sample_count=300, seed=0)
     assert not report.checks["gradient_positivity"].passed
+
+
+def _same_report(got, want):
+    assert got == want
+    assert dumps_json(got.to_json_dict()) == dumps_json(want.to_json_dict())
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 8) for k in range(1, n + 1)])
+@given(seed=st.integers(0, 2**32 - 1), count=st.sampled_from([1, 2, 3, 17, 500]))
+@settings(max_examples=4, deadline=None)
+def test_validate_operator_matches_loop_oracle(n, k, seed, count):
+    # every value, witness and pass flag of one sample per call, bit for bit
+    op = make_sigma_k_operator(n, k)
+    _same_report(validate_operator(op, count, seed), validate_operator_loop(op, count, seed))
+
+
+@pytest.mark.parametrize("build", [_wrong_degree_operator, _decreasing_operator])
+@pytest.mark.parametrize("count", [1, 2, 3, 17, 500])
+def test_validate_operator_flags_operators_match_loop_oracle(build, count):
+    op = build()
+    for seed in (0, 1):
+        _same_report(validate_operator(op, count, seed), validate_operator_loop(op, count, seed))
+
+
+@pytest.mark.parametrize("takes_rows", [False, True])
+def test_validate_operator_fails_on_zero_evidence(takes_rows):
+    # f and grad_f refuse every input: no check on them may pass
+    def refuse(lam):
+        raise ConeError("refused", witness=list(np.ravel(lam)))
+
+    op = CurvatureOperator("refuse_all", refuse, refuse, GammaKCone(4, 2), 1.0,
+                           takes_rows=takes_rows)
+    report = validate_operator(op, sample_count=60, seed=3)
+    evaluated = {"cone_contains_positive_orthant", "cone_inside_gamma1"}
+    assert {name for name, c in report.checks.items() if c.passed} == evaluated
+    assert report.checks["gradient_positivity"].worst_violation == -np.inf
+    # one sample per call passed four of these checks on no evaluated sample
+    loop = validate_operator_loop(op, sample_count=60, seed=3)
+    assert {name for name, c in loop.checks.items() if c.passed} == evaluated | {
+        "permutation_symmetry", "gradient_positivity", "ray_growth", "degree_homogeneity"
+    }
+
+
+def test_validate_operator_drops_off_cone_rows_alone():
+    # an f that takes rows but refuses some: the rows it refuses drop out,
+    # the others keep the values and witnesses of one sample per call
+    base = make_sigma_k_operator(4, 2)
+
+    def f(lam):
+        rows = np.atleast_2d(lam)
+        refused = (rows[:, 0] > rows[:, 1] * 3.0) | (rows.sum(axis=1) > 30.0)
+        if refused.any():
+            raise ConeError("refused", witness=rows[np.argmax(refused)].tolist())
+        return base.f(lam)
+
+    op = CurvatureOperator("picky", f, base.grad_f, base.cone, 1.0, takes_rows=True)
+    for seed in (0, 5):
+        _same_report(validate_operator(op, 200, seed), validate_operator_loop(op, 200, seed))
 
 
 def test_solve_unit_level_closed_forms():
@@ -349,6 +411,40 @@ def test_sigma_k_rows_match_one_vector_calls():
         with pytest.raises(ConeError) as info:
             op.f(bad)
         assert info.value.witness == bad[7].tolist()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_sigma_k_gradient_rows_match_one_vector_calls(n):
+    rng = make_rng(40 + n)
+    # positive rows, and rows with a negative entry near the cone boundary
+    rows = np.vstack([
+        sample_cone_directions(rng, n, 100),
+        rng.normal(size=(200, n)) * 10.0 ** rng.uniform(-3, 3, (200, 1)),
+    ])
+    for k in range(1, n + 1):
+        op = make_sigma_k_operator(n, k)
+        inside = rows[op.cone.contains(rows)]
+        assert len(inside) >= 100
+        assert op.grad_f(inside).tolist() == [op.grad_f(row).tolist() for row in inside]
+        if k > 1:
+            with pytest.raises(ConeError) as info:
+                op.grad_f(rows)
+            first_off = rows[~op.cone.contains(rows)][0]
+            assert info.value.witness == first_off.tolist()
+
+
+def test_cone_membership_rows_match_one_vector_calls():
+    rng = make_rng(50)
+    for n in (3, 5, 7):
+        rows = rng.normal(size=(300, n)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+        rows[0] = np.nan
+        rows[1, 0] = np.inf
+        for k in range(1, n + 1):
+            op = make_sigma_k_operator(n, k)
+            for cone in (op.cone, homotopy_operator(op, 0.3).cone):
+                got = cone.contains(rows)
+                assert got.dtype == bool
+                assert got.tolist() == [cone.contains(row) for row in rows]
 
 
 def test_homogenize_sigma2_matches_sqrt():
