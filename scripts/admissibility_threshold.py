@@ -15,11 +15,11 @@ import sys
 
 import numpy as np
 
-from conforma.cones import homotopy_operator, make_sigma_k_operator
+from conforma.cones import make_sigma_k_operator
 from conforma.yamabe import PeriodicGrid, c_star, min_cone_margin
 
 
-def threshold(op, cs, L, N, scheme, eps_hi=1.0, bits=40):
+def threshold(op, t, cs, L, N, scheme, eps_hi=1.0, bits=40):
     nodes = np.arange(N) * (L / N)
 
     def admissible(eps):
@@ -27,7 +27,7 @@ def threshold(op, cs, L, N, scheme, eps_hi=1.0, bits=40):
         if np.any(vals <= 0):
             return False
         g = PeriodicGrid(L=L, values=vals, scheme=scheme)
-        return min_cone_margin(op, g) > 0.0
+        return min_cone_margin(op, g, t) > 0.0
 
     lo, hi = 0.0, eps_hi
     if admissible(hi):
@@ -59,8 +59,7 @@ def main(argv=None):
           f"N = {args.N}, scheme {args.scheme}")
     print(f"{'stage t':>8}  {'eps threshold':>14}")
     for t in args.stages:
-        op_t = homotopy_operator(op, t)
-        eps, bounded = threshold(op_t, cs, args.L, args.N, args.scheme)
+        eps, bounded = threshold(op, t, cs, args.L, args.N, args.scheme)
         mark = "" if bounded else "  (no rejection up to this amplitude)"
         print(f"{t:8.2f}  {eps:14.6f}{mark}")
     return 0

@@ -377,6 +377,8 @@ def _cmd_appendix_suite(args):
 
 def _cmd_harnack(args):
     n = args.n
+    if not (args.beta > 0 and math.isfinite(args.beta)):
+        raise DomainError(f"beta = {args.beta:g} must be positive and finite")
     a = math.sqrt(2.0 * n * args.beta)  # sigma_1(lam(A^u)) = 1 normalization
     u = BubbleField(
         BubbleParams(n=n, a=a, beta=args.beta), domain=ball(3.0 * args.R)
@@ -632,6 +634,10 @@ def main(argv=None) -> int:
     except ConformaError as exc:
         # parameter-shape problems are usage errors: nothing is written
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # so is a parameter whose arithmetic over- or underflows
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
 

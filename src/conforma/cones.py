@@ -72,21 +72,14 @@ def _sigma_minor(lam, e, j: int, i: int) -> float:
 # Cones
 
 
-class ConeSpec:
-    """Open convex symmetric cone with vertex at the origin.
+@dataclass(frozen=True)
+class GammaKCone:
+    """The Garding cone Gamma_k = {sigma_1, ..., sigma_k > 0} in R^n.
 
     contains takes one vector and returns a bool, or an (m, n) array of rows
     and returns m bools with the answers of m one-vector calls.
     """
 
-    n: int
-
-    def contains(self, lam):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class GammaKCone(ConeSpec):
     n: int
     k: int
 
@@ -100,38 +93,6 @@ class GammaKCone(ConeSpec):
             return all(e[j] > 0.0 for j in range(self.k))
         return np.all(sigma_rows(lam, self.k) > 0.0, axis=0)
 
-    def margin(self, lam) -> float:
-        e = sigma_all(lam)
-        return min(e[: self.k])
-
-
-@dataclass(frozen=True)
-class HomotopyCone(ConeSpec):
-    """Pullback cone {lam : t*lam + (1-t)*sigma_1(lam)*e in inner}."""
-
-    inner: ConeSpec
-    t: float
-
-    @property
-    def n(self):
-        return self.inner.n
-
-    def _map(self, lam):
-        if getattr(lam, "ndim", 1) == 1:
-            s1 = float(sum(float(x) for x in lam))
-            return [self.t * float(x) + (1.0 - self.t) * s1 for x in lam]
-        rows = np.asarray(lam, dtype=float)
-        s1 = np.zeros(len(rows))
-        for col in rows.T:  # left to right, as sum() adds one vector
-            s1 = s1 + col
-        return self.t * rows + ((1.0 - self.t) * s1)[:, None]
-
-    def contains(self, lam):
-        return self.inner.contains(self._map(lam))
-
-    def margin(self, lam) -> float:
-        return self.inner.margin(self._map(lam))
-
 
 # ---------------------------------------------------------------------------
 # Operators
@@ -142,10 +103,7 @@ class CurvatureOperator:
     """Symmetric operator f together with its admissibility cone.
 
     sigma_order is k when f is sigma_k^{1/k} on Gamma_k (set by
-    make_sigma_k_operator), which licenses closed-form solves; None otherwise.
-    two_cluster is (k, t) when f(lam) = sigma_k^{1/k}(t lam + (1-t)
-    sigma_1(lam) e) on the pullback of Gamma_k (t = 1 for sigma_k itself,
-    set by make_sigma_k_operator and homotopy_operator), which licenses
+    make_sigma_k_operator), which licenses the closed-form solves and
     two_cluster_kernel; None otherwise. takes_rows is True when f and grad_f
     also take an (m, n) array of rows and return the m values (gradients) of
     m one-vector calls, raising ConeError when a row is off the cone.
@@ -154,10 +112,9 @@ class CurvatureOperator:
     name: str
     f: Callable[[Sequence[float]], float]
     grad_f: Callable[[Sequence[float]], np.ndarray]
-    cone: ConeSpec
+    cone: GammaKCone
     homogeneous_degree: Optional[float] = None
     sigma_order: Optional[int] = None
-    two_cluster: Optional[tuple] = None
     takes_rows: bool = False
 
     @property
@@ -228,7 +185,6 @@ def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
         cone=cone,
         homogeneous_degree=1.0,
         sigma_order=k,
-        two_cluster=(k, 1.0),
         takes_rows=True,
     )
 
@@ -436,46 +392,6 @@ def homogenize(op: CurvatureOperator) -> CurvatureOperator:
         grad_f=grad_f,
         cone=op.cone,
         homogeneous_degree=1.0,
-    )
-
-
-def homotopy_operator(op: CurvatureOperator, t: float) -> CurvatureOperator:
-    """Interpolant f_t(lam) = f(t*lam + (1-t)*sigma_1(lam)*e) on its cone."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"homotopy parameter t={t} outside [0, 1]")
-    cone = HomotopyCone(inner=op.cone, t=t)
-    n = op.cone.n
-
-    def mapped(lam):
-        vals = [float(x) for x in lam]
-        if len(vals) != n:
-            raise DomainError(f"expected n={n} entries, got {len(vals)}")
-        s1 = sum(vals)
-        c = (1.0 - t) * s1
-        return [t * x + c for x in vals]
-
-    def f(lam):
-        m = mapped(lam)
-        try:
-            return op.f(m)
-        except ConeError as exc:
-            raise ConeError(
-                f"lambda outside homotopy cone at t={t:g}: {exc}",
-                witness=list(lam),
-            ) from exc
-
-    def grad_f(lam):
-        m = mapped(lam)
-        g = np.asarray(op.grad_f(m), dtype=float)
-        return t * g + (1.0 - t) * float(g.sum()) * np.ones(n)
-
-    return CurvatureOperator(
-        name=f"{op.name}_t{t:g}",
-        f=f,
-        grad_f=grad_f,
-        cone=cone,
-        homogeneous_degree=op.homogeneous_degree,
-        two_cluster=None if op.sigma_order is None else (op.sigma_order, t),
     )
 
 

@@ -25,6 +25,8 @@ from .sampling import ball_points, make_rng
 
 BISECT_ITERS = 40
 DEFAULT_GUARD = 1e-6
+# A radius violates the MSI when its sampled violation exceeds this.
+VIOLATION_TOL = 0.0
 
 
 @dataclass
@@ -35,15 +37,12 @@ class SweepConfig:
     lambda_max: float
     check_points: np.ndarray
     lambda_steps: int = 256
-    violation_tol: float = 0.0
 
     def __post_init__(self):
         if not (self.lambda_min > 0 and self.lambda_min < self.lambda_max):
             raise DomainError("need 0 < lambda_min < lambda_max")
         if self.lambda_steps < 16:
             raise DomainError("lambda_steps must be at least 16")
-        if self.violation_tol < 0:
-            raise DomainError("violation_tol must be nonnegative")
         self.check_points = np.atleast_2d(np.asarray(self.check_points, dtype=float))
 
     def lambda_grid(self) -> np.ndarray:
@@ -133,7 +132,7 @@ class CriticalRadius:
 def critical_radius(u: ScalarField, x, cfg: SweepConfig) -> CriticalRadius:
     """Sampled estimate of lam_bar(x) = sup{mu : MSI holds for all lam < mu}.
 
-    Scans the log grid for the first violation beyond violation_tol, then
+    Scans the log grid for the first violation beyond VIOLATION_TOL, then
     bisects 40 times between the last passing and first failing lambda, all
     on one per-centre precomputation of the check points. Returns
     lambda_max with flag "unbounded" when the whole range passes,
@@ -143,7 +142,7 @@ def critical_radius(u: ScalarField, x, cfg: SweepConfig) -> CriticalRadius:
     msi = _CentreMSI(u, x, cfg.check_points, cfg.grid_guard())
 
     def violated(lam):
-        return msi.violation(lam) > cfg.violation_tol
+        return msi.violation(lam) > VIOLATION_TOL
 
     if violated(grid[0]):
         return CriticalRadius(lambda_bar=float(grid[0]), flag="fails_at_min")
@@ -231,6 +230,11 @@ class HLemmaReport:
 
 HYPOTHESIS_TOL = 1e-12
 CONCLUSION_TOL = 1e-9
+# Largest interval-lemma grid density. The time grows as d^3: one function
+# takes 3.8 s at d = 512 on a 2-core Xeon VM, so the default 50-function
+# catalog takes about 3 minutes there, and 8 times that at d = 1024. Memory
+# grows as d^2: a tau slab holds d^2 = 262 144 values, 2 MiB per temporary.
+MAX_DENSITY = 512
 
 
 def h_lemma_check(
@@ -253,6 +257,8 @@ def h_lemma_check(
     d = int(sample_density)
     if d < 8:
         raise DomainError("sample_density must be at least 8")
+    if d > MAX_DENSITY:
+        raise DomainError(f"sample_density {d} is above the cap {MAX_DENSITY}")
 
     shrink = 1.0 - 1.0 / d
     taus = np.linspace(-2.0 * a * shrink, 2.0 * a * shrink, d)
@@ -312,36 +318,36 @@ class GradientBoundReport:
         }
 
 
-def gradient_bound_check(
-    u: ScalarField,
-    a: float,
-    x_count: int = 24,
-    lambda_steps: int = 12,
-    y_count: int = 2048,
-    conclusion_count: int = 256,
-    seed: int = 0,
-    hypothesis_tol: float = 1e-10,
-) -> GradientBoundReport:
+GRADIENT_CENTERS = 24
+GRADIENT_RADII = 12
+GRADIENT_POINTS = 2048
+GRADIENT_CONCLUSION_POINTS = 256
+GRADIENT_HYPOTHESIS_TOL = 1e-10
+
+
+def gradient_bound_check(u: ScalarField, a: float, seed: int = 0) -> GradientBoundReport:
     """Gradient bound from the moving-sphere hypothesis.
 
-    Hypothesis: MSI sampled over centers x in B_{4a}, radii 0 < lam < 2a,
-    comparison points in B_{8a}. If it fails the conclusion is vacuous and
-    not asserted. Otherwise asserts |grad u| <= ((n-2)/2a) u on B_a with
-    relative tolerance 1e-8, and reports the measured relative slack.
+    Hypothesis: MSI sampled over GRADIENT_CENTERS centers x in B_{4a},
+    GRADIENT_RADII radii 0 < lam < 2a and GRADIENT_POINTS comparison points
+    in B_{8a}, up to GRADIENT_HYPOTHESIS_TOL. If it fails the conclusion is
+    vacuous and not asserted. Otherwise asserts |grad u| <= ((n-2)/2a) u at
+    GRADIENT_CONCLUSION_POINTS points of B_a with relative tolerance 1e-8,
+    and reports the measured relative slack.
     """
     if not a > 0:
         raise DomainError("radius a must be positive")
     n = u.n
     rng = make_rng(seed)
-    centers = ball_points(rng, n, x_count, radius=4.0 * a)
-    ys = ball_points(rng, n, y_count, radius=8.0 * a)
-    lams = 2.0 * a * (np.arange(1, lambda_steps + 1) / (lambda_steps + 1.0))
+    centers = ball_points(rng, n, GRADIENT_CENTERS, radius=4.0 * a)
+    ys = ball_points(rng, n, GRADIENT_POINTS, radius=8.0 * a)
+    lams = 2.0 * a * (np.arange(1, GRADIENT_RADII + 1) / (GRADIENT_RADII + 1.0))
 
     hyp_worst = -math.inf
     for x in centers:
         for worst in msi_violation(u, x, lams, ys).tolist():
             hyp_worst = max(hyp_worst, worst)
-    hyp_pass = hyp_worst <= hypothesis_tol
+    hyp_pass = hyp_worst <= GRADIENT_HYPOTHESIS_TOL
 
     if not hyp_pass:
         return GradientBoundReport(
@@ -355,7 +361,7 @@ def gradient_bound_check(
         )
 
     coeff = (n - 2.0) / (2.0 * a)
-    pts = ball_points(rng, n, conclusion_count, radius=a)
+    pts = ball_points(rng, n, GRADIENT_CONCLUSION_POINTS, radius=a)
     worst = -math.inf
     slack = math.inf
     for x in pts:

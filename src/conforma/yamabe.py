@@ -6,7 +6,8 @@ coordinate produces the two explicit eigenvalue branches of
 conformal.product_eigenvalues, so the discretized problem lives on a single
 periodic grid. The homotopy f_t(lam) = f(t lam + (1-t) sigma_1(lam) e)
 connects a semilinear t = 0 problem (solved from a constant start) to the
-full operator at t = 1.
+full operator at t = 1. The stage t is a number passed next to the operator:
+every evaluation takes (op, t), with t = 1, the target, by default.
 
 Every node spectrum has the two-cluster shape (lambda_t, lambda_s^{n-1}), so
 residual, cone margin and Jacobian coefficients are array expressions of one
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cones import CurvatureOperator, homotopy_operator, two_cluster_kernel
+from .cones import CurvatureOperator, two_cluster_kernel
 from .conformal import product_background_eigenvalues, product_eigenvalues
 from .errors import ConeError, ConvergenceError, DomainError, PositivityError
 from .radial import mu_star
@@ -52,6 +53,8 @@ DEGENERATE_SYMBOL_RATIO = 1e-12
 # looser one certifies nothing: for (n, k) = (5, 2) at tol 1 the t = 0 start
 # already passes, with zero iterations, 2.4 away from the constant solution.
 MAX_TOL = 1e-6
+# Newton iterations one newton_solve may take before it reports no convergence.
+MAX_NEWTON_ITERS = 40
 
 
 def _norm(x) -> float:
@@ -145,15 +148,17 @@ def node_eigenvalues(g: PeriodicGrid, n: int) -> np.ndarray:
     return product_eigenvalues(g.values, up, upp, n)
 
 
-def _node_kernel(op: CurvatureOperator, g: PeriodicGrid):
+def _node_kernel(op: CurvatureOperator, g: PeriodicGrid, t: float):
     """(v', v'', eigenvalue rows, kernel) at every node, where kernel is
-    (f, df/dlambda_t, sum of df/dlambda_s, cone margin)."""
-    if op.two_cluster is None:
+    (f_t, df_t/dlambda_t, sum of df_t/dlambda_s, cone margin) at stage t."""
+    k = op.sigma_order
+    if k is None:
         raise DomainError(
             f"operator {op.name} has no two-cluster closed form "
-            "(only sigma_k^(1/k) and its homotopies do)"
+            "(only sigma_k^(1/k) does)"
         )
-    k, t = op.two_cluster
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"homotopy parameter t={t} outside [0, 1]")
     up, upp = g.derivatives()
     lam = product_eigenvalues(g.values, up, upp, op.n)
     return up, upp, lam, two_cluster_kernel(k, t, op.n - 1, lam[:, 0], lam[:, 1])
@@ -237,11 +242,11 @@ class Linearisation:
         return J if dtype is None else J.astype(dtype)
 
 
-def evaluate(op: CurvatureOperator, g: PeriodicGrid):
-    """(residual, min cone margin, jacobian) of g from one two-cluster kernel
-    pass, gated on cone membership at every node; the only evaluation
+def evaluate(op: CurvatureOperator, g: PeriodicGrid, t: float = 1.0):
+    """(residual, min cone margin, jacobian) of g for f_t from one two-cluster
+    kernel pass, gated on cone membership at every node; the only evaluation
     newton_solve makes of a grid."""
-    up, upp, lam, (f, gt, Gs, margin) = _node_kernel(op, g)
+    up, upp, lam, (f, gt, Gs, margin) = _node_kernel(op, g, t)
     _gate(lam, margin)
     dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp = _eigen_partials(g.values, up, upp, op.n)
     J = Linearisation(
@@ -253,15 +258,15 @@ def evaluate(op: CurvatureOperator, g: PeriodicGrid):
     return f - 1.0, float(np.min(margin)), J
 
 
-def residual(op: CurvatureOperator, g: PeriodicGrid) -> np.ndarray:
-    """Per-node f(lam) - 1, gated on cone membership at every node."""
-    return evaluate(op, g)[0]
+def residual(op: CurvatureOperator, g: PeriodicGrid, t: float = 1.0) -> np.ndarray:
+    """Per-node f_t(lam) - 1, gated on cone membership at every node."""
+    return evaluate(op, g, t)[0]
 
 
-def jacobian(op: CurvatureOperator, g: PeriodicGrid) -> Linearisation:
+def jacobian(op: CurvatureOperator, g: PeriodicGrid, t: float = 1.0) -> Linearisation:
     """d(residual_i)/d(u_j) through the two eigenvalue branches, as the
     coefficients of v, v' and v'' at every node."""
-    return evaluate(op, g)[2]
+    return evaluate(op, g, t)[2]
 
 
 def _symbol_report(mu: np.ndarray) -> tuple[float, int, int]:
@@ -350,10 +355,10 @@ def jacobian_fd(op: CurvatureOperator, g: PeriodicGrid, step: float | None = Non
     return J
 
 
-def min_cone_margin(op: CurvatureOperator, g: PeriodicGrid) -> float:
-    """Smallest Gamma_k margin (min_j sigma_j of the mapped spectrum) over
-    the nodes; negative when some node is off the cone."""
-    return float(np.min(_node_kernel(op, g)[3][3]))
+def min_cone_margin(op: CurvatureOperator, g: PeriodicGrid, t: float = 1.0) -> float:
+    """Smallest Gamma_k margin (min_j sigma_j of the spectrum mapped to stage
+    t) over the nodes; negative when some node is off the cone."""
+    return float(np.min(_node_kernel(op, g, t)[3][3]))
 
 
 @dataclass
@@ -385,7 +390,7 @@ class NewtonRecord:
 
 
 def _restore_admissibility(
-    op: CurvatureOperator, g0: PeriodicGrid, rejection: ConeError
+    op: CurvatureOperator, g0: PeriodicGrid, rejection: ConeError, t: float
 ) -> tuple[PeriodicGrid, tuple, float]:
     """Blend an off-cone start toward its mean until the residual is defined.
 
@@ -394,7 +399,7 @@ def _restore_admissibility(
     background ones, so it is admissible whenever the background is.
     Bisects (RESTORE_BISECTIONS halvings) for the smallest s whose cone
     margin is positive, then steps RESTORE_INSET of the remaining way toward
-    the mean. Returns (grid, evaluate(op, grid), s). Re-raises ``rejection``
+    the mean. Returns (grid, evaluate(op, grid, t), s). Re-raises ``rejection``
     when the mean itself is off the cone.
     """
     u0 = g0.values
@@ -403,30 +408,29 @@ def _restore_admissibility(
     def blend(s):
         return g0.with_values((1.0 - s) * u0 + s * mean)
 
-    if not min_cone_margin(op, blend(1.0)) > 0.0:
+    if not min_cone_margin(op, blend(1.0), t) > 0.0:
         raise rejection from None
     lo, hi = 0.0, 1.0
     for _ in range(RESTORE_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if min_cone_margin(op, blend(mid)) > 0.0:
+        if min_cone_margin(op, blend(mid), t) > 0.0:
             hi = mid
         else:
             lo = mid
     s = hi + RESTORE_INSET * (1.0 - hi)
     g = blend(s)
-    return g, evaluate(op, g), s
+    return g, evaluate(op, g, t), s
 
 
 def newton_solve(
     op: CurvatureOperator,
     g0: PeriodicGrid,
     tol: float = 1e-10,
-    max_iter: int = 40,
-    t_label: float = 1.0,
+    t: float = 1.0,
     records: list | None = None,
 ) -> PeriodicGrid:
-    """Damped Newton with admissibility restoration, residual backtracking
-    and positivity clipping.
+    """Damped Newton on f_t = 1 with admissibility restoration, residual
+    backtracking and positivity clipping; records carry t as their stage.
 
     Restoration runs only when the residual of g0 is undefined because node
     eigenvalues leave the cone: _restore_admissibility blends g0 toward its
@@ -449,7 +453,7 @@ def newton_solve(
     0.1 min of the (restored) start. Raises a non-convergence error carrying
     the last iterate when the line search dies, the residual stagnates
     (< 1e-3 relative drop over 5 iterations), the linear solve misses its
-    tolerance, or max_iter runs out.
+    tolerance, or MAX_NEWTON_ITERS run out.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tolerance tol = {tol:g} must be positive and finite")
@@ -458,16 +462,16 @@ def newton_solve(
     g = g0.with_values(g0.values)
     restoration = None
     try:
-        r, margin, J = evaluate(op, g)
+        r, margin, J = evaluate(op, g, t)
     except ConeError as exc:
-        g, (r, margin, J), s = _restore_admissibility(op, g, exc)
+        g, (r, margin, J), s = _restore_admissibility(op, g, exc, t)
         restoration = {"blend": s, "off_cone_nodes": len(exc.witness), "cone_margin": margin}
     floor = 0.1 * float(np.min(g.values))
     norms = [_norm(r)]
     if records is not None:
         records.append(
             NewtonRecord(
-                t=t_label,
+                t=t,
                 iter=0,
                 residual_inf=float(np.max(np.abs(r))),
                 step_norm=0.0,
@@ -476,7 +480,7 @@ def newton_solve(
             )
         )
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEWTON_ITERS + 1):
         if float(np.max(np.abs(r))) <= tol:
             return g
         mu = J.circulant_symbol()
@@ -499,7 +503,7 @@ def newton_solve(
             cand = np.maximum(g.values + alpha * step, floor)
             try:
                 g_new = g.with_values(cand)
-                ev = evaluate(op, g_new)
+                ev = evaluate(op, g_new, t)
             except (ConeError, PositivityError):
                 alpha *= 0.5
                 continue
@@ -518,7 +522,7 @@ def newton_solve(
         if records is not None:
             records.append(
                 NewtonRecord(
-                    t=t_label,
+                    t=t,
                     iter=it,
                     residual_inf=float(np.max(np.abs(r))),
                     step_norm=_norm(alpha * step),
@@ -540,7 +544,7 @@ def newton_solve(
     if float(np.max(np.abs(r))) <= tol:
         return g
     raise ConvergenceError(
-        f"no convergence in {max_iter} iterations "
+        f"no convergence in {MAX_NEWTON_ITERS} iterations "
         f"(residual {float(np.max(np.abs(r))):.3e})",
         iterate=g,
     )
@@ -615,7 +619,6 @@ def continuation(
     t_steps: int = 11,
     tol: float = 1e-10,
     scheme: str = "spectral",
-    max_iter: int = 40,
 ) -> ContinuationResult:
     """Homotopy path from the semilinear t = 0 problem to f at t = 1.
 
@@ -640,12 +643,9 @@ def continuation(
     result = ContinuationResult(status="ok", c0=c0, t_values=t_values)
 
     for t in t_values:
-        op_t = homotopy_operator(op, t)
         recs: list = []
         try:
-            grid = newton_solve(
-                op_t, grid, tol=tol, max_iter=max_iter, t_label=t, records=recs
-            )
+            grid = newton_solve(op, grid, tol=tol, t=t, records=recs)
         except (ConvergenceError, ConeError) as exc:
             result.records.extend(recs)
             result.status = f"failed_at_t={t:g}"

@@ -3,14 +3,16 @@ generator, the standing catalog of conformal factors and its non-bubble
 fields, the generator-chain sphere inversion, the bubble matching a radial
 jet, a generic root-search oracle for the radial slope solve, the
 per-node radial eigenvalues, slope, shoot and unit-residual loop that the
-per-operator slope kernel and the whole-profile check replaced, per-node
+per-operator slope kernel and the whole-profile check replaced, the
+one-vector homotopy operator f_t with its pullback cone and margin, per-node
 loop oracles for the periodic solver's closed-form residual, Jacobian
-coefficients and margin, one-radius-at-a-time oracles for the batched
-moving-sphere kernels, the whole-profile bubble deviation, and the
+coefficients and margin at a stage t, one-radius-at-a-time oracles for the
+batched moving-sphere kernels, the whole-profile bubble deviation, and the
 one-ray-at-a-time unit-level solve with the per-sample homogenize handler
 built on it, and the one-sample-at-a-time operator validation."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from conforma.cones import (
     BISECT_ITERS as RAY_BISECT_ITERS,
     NEWTON_POLISH,
     CheckResult,
+    CurvatureOperator,
+    GammaKCone,
     ValidationReport,
     S_MAX,
     S_MIN,
@@ -49,6 +53,7 @@ from conforma.moving_sphere import (
     DEFAULT_GUARD,
     CONCLUSION_TOL,
     HYPOTHESIS_TOL,
+    VIOLATION_TOL,
     CriticalRadius,
     HLemmaReport,
 )
@@ -371,6 +376,70 @@ def profile_max_unit_residual_loop(op, profile):
     return worst
 
 
+@dataclass(frozen=True)
+class HomotopyCone:
+    """Pullback cone {lam : t*lam + (1-t)*sigma_1(lam)*e in inner}, one
+    vector at a time."""
+
+    inner: GammaKCone
+    t: float
+
+    @property
+    def n(self):
+        return self.inner.n
+
+    def map(self, lam):
+        s1 = float(sum(float(x) for x in lam))
+        return [self.t * float(x) + (1.0 - self.t) * s1 for x in lam]
+
+    def contains(self, lam):
+        return self.inner.contains(self.map(lam))
+
+
+def cone_margin(cone, lam):
+    """min_j sigma_j, j <= k, of lam (mapped first, for a HomotopyCone): the
+    Gamma_k margin, positive exactly where cone.contains(lam)."""
+    if isinstance(cone, HomotopyCone):
+        cone, lam = cone.inner, cone.map(lam)
+    return min(sigma_all(lam)[: cone.k])
+
+
+def homotopy_operator(op, t):
+    """Interpolant f_t(lam) = f(t*lam + (1-t)*sigma_1(lam)*e) on its cone, one
+    vector at a time: the per-node oracle of yamabe's stage-t kernel."""
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"homotopy parameter t={t} outside [0, 1]")
+    cone = HomotopyCone(inner=op.cone, t=t)
+    n = op.cone.n
+
+    def mapped(lam):
+        vals = [float(x) for x in lam]
+        if len(vals) != n:
+            raise DomainError(f"expected n={n} entries, got {len(vals)}")
+        return cone.map(vals)
+
+    def f(lam):
+        try:
+            return op.f(mapped(lam))
+        except ConeError as exc:
+            raise ConeError(
+                f"lambda outside homotopy cone at t={t:g}: {exc}",
+                witness=list(lam),
+            ) from exc
+
+    def grad_f(lam):
+        g = np.asarray(op.grad_f(mapped(lam)), dtype=float)
+        return t * g + (1.0 - t) * float(g.sum()) * np.ones(n)
+
+    return CurvatureOperator(
+        name=f"{op.name}_t{t:g}",
+        f=f,
+        grad_f=grad_f,
+        cone=cone,
+        homogeneous_degree=op.homogeneous_degree,
+    )
+
+
 def residual_loop(op, g):
     """Per-node op.f(lam) - 1; the off-cone nodes, in order, as ConeError
     witnesses (node index, eigenvalue row)."""
@@ -414,7 +483,7 @@ def jacobian_coefficients_loop(op, g):
 
 def min_cone_margin_loop(op, g):
     lam = node_eigenvalues(g, op.n)
-    return min(float(op.cone.margin(lam[i])) for i in range(g.N))
+    return min(float(cone_margin(op.cone, lam[i])) for i in range(g.N))
 
 
 def msi_violation_one(u, x, lam, points, guard=DEFAULT_GUARD):
@@ -458,7 +527,7 @@ def critical_radius_loop(u, x, cfg):
     grid = cfg.lambda_grid()
 
     def violated(lam):
-        return msi_violation_one(u, x, lam, cfg.check_points, guard) > cfg.violation_tol
+        return msi_violation_one(u, x, lam, cfg.check_points, guard) > VIOLATION_TOL
 
     if violated(grid[0]):
         return CriticalRadius(lambda_bar=float(grid[0]), flag="fails_at_min")

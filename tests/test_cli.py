@@ -1,12 +1,17 @@
 """Command-line driver: artifact layout, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conforma
 from conforma import cli
@@ -235,11 +240,23 @@ def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
         # the matched bubble varies by less than sup_tol: a constant passes
         ("radial-shoot", "--n", "3", "--k", "2", "--v0", "1e-30"),
         ("radial-shoot", "--n", "3", "--k", "1", "--v0", "1e-3", "--h", "1e-3"),
+        ("harnack", "--n", "3", "--beta", "-1"),
+        # parameters whose arithmetic over- or underflows
+        ("harnack", "--n", "3", "--R", "1e-320"),
+        ("conjugation-test", "--mode", "fd", "--h", "1e-300"),
+        ("conjugation-test", "--a", "1e-160"),
+        ("verify-liouville", "--family", "fullspace", "--n", "4", "--a", "1e300"),
+        ("verify-liouville", "--family", "fullspace", "--n", "4", "--a", "1e-320",
+         "--beta", "1"),
+        # refused before the d^2 slab is allocated
+        ("moving-sphere", "--task", "lemmas", "--density", "100000"),
     ],
     ids=["word-dim", "n9", "v0-overflow", "validate-0", "homogenize-0",
          "conjugation-0", "harnack-neg", "lemmas-0", "r-max-inf", "L-inf",
          "tol-0", "tol-neg", "tol-nan", "tol-loose", "h-tiny",
-         "sup-tol-inf", "sup-tol-nan", "sup-tol-neg", "flat-bubble", "flat-bubble-h"],
+         "sup-tol-inf", "sup-tol-nan", "sup-tol-neg", "flat-bubble", "flat-bubble-h",
+         "harnack-beta-neg", "harnack-R-underflow", "fd-h-underflow", "conjugation-a-overflow",
+         "fullspace-a-overflow", "fullspace-a-underflow", "lemmas-density-cap"],
 )
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     # a domain error returns 2, an argument rejected by the parser exits 2;
@@ -252,6 +269,43 @@ def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+FUZZ_VALUES = ("0", "-0.0", "1e-320", "1e-300", "1e-160", "-1", "0.5", "1", "3",
+               "1e10", "1e300", "inf", "-inf", "nan")
+FUZZ_COMMANDS = {
+    ("harnack",): ("--R", "--delta", "--beta"),
+    ("verify-liouville", "--family", "fullspace"): ("--a", "--beta"),
+    ("verify-liouville", "--family", "halfspace"): ("--a", "--beta", "--c", "--xn"),
+    ("verify-liouville", "--family", "ball"): ("--a", "--beta", "--c"),
+    ("conjugation-test", "--mode", "analytic"): ("--a", "--beta"),
+    ("conjugation-test", "--mode", "fd"): ("--a", "--beta", "--h"),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_float_flags_keep_the_exit_code_contract(data):
+    # every float flag value, from subnormal to overflowing and non-finite,
+    # ends in rc 0, 1 or 2, never in an exception; rc 2 writes nothing
+    cmd = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = list(cmd)
+    if cmd[0] != "conjugation-test":  # its default word is a word on R^3
+        argv.append(f"--n={data.draw(st.sampled_from([3, 4, 5]))}")
+    for flag in FUZZ_COMMANDS[cmd]:
+        value = data.draw(st.none() | st.sampled_from(FUZZ_VALUES))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    argv.append(f"--samples={data.draw(st.integers(1, 8))}")
+    with tempfile.TemporaryDirectory() as out:
+        # numpy warns on the overflowing values; the contract is the exit code
+        with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main([*argv, "--output-dir", out])
+        assert rc in (0, 1, 2), argv
+        if rc == 2:
+            assert "error:" in err.getvalue(), argv
+            assert os.listdir(out) == [], argv
 
 
 def test_radial_shoot_step_cap_returns_quickly(tmp_path):

@@ -1,5 +1,5 @@
 """Cone and operator algebra: symmetric-function oracles, validation
-harness, homogenization, homotopy."""
+harness, homogenization, and the one-vector homotopy oracle."""
 
 import itertools
 from collections import deque
@@ -11,9 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conforma.cones import (
     CurvatureOperator,
     GammaKCone,
-    HomotopyCone,
     homogenize,
-    homotopy_operator,
     make_sigma_k_operator,
     sample_cone_directions,
     sigma_all,
@@ -24,7 +22,12 @@ from conforma.cones import (
 from conforma.errors import ConeError, ConvergenceError, DomainError
 from conforma.reporting import dumps_json
 from conforma.sampling import make_rng
-from helpers import solve_unit_level_scalar, validate_operator_loop
+from helpers import (
+    cone_margin,
+    homotopy_operator,
+    solve_unit_level_scalar,
+    validate_operator_loop,
+)
 
 
 def binom(n, k):
@@ -148,7 +151,7 @@ def test_gradient_matches_fd(n, k):
     h = 1e-6
     worst = 0.0
     for lam in pts:
-        if not op.cone.margin(lam) > 10 * h:
+        if not cone_margin(op.cone, lam) > 10 * h:
             continue
         g = op.grad_f(lam)
         for i in range(n):
@@ -440,11 +443,10 @@ def test_cone_membership_rows_match_one_vector_calls():
         rows[0] = np.nan
         rows[1, 0] = np.inf
         for k in range(1, n + 1):
-            op = make_sigma_k_operator(n, k)
-            for cone in (op.cone, homotopy_operator(op, 0.3).cone):
-                got = cone.contains(rows)
-                assert got.dtype == bool
-                assert got.tolist() == [cone.contains(row) for row in rows]
+            cone = make_sigma_k_operator(n, k).cone
+            got = cone.contains(rows)
+            assert got.dtype == bool
+            assert got.tolist() == [cone.contains(row) for row in rows]
 
 
 def test_homogenize_sigma2_matches_sqrt():
@@ -552,15 +554,12 @@ def test_homotopy_k1_collapses_to_scaling():
 
 def test_homotopy_cone_widens_toward_t0():
     op = make_sigma_k_operator(5, 2)
-    lam = np.array([-0.5, 0.5, 0.5, 0.5, 0.5])  # outside Gamma_2 scaled copy?
-    # this direction sits inside Gamma_2, but a steeper one does not
+    # (-0.5, 0.5, 0.5, 0.5, 0.5) sits inside Gamma_2, but a steeper one does not
     steep = np.array([-1.1, 0.5, 0.5, 0.5, 0.5])
     assert not op.cone.contains(steep)
     assert homotopy_operator(op, 0.0).cone.contains(steep)
-    assert isinstance(homotopy_operator(op, 0.5).cone, HomotopyCone)
     with pytest.raises(DomainError):
         homotopy_operator(op, 1.5)
-    del lam
 
 
 def test_homotopy_cone_margin_sign_agrees():
@@ -568,11 +567,4 @@ def test_homotopy_cone_margin_sign_agrees():
     cone = homotopy_operator(op, 0.5).cone
     rng = make_rng(12)
     for lam in rng.uniform(-2, 2, size=(100, 3)):
-        assert cone.contains(lam) == (cone.margin(lam) > 0.0)
-
-
-def test_gamma_k_cone_margin_is_min_sigma():
-    cone = GammaKCone(4, 2)
-    lam = [0.5, 0.4, 0.3, -0.1]
-    e = sigma_all(lam)
-    assert cone.margin(lam) == pytest.approx(min(e[:2]), rel=1e-15)
+        assert cone.contains(lam) == (cone_margin(cone, lam) > 0.0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     bubble_deviation_full,
+    homotopy_operator,
     implicit_vpp_bracket,
     implicit_vpp_node,
     profile_max_unit_residual_loop,
@@ -17,7 +18,6 @@ from helpers import (
 
 from conforma.cones import (
     homogenize,
-    homotopy_operator,
     make_sigma_k_operator,
     sigma_all,
     solve_unit_level,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conforma import yamabe
-from conforma.cones import homogenize, homotopy_operator, make_sigma_k_operator
+from conforma.cones import homogenize, make_sigma_k_operator
 from conforma.errors import ConeError, ConvergenceError, DomainError
 from conforma.yamabe import (
     PeriodicGrid,
@@ -25,7 +25,12 @@ from conforma.yamabe import (
     residual,
 )
 from conforma.conformal import product_background_eigenvalues
-from helpers import jacobian_coefficients_loop, min_cone_margin_loop, residual_loop
+from helpers import (
+    homotopy_operator,
+    jacobian_coefficients_loop,
+    min_cone_margin_loop,
+    residual_loop,
+)
 
 N = 64
 L = 1.0
@@ -232,52 +237,55 @@ WORKLOAD_NK = [(5, 1), (5, 2), (6, 2), (7, 3)]
 @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("n,k", WORKLOAD_NK)
 def test_closed_form_matches_loop_oracle(n, k, t, scheme):
-    # the two-cluster kernel against per-node op.f / op.grad_f / cone.margin
-    # loops: 1e-12 relative on an admissible grid, and the same rejected
-    # nodes, message and witnesses on a grid that leaves the cone
-    base = make_sigma_k_operator(n, k)
-    op = base if t == 1.0 else homotopy_operator(base, t)
-    cs = c_star(base)
+    # the stage-t two-cluster kernel against per-node loops over the
+    # one-vector f_t, its gradient and cone margin: 1e-12 relative on an
+    # admissible grid, and the same rejected nodes, message and witnesses on
+    # a grid that leaves the cone
+    op = make_sigma_k_operator(n, k)
+    op_t = op if t == 1.0 else homotopy_operator(op, t)
+    cs = c_star(op)
     g = constant_grid(cs, scheme=scheme)
     x = g.nodes()
     wave = np.sin(2.0 * np.pi * x / L) + 0.4 * np.cos(6.0 * np.pi * x / L)
 
     on = g.with_values(cs * (1.0 + 0.002 * wave))
-    want = residual_loop(op, on)
-    assert np.max(np.abs(residual(op, on) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-    J = jacobian(op, on)
-    coeffs, scales = jacobian_coefficients_loop(op, on)
+    want = residual_loop(op_t, on)
+    assert np.max(np.abs(residual(op, on, t) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    J = jacobian(op, on, t)
+    coeffs, scales = jacobian_coefficients_loop(op_t, on)
     for got, ref, scale in zip((J.diag_v, J.diag_vp, J.diag_vpp), coeffs, scales):
         assert np.all(np.abs(got - ref) <= 1e-12 * scale)
-    margin = min_cone_margin_loop(op, on)
+    margin = min_cone_margin_loop(op_t, on)
     assert margin > 0.0
-    assert abs(min_cone_margin(op, on) - margin) <= 1e-12 * margin
+    assert abs(min_cone_margin(op, on, t) - margin) <= 1e-12 * margin
 
     off = g.with_values(cs * (1.0 + 0.3 * wave))
     with pytest.raises(ConeError) as ref_err:
-        residual_loop(op, off)
+        residual_loop(op_t, off)
     with pytest.raises(ConeError) as err:
-        residual(op, off)
+        residual(op, off, t)
     assert str(err.value) == str(ref_err.value)
     assert err.value.witness == ref_err.value.witness
     with pytest.raises(ConeError):
-        jacobian(op, off)
-    assert min_cone_margin(op, off) < 0.0
+        jacobian(op, off, t)
+    assert min_cone_margin(op, off, t) < 0.0
 
 
 def test_closed_form_needs_two_cluster_operator():
-    # sigma_k^(1/k) and its homotopies carry (k, t); the homotopy keeps
-    # sigma_order None, and operators without the closed form are refused
-    assert OP.two_cluster == (2, 1.0)
-    op_t = homotopy_operator(OP, 0.3)
-    assert op_t.sigma_order is None and op_t.two_cluster == (2, 0.3)
+    # the closed form needs a recorded sigma_k order, at every stage t in
+    # [0, 1]; other operators and stages outside [0, 1] are refused
     deg1 = homogenize(OP)
-    assert deg1.two_cluster is None
-    assert homotopy_operator(deg1, 0.3).two_cluster is None
+    assert deg1.sigma_order is None
     g = constant_grid(CS, 16)
     for fn in (residual, jacobian, min_cone_margin):
-        with pytest.raises(DomainError):
-            fn(deg1, g)
+        for t in (0.0, 0.3, 1.0):
+            with pytest.raises(DomainError):
+                fn(deg1, g, t)
+        for t in (-0.1, 1.5, float("nan")):
+            with pytest.raises(DomainError):
+                fn(OP, g, t)
+    with pytest.raises(DomainError):
+        newton_solve(OP, g, t=1.5)
 
 
 def test_newton_is_matrix_free(monkeypatch):
@@ -357,10 +365,9 @@ def test_step_summary_is_the_last_newton_record():
         assert step.min_cone_margin == recs[-1].min_cone_margin
         assert step.krylov_iters == sum(rec.krylov_iters for rec in recs)
         assert step.symbol_ratio == recs[-1].symbol_ratio
-    # evaluated afresh on the returned grid, the same bits
-    op1 = homotopy_operator(OP, 1.0)
-    assert res.steps[-1].residual_inf == float(np.max(np.abs(residual(op1, res.final))))
-    assert res.steps[-1].min_cone_margin == min_cone_margin(op1, res.final)
+    # evaluated afresh on the returned grid at t = 1, the same bits
+    assert res.steps[-1].residual_inf == float(np.max(np.abs(residual(OP, res.final))))
+    assert res.steps[-1].min_cone_margin == min_cone_margin(OP, res.final)
     # the exact t = 0 start needs no linearisation
     assert res.steps[0].iterations == 0 and res.steps[0].symbol_ratio is None
     assert all(s.symbol_ratio > yamabe.DEGENERATE_SYMBOL_RATIO for s in res.steps[1:])
@@ -450,13 +457,13 @@ def test_newton_restores_off_cone_start(scheme, start):
 
 
 def _kernel_passes(monkeypatch):
-    """Record (operator, grid bytes) of every two-cluster kernel pass."""
+    """Record (stage t, grid bytes) of every two-cluster kernel pass."""
     seen = []
     kernel = yamabe._node_kernel
 
-    def recorded(op, g):
-        seen.append((op.two_cluster, g.values.tobytes()))
-        return kernel(op, g)
+    def recorded(op, g, t):
+        seen.append((t, g.values.tobytes()))
+        return kernel(op, g, t)
 
     monkeypatch.setattr(yamabe, "_node_kernel", recorded)
     return seen
@@ -506,8 +513,7 @@ def test_constant_start_solves_t0_operator():
     # is the continuation entry point
     c0 = constant_start(OP)
     assert c0 == pytest.approx(3.2141670476153616, rel=1e-12)
-    op0 = homotopy_operator(OP, 0.0)
-    r = residual(op0, constant_grid(c0))
+    r = residual(OP, constant_grid(c0), t=0.0)
     assert np.max(np.abs(r)) <= 1e-11
 
 
