@@ -6,12 +6,10 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of three suites.
 
 - L0 the sigma_1..sigma_k kernel per row on the 499 rays of each
   `homogenize` workload argv: `sigma_all` one row per call, and
-  `sigma_rows` on all rows at once where it exists; and `op.grad_f` per row
-  on the same rays: one row per call, and all rows in one call where
-  `grad_f` takes rows;
+  `sigma_rows` on all rows at once; and `op.grad_f` per row on the same
+  rays: one row per call, and all rows in one call;
 - L1 the unit-level ray solve per ray on the same rays: one
-  `solve_unit_level` call on the rows where it takes rows, else one call per
-  ray;
+  `solve_unit_level` call on all the rows;
 - L4 the handler time of `homogenize --op sigma2 --n 3`, `homogenize --op
   sigma3 --n 4` and the three `validate-operator` argvs of the checks
   workload (`--n 3 --k 2`, `--n 5 --k 3`, `--n 6 --k 4`), the criterion-8
@@ -20,8 +18,8 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of three suites.
 --suite radial (written to BENCH_8.json by default):
 
 - L1 the radial slope per call on the (v, v', r) nodes of an h=1e-3 shot
-  of every workload (n, k): the callable `shoot` uses (`slope_kernel(op)`
-  where it exists, else `implicit_vpp`), and the public `implicit_vpp`;
+  of every workload (n, k): the callable `shoot` uses (`slope_kernel(op)`),
+  and the public `implicit_vpp`;
 - L3 `shoot` per h=1e-4 shot from v0 = 1 for every workload (n, k), and
   `profile_max_unit_residual` per profile of those shots;
 - L4 the handler time of `radial-shoot --n 5 --k 2` at h=1e-3 and h=1e-4,
@@ -29,9 +27,8 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of three suites.
 
 --suite moving-sphere (written to BENCH_7.json by default):
 
-- L2 `msi_violation` per radius: one scalar-radius call, and a 12-radius
-  batch divided by 12 (one call where `msi_violation` takes a 1-D radius
-  array, one call per radius where it takes only a scalar);
+- L2 `msi_violation` per radius: one scalar-radius call, and one call on a
+  12-radius array divided by 12;
 - L3 `critical_radius` per call on the criterion-5 inputs, `h_lemma_check`
   per call on the lemmas catalog, `gradient_bound_check` per bubble field;
 - L4 the handler time (`timing_seconds` of `manifest.json`) of
@@ -122,14 +119,6 @@ def criterion5_inputs():
     return cfg, centers
 
 
-def msi_batch(u, x, lams, pts):
-    try:
-        return msi_violation(u, x, lams, pts)
-    except (TypeError, ValueError):
-        # a version whose msi_violation takes one scalar radius
-        return [msi_violation(u, x, float(lam), pts) for lam in lams]
-
-
 def ms_layer2(repeats):
     u = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0), ball(9.0))
     rng = make_rng(0)
@@ -141,7 +130,7 @@ def ms_layer2(repeats):
             lambda: msi_violation(u, x, 0.5, pts), repeats * 20
         ),
         "msi_violation_per_radius_in_12_batch_s": per_item(
-            timed(lambda: msi_batch(u, x, lams, pts), repeats * 5), len(lams)
+            timed(lambda: msi_violation(u, x, lams, pts), repeats * 5), len(lams)
         ),
         "points": len(pts),
     }
@@ -220,21 +209,13 @@ def ms_layer4(repeats):
 RADIAL_PAIRS = [(3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (5, 3)]
 
 
-def radial_slope(op):
-    """The slope callable shoot uses: slope_kernel(op) where it exists."""
-    kernel = getattr(radial, "slope_kernel", None)
-    if kernel is not None:
-        return kernel(op)
-    return lambda v, vp, r: radial.implicit_vpp(op, v, vp, r)
-
-
 def radial_layer1(repeats):
     cases = []
     for n, k in RADIAL_PAIRS:
         op = make_sigma_k_operator(n, k)
         prof = radial.shoot(op, 1.0, h=1e-3, r_max=0.9)
         nodes = list(zip(prof.v.tolist()[1:], prof.vp.tolist()[1:], prof.r.tolist()[1:]))
-        cases.append((op, radial_slope(op), nodes))
+        cases.append((op, radial.slope_kernel(op), nodes))
     count = sum(len(nodes) for _, _, nodes in cases)
 
     def kernel_calls():
@@ -302,13 +283,15 @@ def cones_layer0(repeats):
             for row in rays:
                 cones.sigma_all(row)
 
-    out = {"sigma_all_per_row_s": per_item(timed(per_row, repeats * 4), count), "rows": count}
-    if hasattr(cones, "sigma_rows"):
-        def rows():
-            for k, rays in cases:
-                cones.sigma_rows(rays, k)
+    def rows():
+        for k, rays in cases:
+            cones.sigma_rows(rays, k)
 
-        out["sigma_rows_per_row_s"] = per_item(timed(rows, repeats * 40), count)
+    out = {
+        "sigma_all_per_row_s": per_item(timed(per_row, repeats * 4), count),
+        "rows": count,
+        "sigma_rows_per_row_s": per_item(timed(rows, repeats * 40), count),
+    }
 
     ops = [(make_sigma_k_operator(n, k), homogenize_rays(n, k)[1]) for n, k in HOMOGENIZE_PAIRS]
 
@@ -317,27 +300,13 @@ def cones_layer0(repeats):
             for row in rays:
                 op.grad_f(row)
 
-    out["grad_f_per_row_s"] = per_item(timed(grad_per_row, repeats * 4), count)
-    try:
-        ops[0][0].grad_f(ops[0][1])
-    except TypeError:
-        return out  # a version whose grad_f takes one vector
-
     def grad_rows():
         for op, rays in ops:
             op.grad_f(rays)
 
+    out["grad_f_per_row_s"] = per_item(timed(grad_per_row, repeats * 4), count)
     out["grad_f_rows_per_row_s"] = per_item(timed(grad_rows, repeats * 40), count)
     return out
-
-
-def ray_solve(op, rays):
-    """All rays in one call where solve_unit_level takes rows, else one call per ray."""
-    try:
-        return cones.solve_unit_level(op.f, rays)
-    except TypeError:
-        # a version whose solve_unit_level and op.f take one vector
-        return [cones.solve_unit_level(op.f, row) for row in rays]
 
 
 def cones_layer1(repeats):
@@ -346,7 +315,7 @@ def cones_layer1(repeats):
 
     def solves():
         for op, rays in cases:
-            ray_solve(op, rays)
+            cones.solve_unit_level(op.f, rays)
 
     return {"ray_solve_per_ray_s": per_item(timed(solves, repeats), count), "rays": count}
 

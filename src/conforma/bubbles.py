@@ -8,6 +8,7 @@ business).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -36,14 +37,16 @@ class BubbleParams:
     def __post_init__(self):
         if self.n < 3:
             raise DomainError(f"bubble needs n >= 3, got {self.n}")
-        if not self.a > 0:
-            raise DomainError(f"bubble needs a > 0, got a={self.a}")
+        if not (0 < self.a < math.inf and math.isfinite(self.beta)):
+            raise DomainError(f"bubble needs finite a > 0 and beta, got a={self.a}, beta={self.beta}")
         c = self.center
         if c is None:
             c = np.zeros(self.n)
         c = np.asarray(c, dtype=float)
         if c.shape != (self.n,):
             raise DomainError(f"center must be a length-{self.n} point")
+        if not np.isfinite(c).all():
+            raise DomainError(f"bubble center must be finite, got {c.tolist()}")
         object.__setattr__(self, "center", c)
 
     def to_json_dict(self) -> dict:
@@ -139,6 +142,8 @@ def halfspace_residual(p: BubbleParams, c: float, sample_count: int = 100, seed:
     r2: |(n-2)*a^-1*beta*center_n - c|, the closed-form parameter constraint.
     Constraint violations are reported, never raised.
     """
+    if not math.isfinite(c):
+        raise DomainError(f"half-space constant c must be finite, got c={c}")
     xbar_n = float(p.center[-1])
     if not p.beta + min(xbar_n, 0.0) ** 2 > 0:
         raise DomainError(
@@ -165,6 +170,8 @@ def ball_robin_residual(p: BubbleParams, c: float, sample_count: int = 100, seed
     r1: worst Robin residual over sampled unit-sphere points. r2: the
     parameter-constraint residual |((n-2)/2)(1-beta) + c*a|.
     """
+    if not math.isfinite(c):
+        raise DomainError(f"Robin constant c must be finite, got c={c}")
     if float(np.linalg.norm(p.center)) != 0.0:
         raise DomainError("ball family is centered: center must be 0")
     if p.beta < -1.0:

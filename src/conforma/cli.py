@@ -29,7 +29,6 @@ from .cones import (
     make_sigma_k_operator,
     homogenize,
     sample_cone_directions,
-    sigma_rows,
     validate_operator,
 )
 from .conformal import (
@@ -428,8 +427,8 @@ def _cmd_homogenize(args):
     cuts = [len(lams), len(lams) + len(scaled)]
     vals, scaled_vals, mid_vals = (part.tolist() for part in np.split(roots, cuts))
 
-    # the closed form sigma_k^{1/k}, with the libm pow of the root solve
-    targets = [x ** (1.0 / k) for x in sigma_rows(lams, k)[-1].tolist()]
+    # the closed form sigma_k^{1/k}
+    targets = op.f(lams).tolist()
     gap = 0.0
     for val, target in zip(vals, targets):
         gap = max(gap, abs(val - target))

@@ -16,11 +16,10 @@ import numpy as np
 from .errors import ConeError, ConvergenceError, DomainError
 
 # Root-finder policy shared by every on-a-ray solve: bracket by doubling or
-# halving from s=1 within [S_MIN, S_MAX], 60 bisections, then Newton polish.
+# halving from s=1 within [S_MIN, S_MAX], then up to 60 bisections.
 S_MIN = 1e-9
 S_MAX = 1e9
 BISECT_ITERS = 60
-NEWTON_POLISH = 5
 
 
 def sigma_all(lam) -> list:
@@ -59,15 +58,6 @@ def sigma_rows(lams, k: int) -> np.ndarray:
     return e[1:]
 
 
-def _sigma_minor(lam, e, j: int, i: int) -> float:
-    """sigma_j of lam with entry i removed, from the full sigmas e."""
-    # s_m(lam minus i) satisfies s_m = e_m - lam_i * s_{m-1}
-    s = 1.0
-    for m in range(1, j + 1):
-        s = e[m - 1] - lam[i] * s
-    return s
-
-
 # ---------------------------------------------------------------------------
 # Cones
 
@@ -77,7 +67,7 @@ class GammaKCone:
     """The Garding cone Gamma_k = {sigma_1, ..., sigma_k > 0} in R^n.
 
     contains takes one vector and returns a bool, or an (m, n) array of rows
-    and returns m bools with the answers of m one-vector calls.
+    and returns m bools; one vector is a one-row call of sigma_rows.
     """
 
     n: int
@@ -88,10 +78,9 @@ class GammaKCone:
             raise DomainError(f"bad Garding cone indices n={self.n}, k={self.k}")
 
     def contains(self, lam):
-        if getattr(lam, "ndim", 1) == 1:
-            e = sigma_all(lam)
-            return all(e[j] > 0.0 for j in range(self.k))
-        return np.all(sigma_rows(lam, self.k) > 0.0, axis=0)
+        rows = np.asarray(lam, dtype=float)
+        inside = np.all(sigma_rows(np.atleast_2d(rows), self.k) > 0.0, axis=0)
+        return bool(inside[0]) if rows.ndim == 1 else inside
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +127,8 @@ def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
 
     f and grad_f take one vector, or an (m, n) array of rows and return m
     values (gradients) with the bits of m one-vector calls; off Gamma_k they
-    raise ConeError with the first offending row as witness.
+    raise ConeError with the first offending row as witness. A one-vector
+    grad_f is a one-row call.
     """
     if not (n >= 3 and 1 <= k <= n):
         raise DomainError(f"bad operator indices n={n}, k={k}")
@@ -153,6 +143,10 @@ def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
         return sig
 
     def f(lam):
+        # One vector stays on sigma_all's Python floats: criterion 8 makes
+        # 104 466 one-vector calls, at about 3.5 us each this way and 21 us
+        # as a one-row call on a 2-core Xeon VM, which would add about 2 s
+        # to its 5 s gate.
         if getattr(lam, "ndim", 1) == 1:
             e = sigma_all(lam)
             gamma_k_check(k, e, lam)
@@ -161,22 +155,19 @@ def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
         return np.array([x**inv_k for x in checked_rows(lam)[-1].tolist()])
 
     def grad_f(lam):
-        if getattr(lam, "ndim", 1) == 1:
-            vals = [float(x) for x in lam]
-            e = sigma_all(vals)
-            gamma_k_check(k, e, vals)
-            front = inv_k * e[k - 1] ** (inv_k - 1.0)
-            return np.array(
-                [front * _sigma_minor(vals, e, k - 1, i) for i in range(n)]
-            )
-        rows = np.asarray(lam, dtype=float)
+        arr = np.asarray(lam, dtype=float)
+        rows = np.atleast_2d(arr)
         sig = checked_rows(rows)
         front = np.array([inv_k * x ** (inv_k - 1.0) for x in sig[-1].tolist()])
-        # the _sigma_minor recurrence for every entry of every row at once
+        # sigma_{k-1} of each row with entry i removed, for every i at once:
+        # s_m(lam minus i) = sigma_m(lam) - lam_i * s_{m-1}(lam minus i); as
+        # on Python floats, an infinite entry gives nan without a warning
         minor = np.ones_like(rows)
-        for m in range(1, k):
-            minor = sig[m - 1][:, None] - rows * minor
-        return front[:, None] * minor
+        with np.errstate(invalid="ignore", over="ignore"):
+            for m in range(1, k):
+                minor = sig[m - 1][:, None] - rows * minor
+            grad = front[:, None] * minor
+        return grad[0] if arr.ndim == 1 else grad
 
     return CurvatureOperator(
         name=f"sigma{k}_n{n}",
@@ -226,12 +217,7 @@ def two_cluster_kernel(k: int, t: float, m: int, a, b):
     return f, t * ga + (1.0 - t) * total, m * (t * gb + (1.0 - t) * total), margin
 
 
-def solve_unit_level(
-    fn: Callable[[np.ndarray], object],
-    lam,
-    dfn_ds: Optional[Callable[[float, np.ndarray], float]] = None,
-    tol: float = 1e-12,
-):
+def solve_unit_level(fn: Callable[[np.ndarray], object], lam, tol: float = 1e-12):
     """Unique s > 0 with fn(s*lam) = 1 on each ray where fn is increasing.
 
     lam is one vector, and then fn takes one vector and this returns a float;
@@ -241,8 +227,7 @@ def solve_unit_level(
     doubling/halving from s=1 within [S_MIN, S_MAX]; up to BISECT_ITERS
     bisections, a row stopping once its midpoint equals an end or is not on
     either side of the root (fn - 1 is 0 or nan there, and the row keeps that
-    midpoint); then, given dfn_ds(s, row), up to NEWTON_POLISH Newton steps
-    inside the bracket. Raises ConvergenceError, naming the row for rows input, when a
+    midpoint). Raises ConvergenceError, naming the row for rows input, when a
     row has no bracket (numerical failure of the unbounded-growth hypothesis)
     or ends with |fn - 1| > tol.
     """
@@ -338,21 +323,6 @@ def solve_unit_level(
 
     s = 0.5 * (lo + hi)
     resid = g(s)
-    if dfn_ds is not None:
-        live = np.flatnonzero(np.abs(resid) > tol)
-        for _ in range(NEWTON_POLISH):
-            if not live.size:
-                break
-            d = np.array([dfn_ds(float(s[i]), rows[i]) for i in live])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = s[live] - resid[live] / d
-            step = (d != 0.0) & np.isfinite(d) & (lo[live] <= cand) & (cand <= hi[live])
-            step &= cand > 0.0
-            live = live[step]
-            s[live] = cand[step]
-            resid[live] = g(s[live], rows[live])
-            live = live[np.abs(resid[live]) > tol]
-
     stalled = np.flatnonzero(np.abs(resid) > tol)
     if stalled.size:
         i = stalled[0]
@@ -370,11 +340,8 @@ def homogenize(op: CurvatureOperator) -> CurvatureOperator:
     op.f takes rows.
     """
 
-    def dfn_ds(s, arr):
-        return float(np.dot(op.grad_f(s * arr), arr))
-
     def phi(lam):
-        return solve_unit_level(op.f, lam, dfn_ds=dfn_ds)
+        return solve_unit_level(op.f, lam)
 
     def f(lam):
         return 1.0 / phi(lam)

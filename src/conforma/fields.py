@@ -8,6 +8,7 @@ must keep a 2h margin to the domain boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,8 @@ class FDField(ScalarField):
     """Finite-difference derivative view of another field."""
 
     def __init__(self, inner: ScalarField, h: float = 1e-3, order: int = 2):
-        if not h > 0:
-            raise DomainError("finite-difference step h must be positive")
+        if not 0 < h < math.inf:
+            raise DomainError(f"finite-difference step h must be positive and finite, got h={h}")
         if order not in (2, 4):
             raise DomainError("finite-difference order must be 2 or 4")
         super().__init__(inner.n, inner.domain)

@@ -19,7 +19,6 @@ import numpy as np
 from conforma.bubbles import BubbleParams, bubble_values
 from conforma.cones import (
     BISECT_ITERS as RAY_BISECT_ITERS,
-    NEWTON_POLISH,
     CheckResult,
     CurvatureOperator,
     GammaKCone,
@@ -609,7 +608,7 @@ def bubble_deviation_full(profile, params):
     return float(np.max(np.abs(profile.v - bubble_values(params, x)), initial=0.0))
 
 
-def solve_unit_level_scalar(fn, lam, dfn_ds=None, tol=1e-12):
+def solve_unit_level_scalar(fn, lam, tol=1e-12):
     """Unique s > 0 with fn(s*lam) = 1 for one vector lam, one scalar fn call
     at a time: the reference for the row-batched cones.solve_unit_level."""
     arr = np.asarray(lam, dtype=float)
@@ -661,20 +660,6 @@ def solve_unit_level_scalar(fn, lam, dfn_ds=None, tol=1e-12):
             return mid
 
     s = 0.5 * (lo + hi)
-    if dfn_ds is not None:
-        for _ in range(NEWTON_POLISH):
-            gs = g(s)
-            if abs(gs) <= tol:
-                break
-            d = dfn_ds(s, arr)
-            if d == 0.0 or not math.isfinite(d):
-                break
-            step = gs / d
-            cand = s - step
-            if not (lo <= cand <= hi) or cand <= 0.0:
-                break
-            s = cand
-
     if abs(g(s)) > tol:
         raise ConvergenceError(f"ray solve stalled at |f-1| = {abs(g(s)):.3g}")
     return s
@@ -687,11 +672,8 @@ def homogenize_handler_loop(args):
     n = args.n
     op = make_sigma_k_operator(n, k)
 
-    def dfn_ds(s, arr):
-        return float(np.dot(op.grad_f(s * arr), arr))
-
     def deg1(lam):
-        return 1.0 / solve_unit_level_scalar(op.f, lam, dfn_ds=dfn_ds)
+        return 1.0 / solve_unit_level_scalar(op.f, lam)
 
     lams = sample_cone_directions(make_rng(args.seed), n, args.samples)
     vals = [deg1(lam) for lam in lams]

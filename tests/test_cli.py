@@ -250,13 +250,28 @@ def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
          "--beta", "1"),
         # refused before the d^2 slab is allocated
         ("moving-sphere", "--task", "lemmas", "--density", "100000"),
+        # non-finite parameters are refused where they enter the library
+        ("harnack", "--n", "3", "--R", "inf", "--samples", "4"),
+        ("harnack", "--n", "3", "--delta", "inf", "--samples", "4"),
+        ("verify-liouville", "--family", "halfspace", "--n", "4", "--beta", "inf"),
+        ("verify-liouville", "--family", "halfspace", "--n", "4", "--xn", "inf"),
+        ("verify-liouville", "--family", "ball", "--n", "4", "--beta", "inf"),
+        ("verify-liouville", "--family", "ball", "--n", "4", "--c", "nan"),
+        ("conjugation-test", "--a", "inf"),
+        ("conjugation-test", "--mode", "fd", "--h", "inf"),
+        # refused before the lambda grid or the stage list is built
+        ("moving-sphere", "--lambda-steps", "100000000"),
+        ("solve-yamabe", "--t-steps", "100000000"),
     ],
     ids=["word-dim", "n9", "v0-overflow", "validate-0", "homogenize-0",
          "conjugation-0", "harnack-neg", "lemmas-0", "r-max-inf", "L-inf",
          "tol-0", "tol-neg", "tol-nan", "tol-loose", "h-tiny",
          "sup-tol-inf", "sup-tol-nan", "sup-tol-neg", "flat-bubble", "flat-bubble-h",
          "harnack-beta-neg", "harnack-R-underflow", "fd-h-underflow", "conjugation-a-overflow",
-         "fullspace-a-overflow", "fullspace-a-underflow", "lemmas-density-cap"],
+         "fullspace-a-overflow", "fullspace-a-underflow", "lemmas-density-cap",
+         "harnack-R-inf", "harnack-delta-inf", "halfspace-beta-inf", "halfspace-xn-inf",
+         "ball-beta-inf", "ball-c-nan", "conjugation-a-inf", "fd-h-inf",
+         "sweep-lambda-steps-cap", "yamabe-t-steps-cap"],
 )
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     # a domain error returns 2, an argument rejected by the parser exits 2;
@@ -273,6 +288,9 @@ def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
 
 FUZZ_VALUES = ("0", "-0.0", "1e-320", "1e-300", "1e-160", "-1", "0.5", "1", "3",
                "1e10", "1e300", "inf", "-inf", "nan")
+NON_FINITE = ("inf", "-inf", "nan")
+# each command, with the fixed cheap settings of one without --samples, and
+# the float flags it reads
 FUZZ_COMMANDS = {
     ("harnack",): ("--R", "--delta", "--beta"),
     ("verify-liouville", "--family", "fullspace"): ("--a", "--beta"),
@@ -280,29 +298,42 @@ FUZZ_COMMANDS = {
     ("verify-liouville", "--family", "ball"): ("--a", "--beta", "--c"),
     ("conjugation-test", "--mode", "analytic"): ("--a", "--beta"),
     ("conjugation-test", "--mode", "fd"): ("--a", "--beta", "--h"),
+    ("moving-sphere", "--task", "sweep", "--check-count", "64", "--lambda-steps", "16",
+     "--center-count", "2"): (
+        "--a", "--beta", "--domain-radius", "--lambda-min", "--lambda-max", "--center-radius"),
+    ("radial-shoot", "--k", "1"): ("--v0", "--h", "--r-max", "--sup-tol"),
+    ("solve-yamabe", "--n", "5", "--k", "1", "--N", "8", "--t-steps", "2"): ("--L", "--tol"),
 }
+SAMPLED_COMMANDS = ("harnack", "verify-liouville", "conjugation-test")
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_float_flags_keep_the_exit_code_contract(data):
     # every float flag value, from subnormal to overflowing and non-finite,
-    # ends in rc 0, 1 or 2, never in an exception; rc 2 writes nothing
+    # ends in rc 0, 1 or 2, never in an exception; rc 2 writes nothing, and a
+    # non-finite value is refused with rc 2
     cmd = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
     argv = list(cmd)
-    if cmd[0] != "conjugation-test":  # its default word is a word on R^3
+    # conjugation-test's default word is a word on R^3
+    if cmd[0] != "conjugation-test" and "--n" not in cmd:
         argv.append(f"--n={data.draw(st.sampled_from([3, 4, 5]))}")
+    non_finite = False
     for flag in FUZZ_COMMANDS[cmd]:
         value = data.draw(st.none() | st.sampled_from(FUZZ_VALUES))
         if value is not None:
             argv.append(f"{flag}={value}")
-    argv.append(f"--samples={data.draw(st.integers(1, 8))}")
+            non_finite |= value in NON_FINITE
+    if cmd[0] in SAMPLED_COMMANDS:
+        argv.append(f"--samples={data.draw(st.integers(1, 8))}")
     with tempfile.TemporaryDirectory() as out:
         # numpy warns on the overflowing values; the contract is the exit code
         with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             rc = main([*argv, "--output-dir", out])
         assert rc in (0, 1, 2), argv
+        if non_finite:
+            assert rc == 2, argv
         if rc == 2:
             assert "error:" in err.getvalue(), argv
             assert os.listdir(out) == [], argv

@@ -309,13 +309,6 @@ def test_solve_unit_level_no_bracket():
         solve_unit_level(lambda lam: float(lam[0]) / (1.0 + float(lam[0])), np.ones(3))
 
 
-def _ray_slope(op):
-    def dfn_ds(s, arr):
-        return float(np.dot(op.grad_f(s * arr), arr))
-
-    return dfn_ds
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(3, 8),
@@ -332,13 +325,12 @@ def test_batched_unit_level_matches_scalar_oracle(n, data, seed, log_scales):
         100.0 * np.ones(n),  # f > 1 at s = 1: brackets by halving
         0.01 / n * np.ones(n),  # f < 1 at s = 1: brackets by doubling
     ])
-    dfn_ds = _ray_slope(op)
-    got = solve_unit_level(op.f, rows, dfn_ds=dfn_ds)
-    want = [solve_unit_level_scalar(op.f, row, dfn_ds=dfn_ds) for row in rows]
+    got = solve_unit_level(op.f, rows)
+    want = [solve_unit_level_scalar(op.f, row) for row in rows]
     assert got.shape == (len(rows),)
     assert got.tolist() == want
     # the one-vector form is the same solve
-    assert solve_unit_level(op.f, rows[0], dfn_ds=dfn_ds) == want[0]
+    assert solve_unit_level(op.f, rows[0]) == want[0]
     assert type(solve_unit_level(op.f, rows[0])) is float
 
 
@@ -346,7 +338,7 @@ def test_batched_unit_level_exact_root_row():
     # sigma_1 of (1/4, 1/4, 1/2) is exactly 1: that row keeps s = 1
     op = make_sigma_k_operator(3, 1)
     rows = np.array([[0.25, 0.25, 0.5], [3.0, 1.0, 2.0], [0.01, 0.02, 0.03]])
-    got = solve_unit_level(op.f, rows, dfn_ds=_ray_slope(op))
+    got = solve_unit_level(op.f, rows)
     assert got[0] == 1.0
     assert got.tolist() == [solve_unit_level_scalar(op.f, row) for row in rows]
     # leading axes keep their shape
@@ -354,29 +346,22 @@ def test_batched_unit_level_exact_root_row():
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (5, 3), (8, 8)])
-def test_batched_unit_level_newton_polish_matches_oracle(n, k):
+def test_batched_unit_level_tight_tol_matches_oracle(n, k):
     # f - 1 near the root moves in steps of about 1.1e-16 and 2.2e-16, so at
-    # tol 1.5e-16 the bisected root often misses and the Newton polish runs
+    # tol 1.5e-16 the bisected root often misses: those rows stall
     op = make_sigma_k_operator(n, k)
-    slope = _ray_slope(op)
-    calls = []
-
-    def dfn_ds(s, arr):
-        calls.append(s)
-        return slope(s, arr)
-
     rows, want, stalled = [], [], []
     for row in sample_cone_directions(make_rng(1), n, 200):
         try:
-            want.append(solve_unit_level_scalar(op.f, row, dfn_ds=slope, tol=1.5e-16))
+            want.append(solve_unit_level_scalar(op.f, row, tol=1.5e-16))
             rows.append(row)
         except ConvergenceError:
             stalled.append(row)
-    got = solve_unit_level(op.f, np.array(rows), dfn_ds=dfn_ds, tol=1.5e-16)
-    assert calls and stalled
+    assert rows and stalled
+    got = solve_unit_level(op.f, np.array(rows), tol=1.5e-16)
     assert got.tolist() == want
     with pytest.raises(ConvergenceError, match="stalled .* at row 1"):
-        solve_unit_level(op.f, np.array([rows[0], stalled[0]]), dfn_ds=slope, tol=1.5e-16)
+        solve_unit_level(op.f, np.array([rows[0], stalled[0]]), tol=1.5e-16)
 
 
 def test_batched_unit_level_failures_name_the_row():

@@ -266,11 +266,7 @@ def test_residual_check_raises_what_the_node_loop_raises(n, k, slab, monkeypatch
 @pytest.mark.parametrize("n,k", WORKLOAD_PAIRS)
 def test_mu_star_matches_ray_solve(n, k):
     op = make_sigma_k_operator(n, k)
-
-    def dfn_ds(s, arr):
-        return float(np.dot(op.grad_f(s * arr), arr))
-
-    ray = solve_unit_level(op.f, np.ones(n), dfn_ds=dfn_ds)
+    ray = solve_unit_level(op.f, np.ones(n))
     assert abs(mu_star(op) - ray) <= 1e-14 * ray
     for other in (homogenize(op), homotopy_operator(op, 0.5)):
         with pytest.raises(DomainError):
