@@ -63,6 +63,27 @@ SUP_TOL_RADIAL = 1e-5
 R1_TOL = 1e-10
 R2_TOL = 1e-12
 
+# Caps on the integer work flags, from their measured cost per unit on a
+# 2-core Xeon VM at one thread. --samples: conjugation-test --mode fd --n 8
+# takes about 8 ms a sample (15 min at the cap) and harnack --n 8 holds about
+# 0.4 KiB a sample (a peak near 75 MiB at the cap).
+MAX_SAMPLES = 100_000
+# --check-count: a default sweep (10 centres, 256 lambda steps) takes about
+# 0.12 ms a check point, 31 s at the cap.
+MAX_CHECK_COUNT = 2**18
+# --center-count: a centre's critical radius takes about 50 ms at the default
+# 4096 check points, 3.5 min at the cap.
+MAX_CENTER_COUNT = 4096
+# --h-count: a catalog function's interval-lemma check takes about 7 ms at the
+# default density 64, 70 s at the cap (and 3.8 s each at MAX_DENSITY).
+MAX_H_COUNT = 10_000
+COUNT_CAPS = (
+    ("samples", MAX_SAMPLES),
+    ("check_count", MAX_CHECK_COUNT),
+    ("center_count", MAX_CENTER_COUNT),
+    ("h_count", MAX_H_COUNT),
+)
+
 
 def _positive_count(text: str) -> int:
     """argparse type for evidence counts: a check never passes on none."""
@@ -70,6 +91,16 @@ def _positive_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
     return value
+
+
+def _check_counts(args) -> None:
+    """Refuse a work flag above its cap before any handler builds an array
+    or a loop from it."""
+    for name, cap in COUNT_CAPS:
+        value = getattr(args, name, None)
+        if value is not None and value > cap:
+            flag = "--" + name.replace("_", "-")
+            raise DomainError(f"{flag} {value} is above the cap {cap}")
 
 
 def _parse_word(text: str, n: int) -> MoebiusMap:
@@ -206,6 +237,8 @@ def _cmd_moving_sphere(args):
     u = BubbleField(
         BubbleParams(n=n, a=args.a, beta=args.beta), domain=ball(args.domain_radius)
     )
+    if args.center_count < 2:
+        raise DomainError("center-count must be at least 2")
     rng = make_rng(args.seed)
     pts = ball_points(rng, n, args.check_count, radius=args.domain_radius)
     cfg = SweepConfig(
@@ -214,8 +247,6 @@ def _cmd_moving_sphere(args):
         check_points=pts,
         lambda_steps=args.lambda_steps,
     )
-    if args.center_count < 2:
-        raise DomainError("center-count must be at least 2")
     origin = critical_radius(u, np.zeros(n), cfg)
     expected = args.beta ** -0.5
     centers = _ring_centers(n, args.center_radius, args.center_count)
@@ -261,21 +292,13 @@ def _h_catalog(rng, count: int):
 
     Mix of decaying bubble traces (pass), constants (pass), off-center or
     tight bubbles (may fail the hypothesis), and exponentials (fail both).
+    Kinds 0, 2 and 3 are the traces (1 + beta (s - m)^2)^(-alpha/2) with
+    (beta, m) = (1, 0), (beta, 0) and (1, m).
     """
     out = []
     for i in range(count):
         kind = i % 5
-        if kind == 0:
-            alpha = 1.0 + float(rng.integers(1, 4))
-            a = 0.25 + 0.5 * float(rng.random())
-
-            def h(s, alpha=alpha):
-                return (1.0 + s * s) ** (-0.5 * alpha)
-
-            def hp(s, alpha=alpha):
-                return -alpha * s * (1.0 + s * s) ** (-0.5 * alpha - 1.0)
-
-        elif kind == 1:
+        if kind == 1:
             alpha = float(rng.integers(0, 3))
             a = 0.5 + float(rng.random())
             c = 0.5 + 2.0 * float(rng.random())
@@ -286,33 +309,7 @@ def _h_catalog(rng, count: int):
             def hp(s):
                 return 0.0 * np.asarray(s)
 
-        elif kind == 2:
-            alpha = 1.0 + float(rng.integers(1, 4))
-            beta = 2.0 + 6.0 * float(rng.random())
-            a = 0.6 + 0.6 * float(rng.random())  # beta too tight for this a
-
-            def h(s, alpha=alpha, beta=beta):
-                return (1.0 + beta * s * s) ** (-0.5 * alpha)
-
-            def hp(s, alpha=alpha, beta=beta):
-                return -alpha * beta * s * (1.0 + beta * s * s) ** (
-                    -0.5 * alpha - 1.0
-                )
-
-        elif kind == 3:
-            alpha = 1.0 + 2.0 * float(rng.random())
-            a = 0.4 + 0.4 * float(rng.random())
-            m = -0.5 + float(rng.random())  # off-center trace
-
-            def h(s, alpha=alpha, m=m):
-                return (1.0 + (s - m) ** 2) ** (-0.5 * alpha)
-
-            def hp(s, alpha=alpha, m=m):
-                return -alpha * (s - m) * (1.0 + (s - m) ** 2) ** (
-                    -0.5 * alpha - 1.0
-                )
-
-        else:
+        elif kind == 4:
             gamma = 2.0 + 8.0 * float(rng.random())
             alpha = 1.0 + float(rng.integers(1, 3))
             a = 0.5 + 0.5 * float(rng.random())
@@ -322,6 +319,28 @@ def _h_catalog(rng, count: int):
 
             def hp(s, gamma=gamma):
                 return gamma * np.exp(gamma * np.asarray(s, dtype=float))
+
+        else:
+            beta, m = 1.0, 0.0
+            if kind == 0:
+                alpha = 1.0 + float(rng.integers(1, 4))
+                a = 0.25 + 0.5 * float(rng.random())
+            elif kind == 2:
+                alpha = 1.0 + float(rng.integers(1, 4))
+                beta = 2.0 + 6.0 * float(rng.random())
+                a = 0.6 + 0.6 * float(rng.random())  # beta too tight for this a
+            else:
+                alpha = 1.0 + 2.0 * float(rng.random())
+                a = 0.4 + 0.4 * float(rng.random())
+                m = -0.5 + float(rng.random())  # off-center trace
+
+            def h(s, alpha=alpha, beta=beta, m=m):
+                d = s - m
+                return (1.0 + beta * d * d) ** (-0.5 * alpha)
+
+            def hp(s, alpha=alpha, beta=beta, m=m):
+                d = s - m
+                return -alpha * beta * d * (1.0 + beta * d * d) ** (-0.5 * alpha - 1.0)
 
         out.append((h, hp, alpha, a))
     return out
@@ -465,7 +484,7 @@ def _cmd_solve_yamabe(args):
     )
     result = res.to_json_dict()
     passed = res.status == "ok"
-    if passed and op.homogeneous_degree == 1.0:
+    if passed:
         cs = c_star(op)
         dev = float(np.max(np.abs(res.final.values - cs)))
         result["c_star"] = cs
@@ -486,7 +505,7 @@ def _cmd_conjugation_test(args):
     n = args.n
     u = BubbleField(BubbleParams(n=n, a=args.a, beta=args.beta))
     if args.mode == "fd":
-        u = finite_difference(u, h=args.h, order=2)
+        u = finite_difference(u, h=args.h)
         tol = 1e-4
     else:
         tol = 1e-8
@@ -564,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-min", type=float, default=0.04)
     p.add_argument("--lambda-max", type=float, default=4.0)
     p.add_argument("--lambda-steps", type=int, default=256)
-    p.add_argument("--check-count", type=int, default=4096)
+    p.add_argument("--check-count", type=_positive_count, default=4096)
     p.add_argument("--center-count", type=int, default=9)
     p.add_argument("--center-radius", type=float, default=0.3)
     p.add_argument("--emit-sweep-csv", action="store_true")
@@ -594,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--N", type=int, default=64)
+    p.add_argument("--N", type=_positive_count, default=64)
     p.add_argument("--t-steps", type=int, default=11)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--scheme", choices=("spectral", "fd4"), default="spectral")
@@ -629,6 +648,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
+        _check_counts(args)
         result, passed, artifacts = args.handler(args)
     except ConformaError as exc:
         # parameter-shape problems are usage errors: nothing is written

@@ -51,11 +51,9 @@ class Scale:
 
 @dataclass(frozen=True)
 class Invert:
-    guard: float = POLE_GUARD_ANALYTIC
-
     def apply(self, x):
         r2 = float(x @ x)
-        if r2 <= self.guard**2:
+        if r2 <= POLE_GUARD_ANALYTIC**2:
             raise SingularityError("evaluation inside the inversion pole guard")
         return x / r2
 
@@ -74,53 +72,39 @@ class MoebiusMap:
 
 
 # ---------------------------------------------------------------------------
-# Pullback fields (one chain-rule wrapper per generator)
+# Pullback fields (one chain-rule wrapper per kind of generator)
 
 
-class _TranslatePullback(ScalarField):
-    def __init__(self, inner: ScalarField, v):
-        super().__init__(inner.n, None)
-        self.inner = inner
-        self.v = np.asarray(v, dtype=float)
+class _AffinePullback(ScalarField):
+    """w(x) = |c|^{(n-2)/2} u(cx + v): a translate is c = 1, a scale v = 0."""
 
-    def _value(self, x):
-        return self.inner.value(x + self.v)
-
-    def _grad(self, x):
-        return self.inner.grad(x + self.v)
-
-    def _hess(self, x):
-        return self.inner.hess(x + self.v)
-
-
-class _ScalePullback(ScalarField):
-    def __init__(self, inner: ScalarField, c: float):
+    def __init__(self, inner: ScalarField, c: float, v):
         super().__init__(inner.n, None)
         self.inner = inner
         self.c = float(c)
+        self.v = np.asarray(v, dtype=float)
         self.pref = abs(self.c) ** (0.5 * (inner.n - 2))
 
     def _value(self, x):
-        return self.pref * self.inner.value(self.c * x)
+        return self.pref * self.inner.value(self.c * x + self.v)
 
     def _grad(self, x):
-        return self.pref * self.c * self.inner.grad(self.c * x)
+        return self.pref * self.c * self.inner.grad(self.c * x + self.v)
 
     def _hess(self, x):
-        return self.pref * self.c**2 * self.inner.hess(self.c * x)
+        return self.pref * self.c**2 * self.inner.hess(self.c * x + self.v)
 
 
 class _KelvinPullback(ScalarField):
     """w(x) = |x|^{2-n} u(x/|x|^2) with exact chain-rule derivatives."""
 
-    def __init__(self, inner: ScalarField, guard: float = POLE_GUARD_ANALYTIC):
+    def __init__(self, inner: ScalarField):
         super().__init__(inner.n, None)
         self.inner = inner
-        self.guard = guard
 
     def _point(self, x):
         r2 = float(x @ x)
-        if r2 <= self.guard**2:
+        if r2 <= POLE_GUARD_ANALYTIC**2:
             raise SingularityError("evaluation inside the inversion pole guard")
         return x / r2, r2
 
@@ -150,21 +134,13 @@ class _KelvinPullback(ScalarField):
         dp = (2.0 - n) * r ** (-n) * x
         hp = (2.0 - n) * (r ** (-n) * np.eye(n) - n * r ** (-n - 2.0) * np.outer(x, x))
         dy = (np.eye(n) - 2.0 * np.outer(x, x) / r2) / r2
-        # second derivatives of y_k = x_k / |x|^2
-        d2y = np.zeros((n, n, n))  # [k, i, j]
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    d2y[k, i, j] = (
-                        -2.0
-                        * (
-                            (i == k) * x[j]
-                            + (j == k) * x[i]
-                            + (i == j) * x[k]
-                        )
-                        / r2**2
-                        + 8.0 * x[i] * x[j] * x[k] / r2**3
-                    )
+        # second derivatives of y_k = x_k / |x|^2, indexed [k, i, j]
+        eye = np.eye(n)
+        xk, xi, xj = x[:, None, None], x[None, :, None], x[None, None, :]
+        d2y = (
+            -2.0 * (eye[:, :, None] * xj + eye[:, None, :] * xi + eye * xk) / r2**2
+            + 8.0 * xi * xj * xk / r2**3
+        )
         grad_comp = dy.T @ gu  # gradient of u o y
         hess_comp = dy.T @ hu @ dy + np.einsum("k,kij->ij", gu, d2y)
         return (
@@ -177,11 +153,11 @@ class _KelvinPullback(ScalarField):
 
 def _pullback_one(field: ScalarField, gen) -> ScalarField:
     if isinstance(gen, Translate):
-        return _TranslatePullback(field, gen.v)
+        return _AffinePullback(field, 1.0, gen.v)
     if isinstance(gen, Scale):
-        return _ScalePullback(field, gen.c)
+        return _AffinePullback(field, gen.c, 0.0)
     if isinstance(gen, Invert):
-        return _KelvinPullback(field, gen.guard)
+        return _KelvinPullback(field)
     raise DomainError(f"unknown Mobius generator {gen!r}")
 
 
@@ -189,7 +165,7 @@ def pullback_u(u: ScalarField, psi: MoebiusMap) -> ScalarField:
     """Conformal-factor pullback u_psi = |J_psi|^{(n-2)/(2n)} (u o psi).
 
     Analytic derivative mode propagates through the chain rule; a finite
-    difference source keeps finite differences (same step and order).
+    difference source keeps finite differences with the same step.
     """
     fd = isinstance(u, FDField)
     base = u.inner if fd else u
@@ -197,7 +173,7 @@ def pullback_u(u: ScalarField, psi: MoebiusMap) -> ScalarField:
     for gen in reversed(psi.word):
         out = _pullback_one(out, gen)
     if fd:
-        out = finite_difference(out, h=u.h, order=u.order)
+        out = finite_difference(out, h=u.h)
     return out
 
 
@@ -266,7 +242,7 @@ def a_matrix_flat(u: ScalarField, x) -> np.ndarray:
 
 def schouten_eigen_flat(u: ScalarField, x) -> np.ndarray:
     """Ascending eigenvalues of A^u(x)."""
-    return jacobi_eigenvalues(a_matrix_flat(u, x), ascending=True)
+    return jacobi_eigenvalues(a_matrix_flat(u, x))
 
 
 def product_background_eigenvalues(n: int) -> np.ndarray:

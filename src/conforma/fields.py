@@ -2,8 +2,8 @@
 
 Fields come in two derivative modes. Analytic fields supply closed-form
 gradient/Hessian; finite_difference(h) wraps any field and differentiates its
-values with central stencils (order 2 default, order 4 optional). FD queries
-must keep a 2h margin to the domain boundary.
+values with second-order central stencils. FD queries must keep a 2h margin
+to the domain boundary.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from . import bubbles
 from .errors import DomainError, GeometryError, PositivityError
 
 ORDER2_D1 = ((1, 0.5), (-1, -0.5))
-ORDER4_D1 = ((2, -1.0 / 12), (1, 8.0 / 12), (-1, -8.0 / 12), (-2, 1.0 / 12))
 
 
 @dataclass(frozen=True)
@@ -77,23 +76,17 @@ class ScalarField:
 
 
 class FDField(ScalarField):
-    """Finite-difference derivative view of another field."""
+    """Second-order finite-difference derivative view of another field."""
 
-    def __init__(self, inner: ScalarField, h: float = 1e-3, order: int = 2):
+    def __init__(self, inner: ScalarField, h: float = 1e-3):
         if not 0 < h < math.inf:
             raise DomainError(f"finite-difference step h must be positive and finite, got h={h}")
-        if order not in (2, 4):
-            raise DomainError("finite-difference order must be 2 or 4")
         super().__init__(inner.n, inner.domain)
         self.inner = inner
         self.h = float(h)
-        self.order = order
 
     def value(self, x):
         return self.inner.value(x)
-
-    def _stencil(self):
-        return ORDER2_D1 if self.order == 2 else ORDER4_D1
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
@@ -104,33 +97,23 @@ class FDField(ScalarField):
             e = np.zeros(n)
             e[i] = h
             acc = 0.0
-            for k, w in self._stencil():
+            for k, w in ORDER2_D1:
                 acc += w * self.inner.value(x + k * e)
             g[i] = acc / h
         return g
 
     def hess(self, x):
         x = np.asarray(x, dtype=float)
-        self._check(x, margin=2.0 * self.h * (2 if self.order == 4 else 1))
+        self._check(x, margin=2.0 * self.h)
         h, n = self.h, self.n
         H = np.zeros((n, n))
         u0 = self.inner.value(x)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
-            if self.order == 2:
-                H[i, i] = (
-                    self.inner.value(x + e) - 2.0 * u0 + self.inner.value(x - e)
-                ) / h**2
-            else:
-                H[i, i] = (
-                    -self.inner.value(x + 2 * e)
-                    + 16.0 * self.inner.value(x + e)
-                    - 30.0 * u0
-                    + 16.0 * self.inner.value(x - e)
-                    - self.inner.value(x - 2 * e)
-                ) / (12.0 * h**2)
-        st = self._stencil()
+            H[i, i] = (
+                self.inner.value(x + e) - 2.0 * u0 + self.inner.value(x - e)
+            ) / h**2
         for i in range(n):
             for j in range(i + 1, n):
                 ei = np.zeros(n)
@@ -138,17 +121,17 @@ class FDField(ScalarField):
                 ej = np.zeros(n)
                 ej[j] = h
                 acc = 0.0
-                for k, wk in st:
-                    for l, wl in st:
+                for k, wk in ORDER2_D1:
+                    for l, wl in ORDER2_D1:
                         acc += wk * wl * self.inner.value(x + k * ei + l * ej)
                 H[i, j] = H[j, i] = acc / h**2
         return H
 
 
-def finite_difference(field: ScalarField, h: float = 1e-3, order: int = 2) -> FDField:
+def finite_difference(field: ScalarField, h: float = 1e-3) -> FDField:
     """Switch a field to finite-difference derivative mode."""
     base = field.inner if isinstance(field, FDField) else field
-    return FDField(base, h=h, order=order)
+    return FDField(base, h=h)
 
 
 # ---------------------------------------------------------------------------

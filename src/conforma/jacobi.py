@@ -15,8 +15,8 @@ from .errors import ConvergenceError, DomainError
 MAX_SWEEPS = 30
 
 
-def jacobi_eigenvalues(A, ascending: bool = True) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
+def jacobi_eigenvalues(A) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
     a = np.array(A, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -56,6 +56,4 @@ def jacobi_eigenvalues(A, ascending: bool = True) -> np.ndarray:
     else:
         raise ConvergenceError("Jacobi sweeps did not reach the off-diagonal tolerance")
 
-    eig = np.diagonal(a).copy()
-    eig.sort()
-    return eig if ascending else eig[::-1]
+    return np.sort(np.diagonal(a))

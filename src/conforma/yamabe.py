@@ -616,6 +616,10 @@ class ContinuationResult:
 # 1 ms at N = 64 and 2 ms at N = 256 on the constant branch of (n, k) =
 # (5, 2) on a 2-core Xeon VM, so 10 000 stages take 10-20 s there.
 MAX_T_STEPS = 10000
+# Largest grid. The default path at (n, k) = (5, 2) takes about 5.5 s and a
+# peak of 115 MiB at N = 2^18 on a 2-core Xeon VM, both growing about
+# linearly in N; N = 2^40 fails to allocate its first grid.
+MAX_NODES = 2**18
 
 
 def continuation(
@@ -638,6 +642,8 @@ def continuation(
         raise DomainError("t_steps must be at least 2")
     if t_steps > MAX_T_STEPS:
         raise DomainError(f"t_steps {t_steps} is above the cap {MAX_T_STEPS}")
+    if N > MAX_NODES:
+        raise DomainError(f"node count N={N} is above the cap {MAX_NODES}")
     if not background_admissible(op):
         lam = product_background_eigenvalues(op.n)
         raise DomainError(

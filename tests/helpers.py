@@ -1,6 +1,8 @@
 """Shared constructions for the tests: a pole-safe random Moebius word
 generator, the standing catalog of conformal factors and its non-bubble
-fields, the generator-chain sphere inversion, the bubble matching a radial
+fields, the one-generator-at-a-time pullbacks (translate, scale,
+loop-Hessian Kelvin, order-2 finite differences) that conformal.pullback_u
+replaced, the generator-chain sphere inversion, the bubble matching a radial
 jet, a generic root-search oracle for the radial slope solve, the
 per-node radial eigenvalues, slope, shoot and unit-residual loop that the
 per-operator slope kernel and the whole-profile check replaced, the
@@ -9,7 +11,9 @@ loop oracles for the periodic solver's closed-form residual, Jacobian
 coefficients and margin at a stage t, one-radius-at-a-time oracles for the
 batched moving-sphere kernels, the whole-profile bubble deviation, and the
 one-ray-at-a-time unit-level solve with the per-sample homogenize handler
-built on it, and the one-sample-at-a-time operator validation."""
+built on it, the one-sample-at-a-time operator validation, the lemmas
+catalog with one closure pair per kind, and the one-vector sigma_k
+gradient."""
 
 import math
 from dataclasses import dataclass
@@ -25,6 +29,7 @@ from conforma.cones import (
     ValidationReport,
     S_MAX,
     S_MIN,
+    gamma_k_check,
     make_sigma_k_operator,
     sample_cone_directions,
     sigma_all,
@@ -46,7 +51,7 @@ from conforma.errors import (
     PositivityError,
     SingularityError,
 )
-from conforma.fields import BubbleField, ConstantField, ScalarField
+from conforma.fields import BubbleField, ConstantField, FDField, ScalarField
 from conforma.moving_sphere import (
     BISECT_ITERS,
     DEFAULT_GUARD,
@@ -139,6 +144,184 @@ def sphere_inversion_u(u, x, lam):
     sphere_inversion_map: an oracle for the closed-form
     conformal.sphere_inversion_values."""
     return pullback_u(u, sphere_inversion_map(x, lam))
+
+
+class TranslatePullback(ScalarField):
+    """w(x) = u(x + v): the translate pullback that the affine one replaced."""
+
+    def __init__(self, inner: ScalarField, v):
+        super().__init__(inner.n, None)
+        self.inner = inner
+        self.v = np.asarray(v, dtype=float)
+
+    def _value(self, x):
+        return self.inner.value(x + self.v)
+
+    def _grad(self, x):
+        return self.inner.grad(x + self.v)
+
+    def _hess(self, x):
+        return self.inner.hess(x + self.v)
+
+
+class ScalePullback(ScalarField):
+    """w(x) = |c|^{(n-2)/2} u(cx): the scale pullback that the affine one
+    replaced."""
+
+    def __init__(self, inner: ScalarField, c: float):
+        super().__init__(inner.n, None)
+        self.inner = inner
+        self.c = float(c)
+        self.pref = abs(self.c) ** (0.5 * (inner.n - 2))
+
+    def _value(self, x):
+        return self.pref * self.inner.value(self.c * x)
+
+    def _grad(self, x):
+        return self.pref * self.c * self.inner.grad(self.c * x)
+
+    def _hess(self, x):
+        return self.pref * self.c**2 * self.inner.hess(self.c * x)
+
+
+class KelvinPullbackLoop(ScalarField):
+    """w(x) = |x|^{2-n} u(x/|x|^2), with the second derivatives of the
+    inversion filled one entry at a time."""
+
+    def __init__(self, inner: ScalarField, guard: float = POLE_GUARD_ANALYTIC):
+        super().__init__(inner.n, None)
+        self.inner = inner
+        self.guard = guard
+
+    def _point(self, x):
+        r2 = float(x @ x)
+        if r2 <= self.guard**2:
+            raise SingularityError("evaluation inside the inversion pole guard")
+        return x / r2, r2
+
+    def _value(self, x):
+        y, r2 = self._point(x)
+        return r2 ** (0.5 * (2.0 - self.n)) * self.inner.value(y)
+
+    def _grad(self, x):
+        n = self.n
+        y, r2 = self._point(x)
+        r = math.sqrt(r2)
+        u = self.inner.value(y)
+        gu = self.inner.grad(y)
+        p = r ** (2.0 - n)
+        dp = (2.0 - n) * r ** (-n) * x
+        dy = (np.eye(n) - 2.0 * np.outer(x, x) / r2) / r2
+        return dp * u + p * (dy.T @ gu)
+
+    def _hess(self, x):
+        n = self.n
+        y, r2 = self._point(x)
+        r = math.sqrt(r2)
+        u = self.inner.value(y)
+        gu = self.inner.grad(y)
+        hu = self.inner.hess(y)
+        p = r ** (2.0 - n)
+        dp = (2.0 - n) * r ** (-n) * x
+        hp = (2.0 - n) * (r ** (-n) * np.eye(n) - n * r ** (-n - 2.0) * np.outer(x, x))
+        dy = (np.eye(n) - 2.0 * np.outer(x, x) / r2) / r2
+        # second derivatives of y_k = x_k / |x|^2
+        d2y = np.zeros((n, n, n))  # [k, i, j]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    d2y[k, i, j] = (
+                        -2.0
+                        * (
+                            (i == k) * x[j]
+                            + (j == k) * x[i]
+                            + (i == j) * x[k]
+                        )
+                        / r2**2
+                        + 8.0 * x[i] * x[j] * x[k] / r2**3
+                    )
+        grad_comp = dy.T @ gu  # gradient of u o y
+        hess_comp = dy.T @ hu @ dy + np.einsum("k,kij->ij", gu, d2y)
+        return (
+            hp * u
+            + np.outer(dp, grad_comp)
+            + np.outer(grad_comp, dp)
+            + p * hess_comp
+        )
+
+
+ORDER2_D1 = ((1, 0.5), (-1, -0.5))
+
+
+class FDFieldOrder2(ScalarField):
+    """Finite-difference derivative view of another field, with the
+    second-order central stencils of the order-2 path of the former
+    two-order FDField."""
+
+    def __init__(self, inner: ScalarField, h: float = 1e-3):
+        if not 0 < h < math.inf:
+            raise DomainError(f"finite-difference step h must be positive and finite, got h={h}")
+        super().__init__(inner.n, inner.domain)
+        self.inner = inner
+        self.h = float(h)
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def grad(self, x):
+        x = np.asarray(x, dtype=float)
+        self._check(x, margin=2.0 * self.h)
+        h, n = self.h, self.n
+        g = np.zeros(n)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            acc = 0.0
+            for k, w in ORDER2_D1:
+                acc += w * self.inner.value(x + k * e)
+            g[i] = acc / h
+        return g
+
+    def hess(self, x):
+        x = np.asarray(x, dtype=float)
+        self._check(x, margin=2.0 * self.h)
+        h, n = self.h, self.n
+        H = np.zeros((n, n))
+        u0 = self.inner.value(x)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            H[i, i] = (
+                self.inner.value(x + e) - 2.0 * u0 + self.inner.value(x - e)
+            ) / h**2
+        for i in range(n):
+            for j in range(i + 1, n):
+                ei = np.zeros(n)
+                ei[i] = h
+                ej = np.zeros(n)
+                ej[j] = h
+                acc = 0.0
+                for k, wk in ORDER2_D1:
+                    for l, wl in ORDER2_D1:
+                        acc += wk * wl * self.inner.value(x + k * ei + l * ej)
+                H[i, j] = H[j, i] = acc / h**2
+        return H
+
+
+def pullback_u_generators(u, psi):
+    """u_psi built one generator at a time from the translate, scale and
+    loop-Hessian Kelvin pullbacks, finite differences kept for an FD source:
+    an oracle for conformal.pullback_u."""
+    fd = isinstance(u, FDField)
+    out = u.inner if fd else u
+    for gen in reversed(psi.word):
+        if isinstance(gen, Translate):
+            out = TranslatePullback(out, gen.v)
+        elif isinstance(gen, Scale):
+            out = ScalePullback(out, gen.c)
+        else:
+            out = KelvinPullbackLoop(out)
+    return FDFieldOrder2(out, h=u.h) if fd else out
 
 
 def bubble_from_initial_conditions(v0, vpp0, n):
@@ -871,3 +1054,99 @@ def validate_operator_loop(op, sample_count=500, seed=0):
         checks["degree_homogeneity"] = CheckResult(worst <= 1e-9, worst, witness)
 
     return ValidationReport(checks=checks)
+
+
+def h_catalog_by_kind(rng, count):
+    """The lemmas catalog of 1-D test functions (value, derivative, alpha, a)
+    with one closure pair per kind: an oracle for cli._h_catalog.
+
+    Mix of decaying bubble traces (pass), constants (pass), off-center or
+    tight bubbles (may fail the hypothesis), and exponentials (fail both).
+    """
+    out = []
+    for i in range(count):
+        kind = i % 5
+        if kind == 0:
+            alpha = 1.0 + float(rng.integers(1, 4))
+            a = 0.25 + 0.5 * float(rng.random())
+
+            def h(s, alpha=alpha):
+                return (1.0 + s * s) ** (-0.5 * alpha)
+
+            def hp(s, alpha=alpha):
+                return -alpha * s * (1.0 + s * s) ** (-0.5 * alpha - 1.0)
+
+        elif kind == 1:
+            alpha = float(rng.integers(0, 3))
+            a = 0.5 + float(rng.random())
+            c = 0.5 + 2.0 * float(rng.random())
+
+            def h(s, c=c):
+                return c + 0.0 * np.asarray(s)
+
+            def hp(s):
+                return 0.0 * np.asarray(s)
+
+        elif kind == 2:
+            alpha = 1.0 + float(rng.integers(1, 4))
+            beta = 2.0 + 6.0 * float(rng.random())
+            a = 0.6 + 0.6 * float(rng.random())  # beta too tight for this a
+
+            def h(s, alpha=alpha, beta=beta):
+                return (1.0 + beta * s * s) ** (-0.5 * alpha)
+
+            def hp(s, alpha=alpha, beta=beta):
+                return -alpha * beta * s * (1.0 + beta * s * s) ** (
+                    -0.5 * alpha - 1.0
+                )
+
+        elif kind == 3:
+            alpha = 1.0 + 2.0 * float(rng.random())
+            a = 0.4 + 0.4 * float(rng.random())
+            m = -0.5 + float(rng.random())  # off-center trace
+
+            def h(s, alpha=alpha, m=m):
+                return (1.0 + (s - m) ** 2) ** (-0.5 * alpha)
+
+            def hp(s, alpha=alpha, m=m):
+                return -alpha * (s - m) * (1.0 + (s - m) ** 2) ** (
+                    -0.5 * alpha - 1.0
+                )
+
+        else:
+            gamma = 2.0 + 8.0 * float(rng.random())
+            alpha = 1.0 + float(rng.integers(1, 3))
+            a = 0.5 + 0.5 * float(rng.random())
+
+            def h(s, gamma=gamma):
+                return np.exp(gamma * np.asarray(s, dtype=float))
+
+            def hp(s, gamma=gamma):
+                return gamma * np.exp(gamma * np.asarray(s, dtype=float))
+
+        out.append((h, hp, alpha, a))
+    return out
+
+
+def _sigma_minor(lam, e, j: int, i: int) -> float:
+    """sigma_j of lam with entry i removed, from the full sigmas e."""
+    # s_m(lam minus i) satisfies s_m = e_m - lam_i * s_{m-1}
+    s = 1.0
+    for m in range(1, j + 1):
+        s = e[m - 1] - lam[i] * s
+    return s
+
+
+def sigma_k_grad_one(k, lam):
+    """Gradient of sigma_k^{1/k} at one vector on Python floats: the
+    _sigma_minor recurrence on sigma_all, libm pow for the front factor; an
+    oracle for the row kernel of make_sigma_k_operator's grad_f."""
+    n = len(lam)
+    inv_k = 1.0 / k
+    vals = [float(x) for x in lam]
+    e = sigma_all(vals)
+    gamma_k_check(k, e, vals)
+    front = inv_k * e[k - 1] ** (inv_k - 1.0)
+    return np.array(
+        [front * _sigma_minor(vals, e, k - 1, i) for i in range(n)]
+    )

@@ -73,7 +73,7 @@ def test_criterion_01_conjugation_identity():
     worst_an = max(conjugation_residual(u, w, pts) for u in fields for w in words)
     worst_fd = 0.0
     for u in fields:
-        ufd = finite_difference(u, h=1e-3, order=2)
+        ufd = finite_difference(u, h=1e-3)
         for w in words:
             worst_fd = max(worst_fd, conjugation_residual(ufd, w, pts))
     hs = [4e-3, 2e-3, 1e-3]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conforma
-from conforma import cli
+from conforma import cli, yamabe
 from conforma.cli import main
 from helpers import homogenize_handler_loop, validate_operator_loop
 
@@ -262,6 +262,18 @@ def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
         # refused before the lambda grid or the stage list is built
         ("moving-sphere", "--lambda-steps", "100000000"),
         ("solve-yamabe", "--t-steps", "100000000"),
+        # integer work flags: refused before any array or loop is built
+        ("solve-yamabe", "--N", "1099511627776"),
+        ("harnack", "--samples", "1000000000000"),
+        ("moving-sphere", "--check-count", "1000000000000"),
+        ("validate-operator", "--n", "3", "--k", "2", "--samples", "1000000000000"),
+        ("moving-sphere", "--check-count", "-5", "--lambda-steps", "16"),
+        ("solve-yamabe", "--N", "-8"),
+        ("moving-sphere", "--center-count", str(cli.MAX_CENTER_COUNT + 1)),
+        ("moving-sphere", "--task", "lemmas", "--h-count", str(cli.MAX_H_COUNT + 1)),
+        ("solve-yamabe", "--N", str(2 * yamabe.MAX_NODES)),
+        ("conjugation-test", "--samples", str(cli.MAX_SAMPLES + 1)),
+        ("moving-sphere", "--check-count", str(cli.MAX_CHECK_COUNT + 1)),
     ],
     ids=["word-dim", "n9", "v0-overflow", "validate-0", "homogenize-0",
          "conjugation-0", "harnack-neg", "lemmas-0", "r-max-inf", "L-inf",
@@ -271,7 +283,11 @@ def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
          "fullspace-a-overflow", "fullspace-a-underflow", "lemmas-density-cap",
          "harnack-R-inf", "harnack-delta-inf", "halfspace-beta-inf", "halfspace-xn-inf",
          "ball-beta-inf", "ball-c-nan", "conjugation-a-inf", "fd-h-inf",
-         "sweep-lambda-steps-cap", "yamabe-t-steps-cap"],
+         "sweep-lambda-steps-cap", "yamabe-t-steps-cap",
+         "yamabe-N-huge", "harnack-samples-huge", "sweep-check-count-huge",
+         "validate-samples-huge", "sweep-check-count-neg", "yamabe-N-neg",
+         "sweep-center-count-cap", "lemmas-h-count-cap", "yamabe-N-cap",
+         "conjugation-samples-cap", "sweep-check-count-cap"],
 )
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     # a domain error returns 2, an argument rejected by the parser exits 2;

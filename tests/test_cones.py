@@ -25,6 +25,7 @@ from conforma.sampling import make_rng
 from helpers import (
     cone_margin,
     homotopy_operator,
+    sigma_k_grad_one,
     solve_unit_level_scalar,
     validate_operator_loop,
 )
@@ -401,37 +402,66 @@ def test_sigma_k_rows_match_one_vector_calls():
         assert info.value.witness == bad[7].tolist()
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_sigma_k_gradient_rows_match_one_vector_calls(n):
+def oracle_rows(n):
+    """Positive, mixed-sign, zero, inf and nan rows of length n."""
     rng = make_rng(40 + n)
-    # positive rows, and rows with a negative entry near the cone boundary
     rows = np.vstack([
         sample_cone_directions(rng, n, 100),
+        rng.uniform(size=(50, n)) * 10.0 ** rng.uniform(-3, 3, (50, 1)),
         rng.normal(size=(200, n)) * 10.0 ** rng.uniform(-3, 3, (200, 1)),
     ])
+    special = rows[:12].copy()
+    special[0:4, 0] = np.inf
+    special[4:6, 1] = -np.inf
+    special[6:8, 2] = np.nan
+    special[8] = np.nan
+    special[9:12] = np.abs(special[9:12])
+    special[9:12, -1] = np.inf
+    # rows on the cone boundaries: some sigma_j is exactly 0
+    zero = np.zeros((3, n))
+    zero[1, 0] = 1.0
+    zero[2, :2] = (1.0, -1.0)
+    rows = np.vstack([rows, special, zero])
+    rows[150:156, 0] = np.inf  # mixed-sign rows with an infinite entry
+    return rows
+
+
+def in_gamma_k(k, lam):
+    return all(s > 0 for s in sigma_all(lam)[:k])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_sigma_k_gradient_rows_match_one_vector_calls(n):
+    rows = oracle_rows(n)
     for k in range(1, n + 1):
         op = make_sigma_k_operator(n, k)
-        inside = rows[op.cone.contains(rows)]
+        member = np.array([in_gamma_k(k, row) for row in rows])
+        inside = rows[member]
         assert len(inside) >= 100
-        assert op.grad_f(inside).tolist() == [op.grad_f(row).tolist() for row in inside]
-        if k > 1:
-            with pytest.raises(ConeError) as info:
-                op.grad_f(rows)
-            first_off = rows[~op.cone.contains(rows)][0]
-            assert info.value.witness == first_off.tolist()
+        want = [sigma_k_grad_one(k, row) for row in inside]
+        assert np.array(want).tobytes() == op.grad_f(inside).tobytes()
+        for row, grad in zip(inside, want):
+            assert op.grad_f(row).tobytes() == grad.tobytes()
+        for row in rows[~member]:
+            with pytest.raises(ConeError):
+                sigma_k_grad_one(k, row)
+            with pytest.raises(ConeError):
+                op.grad_f(row)
+        with pytest.raises(ConeError) as info:
+            op.grad_f(rows)
+        assert np.array(info.value.witness).tobytes() == rows[~member][0].tobytes()
 
 
 def test_cone_membership_rows_match_one_vector_calls():
-    rng = make_rng(50)
-    for n in (3, 5, 7):
-        rows = rng.normal(size=(300, n)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
-        rows[0] = np.nan
-        rows[1, 0] = np.inf
+    for n in range(3, 9):
+        rows = oracle_rows(n)
         for k in range(1, n + 1):
             cone = make_sigma_k_operator(n, k).cone
+            want = [in_gamma_k(k, row) for row in rows]
             got = cone.contains(rows)
             assert got.dtype == bool
-            assert got.tolist() == [cone.contains(row) for row in rows]
+            assert got.tolist() == want
+            assert [cone.contains(row) for row in rows] == want
 
 
 def test_homogenize_sigma2_matches_sqrt():

@@ -3,10 +3,12 @@ conjugation identity that ties them together."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     HarmonicPowerField,
     catalog_fields,
+    pullback_u_generators,
     random_word,
     sphere_inversion_map,
     sphere_inversion_u,
@@ -26,7 +28,7 @@ from conforma.conformal import (
     schouten_eigen_flat,
     sphere_inversion_values,
 )
-from conforma.errors import DomainError, SingularityError
+from conforma.errors import ConformaError, DomainError, SingularityError
 from conforma.fields import BubbleField, ConstantField, finite_difference
 from conforma.radial import order_estimate
 from conforma.sampling import ball_points, make_rng, shell_points
@@ -84,6 +86,44 @@ def test_pullback_composition_law():
         assert np.allclose(composed.grad(x), nested.grad(x), rtol=1e-10, atol=1e-12)
 
 
+def _outcome(fn, x):
+    try:
+        return np.asarray(fn(x), dtype=float).tobytes()
+    except ConformaError as exc:
+        return type(exc)
+
+
+@given(
+    n=st.integers(min_value=3, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kinds=st.lists(
+        st.sampled_from(["translate", "scale", "-scale", "invert"]), min_size=1, max_size=6
+    ).filter(lambda w: 1 <= w.count("invert") <= 2),
+    field=st.integers(min_value=0, max_value=4),
+    fd=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_pullback_matches_generator_oracle(n, seed, kinds, field, fd):
+    rng = make_rng(seed)
+    gens = []
+    for kind in kinds:
+        if kind == "translate":
+            gens.append(Translate(tuple(0.3 * rng.uniform(-1, 1, size=n))))
+        elif kind == "invert":
+            gens.append(Invert())
+        else:
+            c = float(rng.uniform(0.5, 2.0))
+            gens.append(Scale(-c if kind == "-scale" else c))
+    psi = MoebiusMap(tuple(gens))
+    u = catalog_fields(n)[field]
+    if fd:
+        u = finite_difference(u, h=1e-3)
+    got, want = pullback_u(u, psi), pullback_u_generators(u, psi)
+    for x in shell_points(rng, n, 3, 0.7, 1.3):
+        for name in ("value", "grad", "hess"):
+            assert _outcome(getattr(got, name), x) == _outcome(getattr(want, name), x)
+
+
 def test_sphere_inversion_matches_closed_form():
     rng = make_rng(4)
     u = BubbleField(BubbleParams(n=5, a=1.3, beta=0.7))
@@ -134,7 +174,7 @@ def test_conjugation_identity_fd():
     pts = shell_points(rng, 3, 10, 0.7, 1.3)
     worst = 0.0
     for u in catalog_fields(3):
-        ufd = finite_difference(u, h=1e-3, order=2)
+        ufd = finite_difference(u, h=1e-3)
         for w in words:
             worst = max(worst, conjugation_residual(ufd, w, pts))
     assert worst <= 1e-4

@@ -46,18 +46,17 @@ def test_fd_field_orders():
     base = GaussianBumpField(3, base=1.0, amp=0.4, width=0.8)
     x = np.array([0.3, -0.1, 0.2])
     hs = [4e-2, 2e-2, 1e-2]
-    for order, expected in ((2, 2.0), (4, 4.0)):
-        devs = []
-        for h in hs:
-            fd = FDField(base, h=h, order=order)
-            devs.append(np.max(np.abs(fd.grad(x) - base.grad(x))))
-        slope = order_estimate(hs, devs)
-        assert abs(slope - expected) <= 0.3, (order, devs, slope)
+    devs = []
+    for h in hs:
+        fd = FDField(base, h=h)
+        devs.append(np.max(np.abs(fd.grad(x) - base.grad(x))))
+    slope = order_estimate(hs, devs)
+    assert abs(slope - 2.0) <= 0.3, (devs, slope)
 
 
 def test_fd_field_hessian_accuracy():
     base = GaussianBumpField(3, base=1.0, amp=0.4, width=0.8)
-    fd = FDField(base, h=1e-3, order=2)
+    fd = FDField(base, h=1e-3)
     x = np.array([0.3, -0.1, 0.2])
     assert np.max(np.abs(fd.hess(x) - base.hess(x))) <= 1e-5
 
@@ -73,14 +72,12 @@ def test_fd_field_respects_domain_margin():
 def test_finite_difference_unwraps():
     base = ConstantField(3, 1.0)
     fd1 = finite_difference(base, h=1e-3)
-    fd2 = finite_difference(fd1, h=1e-4, order=4)
+    fd2 = finite_difference(fd1, h=1e-4)
     assert isinstance(fd2, FDField)
     assert fd2.inner is base  # no nested wrapping
-    assert fd2.h == 1e-4 and fd2.order == 4
+    assert fd2.h == 1e-4
     with pytest.raises(DomainError):
         FDField(base, h=0.0)
-    with pytest.raises(DomainError):
-        FDField(base, h=1e-3, order=3)
 
 
 def test_positivity_guards():

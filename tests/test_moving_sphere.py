@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     GaussianBumpField,
     critical_radius_loop,
+    h_catalog_by_kind,
     h_lemma_check_cube,
     msi_violation_loop,
     msi_violation_one,
@@ -314,6 +315,23 @@ def test_h_lemma_check_matches_cube_oracle(seed, item, density):
     assert h_lemma_check(h, hp, alpha, a, density) == h_lemma_check_cube(
         h, hp, alpha, a, density
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 635597269, 1880108470])
+def test_h_catalog_matches_per_kind_oracle(seed):
+    # the trace family (1 + beta (s - m)^2)^(-alpha/2) gives each kind's bits,
+    # and every kind draws the same numbers in the same order
+    s = np.concatenate([
+        np.linspace(-5.0, 5.0, 401),
+        [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf, np.nan],
+    ])
+    got = _h_catalog(make_rng(seed), 50)
+    want = h_catalog_by_kind(make_rng(seed), 50)
+    with np.errstate(all="ignore"):
+        for (h, hp, alpha, a), (h0, hp0, alpha0, a0) in zip(got, want):
+            assert (alpha, a) == (alpha0, a0)
+            assert np.asarray(h(s)).tobytes() == np.asarray(h0(s)).tobytes()
+            assert np.asarray(hp(s)).tobytes() == np.asarray(hp0(s)).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 635597269, 1880108470])

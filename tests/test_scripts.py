@@ -1,4 +1,5 @@
-"""The scripts under scripts/ that call the yamabe API run to completion."""
+"""What imports the library from outside src/ runs: the scripts under
+scripts/, and the benchmark's tracer over every layer module."""
 
 import os
 import subprocess
@@ -10,14 +11,17 @@ import conforma
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_python(*args, path=()):
     src = str(Path(conforma.__file__).resolve().parents[1])
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, *path, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env, capture_output=True, text=True,
+        [sys.executable, *args], env=env, capture_output=True, text=True,
     )
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def test_admissibility_threshold_script():
@@ -33,3 +37,21 @@ def test_continuation_trace_script():
     proc = run_script("continuation_trace.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("status: ok")
+
+
+def test_bench_layers_script_help():
+    # imports cli._h_catalog and the moving-sphere and cones APIs
+    proc = run_script("bench_layers.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_radial_convergence_script():
+    proc = run_script("radial_convergence.py", "--pairs", "3,1", "--steps", "2")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_tracer_installs():
+    # the traced benchmark run wraps every layer module, jacobi included
+    code = "import tracing; t = tracing.Tracer(); t.install(); t.uninstall()"
+    proc = run_python("-c", code, path=[str(ROOT / "bench")])
+    assert proc.returncode == 0, proc.stderr
