@@ -14,12 +14,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConeError, DomainError
+from .sampling import make_rng
 
 __all__ = [
     "BubbleParams",
-    "bubble_value",
-    "bubble_grad",
-    "bubble_hess",
+    "bubble_values",
+    "bubble_grads",
+    "bubble_hessians",
     "Residuals",
     "verify_fullspace",
     "halfspace_residual",
@@ -58,44 +59,38 @@ class BubbleParams:
         }
 
 
-def _denominator(p: BubbleParams, x) -> tuple:
-    z = np.asarray(x, dtype=float) - p.center
-    d = 1.0 + p.beta * float(z @ z)
-    if d <= 0.0:
-        raise DomainError(
-            f"bubble denominator 1 + beta*|x-center|^2 = {d:.6g} <= 0"
-        )
-    return z, d
-
-
-def bubble_value(p: BubbleParams, x) -> float:
-    z, d = _denominator(p, x)
-    m = 0.5 * (p.n - 2)
-    return (p.a / d) ** m
-
-
-def bubble_grad(p: BubbleParams, x) -> np.ndarray:
-    z, d = _denominator(p, x)
-    m = 0.5 * (p.n - 2)
-    return (-2.0 * m * p.beta * p.a**m) * d ** (-m - 1.0) * z
-
-
-def bubble_hess(p: BubbleParams, x) -> np.ndarray:
-    z, d = _denominator(p, x)
-    m = 0.5 * (p.n - 2)
-    am = p.a**m
-    h = (-2.0 * m * p.beta * am) * d ** (-m - 1.0) * np.eye(p.n)
-    h += (4.0 * m * (m + 1.0) * p.beta**2 * am) * d ** (-m - 2.0) * np.outer(z, z)
-    return h
-
-
-def bubble_values(p: BubbleParams, X: np.ndarray) -> np.ndarray:
-    """Vectorized bubble_value over rows of X."""
+def _offsets(p: BubbleParams, X) -> tuple:
+    """Rows x - center and the denominators 1 + beta*|x - center|^2."""
     Z = np.asarray(X, dtype=float) - p.center
     d = 1.0 + p.beta * np.einsum("ij,ij->i", Z, Z)
     if np.any(d <= 0.0):
         raise DomainError("bubble denominator <= 0 at a sample point")
+    return Z, d
+
+
+def bubble_values(p: BubbleParams, X: np.ndarray) -> np.ndarray:
+    """The bubble at each row of X."""
+    _, d = _offsets(p, X)
     return (p.a / d) ** (0.5 * (p.n - 2))
+
+
+def bubble_grads(p: BubbleParams, X: np.ndarray) -> np.ndarray:
+    """The gradient at each row of X, shape (m, n)."""
+    Z, d = _offsets(p, X)
+    m = 0.5 * (p.n - 2)
+    return ((-2.0 * m * p.beta * p.a**m) * d ** (-m - 1.0))[:, None] * Z
+
+
+def bubble_hessians(p: BubbleParams, X: np.ndarray) -> np.ndarray:
+    """The Hessian at each row of X, shape (m, n, n)."""
+    Z, d = _offsets(p, X)
+    m = 0.5 * (p.n - 2)
+    am = p.a**m
+    h = ((-2.0 * m * p.beta * am) * d ** (-m - 1.0))[:, None, None] * np.eye(p.n)
+    h += ((4.0 * m * (m + 1.0) * p.beta**2 * am) * d ** (-m - 2.0))[:, None, None] * (
+        Z[:, :, None] * Z[:, None, :]
+    )
+    return h
 
 
 @dataclass(frozen=True)
@@ -117,14 +112,11 @@ def verify_fullspace(op, p: BubbleParams, sample_count: int = 100, seed: int = 0
 
     if not p.beta > 0:
         raise DomainError("full-space family needs beta > 0")
-    u = BubbleField(p)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = make_rng(seed)
     pts = p.center + rng.normal(size=(sample_count, p.n)) / np.sqrt(p.beta)
     target = 2.0 * p.beta / p.a**2 * np.eye(p.n)
-    r1 = 0.0
-    for x in pts:
-        A = a_matrix_flat(u, x)
-        r1 = max(r1, float(np.max(np.abs(A - target))))
+    A = a_matrix_flat(BubbleField(p), pts)
+    r1 = float(np.max(np.abs(A - target), initial=0.0))
 
     level = 2.0 * p.beta / p.a**2 * np.ones(p.n)
     if not op.cone.contains(level):
@@ -150,15 +142,13 @@ def halfspace_residual(p: BubbleParams, c: float, sample_count: int = 100, seed:
             "half-space family needs beta + min(center_n, 0)^2 > 0"
         )
     n = p.n
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = make_rng(seed)
     scale = 1.0 / np.sqrt(abs(p.beta)) if p.beta != 0 else 1.0
-    r1 = 0.0
-    for _ in range(sample_count):
-        x = np.zeros(n)
-        x[:-1] = p.center[:-1] + scale * rng.normal(size=n - 1)
-        du_n = bubble_grad(p, x)[-1]
-        u = bubble_value(p, x)
-        r1 = max(r1, abs(du_n - c * u ** (n / (n - 2.0))))
+    X = np.zeros((sample_count, n))
+    X[:, :-1] = p.center[:-1] + scale * rng.normal(size=(sample_count, n - 1))
+    du_n = bubble_grads(p, X)[:, -1]
+    u = bubble_values(p, X)
+    r1 = float(np.max(np.abs(du_n - c * u ** (n / (n - 2.0))), initial=0.0))
     r2 = abs((n - 2.0) / p.a * p.beta * xbar_n - c)
     return Residuals(r1=r1, r2=r2, samples_used=sample_count)
 
@@ -177,13 +167,11 @@ def ball_robin_residual(p: BubbleParams, c: float, sample_count: int = 100, seed
     if p.beta < -1.0:
         raise DomainError("ball family needs beta >= -1")
     n = p.n
-    rng = np.random.Generator(np.random.PCG64(seed))
-    r1 = 0.0
-    for _ in range(sample_count):
-        x = rng.normal(size=n)
-        x /= np.linalg.norm(x)
-        u = bubble_value(p, x)
-        du_nu = float(bubble_grad(p, x) @ x)
-        r1 = max(r1, abs(du_nu + 0.5 * (n - 2.0) * u + c * u ** (n / (n - 2.0))))
+    rng = make_rng(seed)
+    X = rng.normal(size=(sample_count, n))
+    X /= np.sqrt(np.vecdot(X, X))[:, None]
+    u = bubble_values(p, X)
+    du_nu = np.vecdot(bubble_grads(p, X), X)
+    r1 = float(np.max(np.abs(du_nu + 0.5 * (n - 2.0) * u + c * u ** (n / (n - 2.0))), initial=0.0))
     r2 = abs(0.5 * (n - 2.0) * (1.0 - p.beta) + c * p.a)
     return Residuals(r1=r1, r2=r2, samples_used=sample_count)

@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConeError, ConvergenceError, DomainError
+from .sampling import make_rng
 
 # Root-finder policy shared by every on-a-ray solve: bracket by doubling or
 # halving from s=1 within [S_MIN, S_MAX], then up to 60 bisections.
@@ -498,7 +499,7 @@ def validate_operator(
     or op.grad_f raises ConeError drops out, and a check with no sample
     evaluated fails: no evidence is no pass.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = make_rng(seed)
     n = op.cone.n
     samples = sample_cone_directions(rng, n, sample_count)
     m = len(samples)

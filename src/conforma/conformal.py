@@ -13,7 +13,6 @@ lambda(A^{u_psi}) = lambda(A^u) o psi.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +51,16 @@ class Scale:
 @dataclass(frozen=True)
 class Invert:
     def apply(self, x):
-        r2 = float(x @ x)
-        if r2 <= POLE_GUARD_ANALYTIC**2:
+        r2 = np.vecdot(x, x)[..., None]
+        if np.any(r2 <= POLE_GUARD_ANALYTIC**2):
             raise SingularityError("evaluation inside the inversion pole guard")
         return x / r2
 
 
 @dataclass(frozen=True)
 class MoebiusMap:
-    """Word of generators, applied first-to-last: psi(x) = g_m(...g_1(x))."""
+    """Word of generators, applied first-to-last: psi(x) = g_m(...g_1(x)), to
+    one point or to each row of an (m, n) array."""
 
     word: tuple
 
@@ -75,6 +75,12 @@ class MoebiusMap:
 # Pullback fields (one chain-rule wrapper per kind of generator)
 
 
+def _libm_pow(v: np.ndarray, e: float) -> np.ndarray:
+    """v**e entry by entry on Python floats (libm pow): the bits of a
+    one-point evaluation, which np.power does not always give."""
+    return np.array([x**e for x in v.tolist()])
+
+
 class _AffinePullback(ScalarField):
     """w(x) = |c|^{(n-2)/2} u(cx + v): a translate is c = 1, a scale v = 0."""
 
@@ -85,14 +91,14 @@ class _AffinePullback(ScalarField):
         self.v = np.asarray(v, dtype=float)
         self.pref = abs(self.c) ** (0.5 * (inner.n - 2))
 
-    def _value(self, x):
-        return self.pref * self.inner.value(self.c * x + self.v)
+    def values(self, X):
+        return self.pref * self.inner.values(self.c * X + self.v)
 
-    def _grad(self, x):
-        return self.pref * self.c * self.inner.grad(self.c * x + self.v)
+    def _grads(self, X):
+        return self.pref * self.c * self.inner.grads(self.c * X + self.v)
 
-    def _hess(self, x):
-        return self.pref * self.c**2 * self.inner.hess(self.c * x + self.v)
+    def _hessians(self, X):
+        return self.pref * self.c**2 * self.inner.hessians(self.c * X + self.v)
 
 
 class _KelvinPullback(ScalarField):
@@ -102,52 +108,56 @@ class _KelvinPullback(ScalarField):
         super().__init__(inner.n, None)
         self.inner = inner
 
-    def _point(self, x):
-        r2 = float(x @ x)
-        if r2 <= POLE_GUARD_ANALYTIC**2:
+    def _points(self, X):
+        """Rows mapped by the inversion, |x|^2 and |x|."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        r2 = np.vecdot(X, X)
+        if np.any(r2 <= POLE_GUARD_ANALYTIC**2):
             raise SingularityError("evaluation inside the inversion pole guard")
-        return x / r2, r2
+        return X, X / r2[:, None], r2, np.sqrt(r2)
 
-    def _value(self, x):
-        y, r2 = self._point(x)
-        return r2 ** (0.5 * (2.0 - self.n)) * self.inner.value(y)
+    def values(self, X):
+        X, Y, r2, _ = self._points(X)
+        return _libm_pow(r2, 0.5 * (2.0 - self.n)) * self.inner.values(Y)
 
-    def _grad(self, x):
+    def _grads(self, X):
+        return self._chain(X, hessian=False)
+
+    def _hessians(self, X):
+        return self._chain(X, hessian=True)
+
+    def _chain(self, X, hessian: bool):
+        """Gradient or Hessian of p (u o y), p = |x|^{2-n}, y = x/|x|^2."""
         n = self.n
-        y, r2 = self._point(x)
-        r = math.sqrt(r2)
-        u = self.inner.value(y)
-        gu = self.inner.grad(y)
-        p = r ** (2.0 - n)
-        dp = (2.0 - n) * r ** (-n) * x
-        dy = (np.eye(n) - 2.0 * np.outer(x, x) / r2) / r2
-        return dp * u + p * (dy.T @ gu)
-
-    def _hess(self, x):
-        n = self.n
-        y, r2 = self._point(x)
-        r = math.sqrt(r2)
-        u = self.inner.value(y)
-        gu = self.inner.grad(y)
-        hu = self.inner.hess(y)
-        p = r ** (2.0 - n)
-        dp = (2.0 - n) * r ** (-n) * x
-        hp = (2.0 - n) * (r ** (-n) * np.eye(n) - n * r ** (-n - 2.0) * np.outer(x, x))
-        dy = (np.eye(n) - 2.0 * np.outer(x, x) / r2) / r2
-        # second derivatives of y_k = x_k / |x|^2, indexed [k, i, j]
+        X, Y, r2, r = self._points(X)
+        p = _libm_pow(r, 2.0 - n)[:, None]
+        rn = _libm_pow(r, -n)
+        dp = ((2.0 - n) * rn)[:, None] * X
+        outer = X[:, :, None] * X[:, None, :]
         eye = np.eye(n)
-        xk, xi, xj = x[:, None, None], x[None, :, None], x[None, None, :]
-        d2y = (
-            -2.0 * (eye[:, :, None] * xj + eye[:, None, :] * xi + eye * xk) / r2**2
-            + 8.0 * xi * xj * xk / r2**3
+        dyT = ((eye - 2.0 * outer / r2[:, None, None]) / r2[:, None, None]).transpose(0, 2, 1)
+        u = self.inner.values(Y)[:, None]
+        gu = self.inner.grads(Y)
+        grad_comp = (dyT @ gu[:, :, None])[:, :, 0]  # gradient of u o y
+        if not hessian:
+            return dp * u + p * grad_comp
+        hp = (2.0 - n) * (
+            rn[:, None, None] * eye - (n * _libm_pow(r, -n - 2.0))[:, None, None] * outer
         )
-        grad_comp = dy.T @ gu  # gradient of u o y
-        hess_comp = dy.T @ hu @ dy + np.einsum("k,kij->ij", gu, d2y)
+        # second derivatives of y_k = x_k / |x|^2, indexed [m, k, i, j]
+        xk, xi, xj = X[:, :, None, None], X[:, None, :, None], X[:, None, None, :]
+        d2y = (
+            -2.0 * (eye[:, :, None] * xj + eye[:, None, :] * xi + eye * xk)
+            / _libm_pow(r2, 2.0)[:, None, None, None]
+            + 8.0 * xi * xj * xk / _libm_pow(r2, 3.0)[:, None, None, None]
+        )
+        hess_comp = dyT @ self.inner.hessians(Y) @ dyT.transpose(0, 2, 1)
+        hess_comp += np.einsum("mk,mkij->mij", gu, d2y)
         return (
-            hp * u
-            + np.outer(dp, grad_comp)
-            + np.outer(grad_comp, dp)
-            + p * hess_comp
+            hp * u[:, :, None]
+            + dp[:, :, None] * grad_comp[:, None, :]
+            + grad_comp[:, :, None] * dp[:, None, :]
+            + p[:, :, None] * hess_comp
         )
 
 
@@ -212,37 +222,38 @@ def sphere_inversion_at_offsets(
 
 
 def a_matrix_flat(u: ScalarField, x) -> np.ndarray:
-    """Conformal Schouten matrix A^u(x) of the flat metric factor u."""
+    """Conformal Schouten matrix A^u at one point, shape (n, n), or at each
+    row of an (m, n) array, shape (m, n, n)."""
     x = np.asarray(x, dtype=float)
     n = u.n
     if n < 3:
         raise DomainError("conformal matrix needs n >= 3")
-    val = u.value(x)
-    if not val > 0:
-        raise PositivityError(f"u(x) = {val:.6g} is not positive")
-    g = u.grad(x)
-    H = u.hess(x)
+    X = np.atleast_2d(x)
+    H = u.hessians(X)
+    g = u.grads(X)
+    val = u.values(X)
+    if not np.all(val > 0):
+        raise PositivityError(f"u(x) = {val[np.argmin(val > 0)]:.6g} is not positive")
     c1 = -2.0 / (n - 2)
     c2 = 2.0 * n / (n - 2) ** 2
     c3 = -2.0 / (n - 2) ** 2
-    w1 = val ** (-(n + 2.0) / (n - 2.0))
-    w2 = val ** (-2.0 * n / (n - 2.0))
-    g2 = float(g @ g)
-    # assemble the upper triangle, then mirror: exact symmetry by construction
-    A = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val_ij = c1 * w1 * 0.5 * (H[i, j] + H[j, i]) + c2 * w2 * g[i] * g[j]
-            if i == j:
-                val_ij += c3 * w2 * g2
-            A[i, j] = val_ij
-            A[j, i] = val_ij
-    return A
+    w1 = _libm_pow(val, -(n + 2.0) / (n - 2.0))
+    w2 = _libm_pow(val, -2.0 * n / (n - 2.0))
+    A = (c1 * w1 * 0.5)[:, None, None] * (H + H.transpose(0, 2, 1))
+    A += ((c2 * w2)[:, None] * g)[:, :, None] * g[:, None, :]
+    A[:, range(n), range(n)] += (c3 * w2 * np.vecdot(g, g))[:, None]
+    # mirror the upper triangle: exact symmetry by construction
+    lo, up = np.tril_indices(n, -1)
+    A[:, lo, up] = A[:, up, lo]
+    return A if x.ndim > 1 else A[0]
 
 
 def schouten_eigen_flat(u: ScalarField, x) -> np.ndarray:
-    """Ascending eigenvalues of A^u(x)."""
-    return jacobi_eigenvalues(a_matrix_flat(u, x))
+    """Ascending eigenvalues of A^u at one point, or one row of them per row
+    of an (m, n) array."""
+    A = a_matrix_flat(u, x)
+    eig = [jacobi_eigenvalues(a) for a in A.reshape(-1, u.n, u.n)]
+    return np.reshape(eig, A.shape[:-1])
 
 
 def product_background_eigenvalues(n: int) -> np.ndarray:
@@ -282,10 +293,7 @@ def product_eigenvalues(vv, vp, vpp, n: int) -> np.ndarray:
 def conjugation_residual(u: ScalarField, psi: MoebiusMap, sample_points) -> float:
     """max over samples of || sorted lambda(A^{u_psi})(x) -
     sorted lambda(A^u)(psi(x)) ||_inf."""
-    upsi = pullback_u(u, psi)
-    worst = 0.0
-    for x in np.atleast_2d(np.asarray(sample_points, dtype=float)):
-        lam_pull = schouten_eigen_flat(upsi, x)
-        lam_push = schouten_eigen_flat(u, psi.apply(x))
-        worst = max(worst, float(np.max(np.abs(lam_pull - lam_push))))
-    return worst
+    X = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    lam_pull = schouten_eigen_flat(pullback_u(u, psi), X)
+    lam_push = schouten_eigen_flat(u, psi.apply(X))
+    return float(np.max(np.abs(lam_pull - lam_push), initial=0.0))

@@ -1,9 +1,13 @@
 """Positive scalar fields on sampled domains with derivative access.
 
-Fields come in two derivative modes. Analytic fields supply closed-form
-gradient/Hessian; finite_difference(h) wraps any field and differentiates its
-values with second-order central stencils. FD queries must keep a 2h margin
-to the domain boundary.
+Fields are evaluated on rows: every field implements values(X), and for
+analytic derivatives _grads(X) and _hessians(X), on an (m, n) array X of
+points. grads/hessians check the domain; values does not (the moving-sphere
+kernel bounds its own points). value, grad and hess of one point are
+one-row calls of the same kernels, so a point gets the bits of its row.
+finite_difference(h) wraps any field and differentiates its values with
+second-order central stencils, one inner values call per stencil table. FD
+queries must keep a 2h margin to the domain boundary.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import numpy as np
 from . import bubbles
 from .errors import DomainError, GeometryError, PositivityError
 
-ORDER2_D1 = ((1, 0.5), (-1, -0.5))
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -25,106 +27,115 @@ class Domain:
 
     outer: float = 1.0
 
-    def contains(self, x, margin: float = 0.0) -> bool:
-        return float(np.linalg.norm(x)) <= self.outer - margin
+    def contains(self, x, margin: float = 0.0):
+        """Membership of one point, or of each row of an (m, n) array."""
+        return np.sqrt(np.vecdot(x, x)) <= self.outer - margin
 
 
 def ball(R: float) -> Domain:
     return Domain(float(R))
 
 
+def _rows(X) -> np.ndarray:
+    return np.atleast_2d(np.asarray(X, dtype=float))
+
+
 class ScalarField:
-    """Base class: positive function with value/grad/hess access."""
+    """Base class: positive function evaluated on the rows of an (m, n) array."""
 
     def __init__(self, n: int, domain: Domain | None = None):
         self.n = n
         self.domain = domain
 
-    # subclasses implement _value (and _grad/_hess for analytic mode)
-    def _value(self, x) -> float:
+    # subclasses implement values (and _grads/_hessians for analytic mode)
+    def values(self, X) -> np.ndarray:
         raise NotImplementedError
 
-    def _grad(self, x) -> np.ndarray:
+    def _grads(self, X) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no analytic gradient")
 
-    def _hess(self, x) -> np.ndarray:
+    def _hessians(self, X) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no analytic Hessian")
 
-    def _check(self, x, margin: float = 0.0):
-        if self.domain is not None and not self.domain.contains(x, margin):
+    def _check(self, X, margin: float = 0.0):
+        if self.domain is None:
+            return
+        inside = self.domain.contains(X, margin)
+        if not np.all(inside):
             raise GeometryError(
-                f"point {np.asarray(x).tolist()} leaves the domain "
+                f"point {X[np.argmin(inside)].tolist()} leaves the domain "
                 f"(margin {margin:g})"
             )
 
-    def value(self, x) -> float:
-        self._check(x)
-        return float(self._value(np.asarray(x, dtype=float)))
+    def grads(self, X) -> np.ndarray:
+        X = _rows(X)
+        self._check(X)
+        return self._grads(X)
 
-    def values(self, X) -> np.ndarray:
-        """Vectorized value over rows of X; subclasses may override."""
-        X = np.asarray(X, dtype=float)
-        return np.array([self.value(x) for x in X])
+    def hessians(self, X) -> np.ndarray:
+        X = _rows(X)
+        self._check(X)
+        return self._hessians(X)
+
+    def value(self, x) -> float:
+        X = _rows(x)
+        self._check(X)
+        return float(self.values(X)[0])
 
     def grad(self, x) -> np.ndarray:
-        self._check(x)
-        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
+        return self.grads(x)[0]
 
     def hess(self, x) -> np.ndarray:
-        self._check(x)
-        return np.asarray(self._hess(np.asarray(x, dtype=float)), dtype=float)
+        return self.hessians(x)[0]
 
 
 class FDField(ScalarField):
     """Second-order finite-difference derivative view of another field."""
 
     def __init__(self, inner: ScalarField, h: float = 1e-3):
-        if not 0 < h < math.inf:
-            raise DomainError(f"finite-difference step h must be positive and finite, got h={h}")
+        # the Hessian stencils divide by h^2, which must neither underflow nor overflow
+        if not (h > 0 and 0 < h * h < math.inf):
+            raise DomainError(f"finite-difference step h must be positive with 0 < h^2 < inf, got h={h}")
         super().__init__(inner.n, inner.domain)
         self.inner = inner
         self.h = float(h)
 
-    def value(self, x):
-        return self.inner.value(x)
+    def values(self, X):
+        return self.inner.values(X)
 
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        self._check(x, margin=2.0 * self.h)
-        h, n = self.h, self.n
-        g = np.zeros(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            acc = 0.0
-            for k, w in ORDER2_D1:
-                acc += w * self.inner.value(x + k * e)
-            g[i] = acc / h
-        return g
+    def _stencil(self, X, first, second=None):
+        """inner values at X + first[t] (+ second[t]) for every stencil row
+        t, in one call; shape (m, T)."""
+        pts = X[:, None, :] + first
+        if second is not None:
+            pts = pts + second
+        return self.inner.values(pts.reshape(-1, self.n)).reshape(len(X), -1)
 
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        self._check(x, margin=2.0 * self.h)
-        h, n = self.h, self.n
-        H = np.zeros((n, n))
-        u0 = self.inner.value(x)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            H[i, i] = (
-                self.inner.value(x + e) - 2.0 * u0 + self.inner.value(x - e)
-            ) / h**2
-        for i in range(n):
-            for j in range(i + 1, n):
-                ei = np.zeros(n)
-                ei[i] = h
-                ej = np.zeros(n)
-                ej[j] = h
-                acc = 0.0
-                for k, wk in ORDER2_D1:
-                    for l, wl in ORDER2_D1:
-                        acc += wk * wl * self.inner.value(x + k * ei + l * ej)
-                H[i, j] = H[j, i] = acc / h**2
+    def grads(self, X):
+        X = _rows(X)
+        self._check(X, margin=2.0 * self.h)
+        E = self.h * np.eye(self.n)
+        u = self._stencil(X, np.concatenate([E, -E]))
+        up, um = u[:, : self.n], u[:, self.n :]
+        return (0.5 * up + -0.5 * um) / self.h
+
+    def hessians(self, X):
+        X = _rows(X)
+        self._check(X, margin=2.0 * self.h)
+        n, h2 = self.n, self.h**2
+        E = self.h * np.eye(n)
+        H = np.empty((len(X), n, n))
+        u0 = self.inner.values(X)
+        u = self._stencil(X, np.concatenate([E, -E]))
+        H[:, range(n), range(n)] = (u[:, :n] - 2.0 * u0[:, None] + u[:, n:]) / h2
+        # cross stencils x + k e_i + l e_j for (k, l) = (1,1), (1,-1), (-1,1), (-1,-1)
+        iu, ju = np.triu_indices(n, 1)
+        first = np.concatenate([k * E[iu] for k in (1, 1, -1, -1)])
+        second = np.concatenate([l * E[ju] for l in (1, -1, 1, -1)])
+        a, b, c, d = np.split(self._stencil(X, first, second), 4, axis=1)
+        cross = (0.25 * a + -0.25 * b + -0.25 * c + 0.25 * d) / h2
+        H[:, iu, ju] = cross
+        H[:, ju, iu] = cross
         return H
 
 
@@ -145,17 +156,14 @@ class ConstantField(ScalarField):
         super().__init__(n, domain)
         self.c = float(c)
 
-    def _value(self, x):
-        return self.c
-
     def values(self, X):
-        return np.full(len(np.atleast_2d(X)), self.c)
+        return np.full(len(_rows(X)), self.c)
 
-    def _grad(self, x):
-        return np.zeros(self.n)
+    def _grads(self, X):
+        return np.zeros((len(X), self.n))
 
-    def _hess(self, x):
-        return np.zeros((self.n, self.n))
+    def _hessians(self, X):
+        return np.zeros((len(X), self.n, self.n))
 
 
 class BubbleField(ScalarField):
@@ -163,14 +171,11 @@ class BubbleField(ScalarField):
         super().__init__(params.n, domain)
         self.params = params
 
-    def _value(self, x):
-        return bubbles.bubble_value(self.params, x)
-
     def values(self, X):
-        return bubbles.bubble_values(self.params, np.atleast_2d(X))
+        return bubbles.bubble_values(self.params, _rows(X))
 
-    def _grad(self, x):
-        return bubbles.bubble_grad(self.params, x)
+    def _grads(self, X):
+        return bubbles.bubble_grads(self.params, X)
 
-    def _hess(self, x):
-        return bubbles.bubble_hess(self.params, x)
+    def _hessians(self, X):
+        return bubbles.bubble_hessians(self.params, X)

@@ -200,7 +200,7 @@ def alpha_invariant(u: ScalarField, xs, cfg: SweepConfig) -> AlphaReport:
                 f"center {x.tolist()} has flagged critical radius ({cr.flag})"
             )
         lambda_bars.append(cr.lambda_bar)
-    values = [lam ** (n - 2) * u.value(x) for lam, x in zip(lambda_bars, xs)]
+    values = [lam ** (n - 2) * v for lam, v in zip(lambda_bars, u.values(xs).tolist())]
     rim = np.linalg.norm(cfg.check_points, axis=1)
     sel = rim >= 0.9 * float(np.max(rim))
     ref_pts = cfg.check_points[sel]
@@ -368,13 +368,11 @@ def gradient_bound_check(u: ScalarField, a: float, seed: int = 0) -> GradientBou
 
     coeff = (n - 2.0) / (2.0 * a)
     pts = ball_points(rng, n, GRADIENT_CONCLUSION_POINTS, radius=a)
-    worst = -math.inf
-    slack = math.inf
-    for x in pts:
-        gn = float(np.linalg.norm(u.grad(x)))
-        bound = coeff * u.value(x)
-        worst = max(worst, (gn - bound) / bound)
-        slack = min(slack, (bound - gn) / bound)
+    g = u.grads(pts)
+    gn = np.sqrt(np.vecdot(g, g))
+    bound = coeff * u.values(pts)
+    worst = float(np.max((gn - bound) / bound))
+    slack = float(np.min((bound - gn) / bound))
     return GradientBoundReport(
         hypothesis_pass=True,
         hypothesis_worst=hyp_worst,
@@ -422,7 +420,6 @@ def harnack_product(
     u: ScalarField,
     R: float,
     delta: float,
-    n: int,
     sample_count: int = 4096,
     seed: int = 0,
 ) -> HarnackReport:
@@ -437,8 +434,7 @@ def harnack_product(
     """
     if not (0 < R < math.inf and 0 < delta < math.inf):
         raise DomainError(f"need finite R > 0 and delta > 0, got R={R:g}, delta={delta:g}")
-    if n != u.n:
-        raise DomainError(f"dimension mismatch: field n={u.n}, requested n={n}")
+    n = u.n
     rng = make_rng(seed)
     inner = ball_points(rng, n, sample_count, radius=R)
     outer = ball_points(rng, n, sample_count, radius=2.0 * R)

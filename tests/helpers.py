@@ -12,8 +12,10 @@ coefficients and margin at a stage t, one-radius-at-a-time oracles for the
 batched moving-sphere kernels, the whole-profile bubble deviation, and the
 one-ray-at-a-time unit-level solve with the per-sample homogenize handler
 built on it, the one-sample-at-a-time operator validation, the lemmas
-catalog with one closure pair per kind, and the one-vector sigma_k
-gradient."""
+catalog with one closure pair per kind, the one-vector sigma_k
+gradient, the one-point bubble value, gradient and Hessian, the per-point
+field protocol that the rows protocol replaced, and the per-point
+upper-triangle assembly of A^u."""
 
 import math
 from dataclasses import dataclass
@@ -66,6 +68,66 @@ from conforma.sampling import make_rng
 from conforma.yamabe import _eigen_partials, node_eigenvalues
 
 
+def _denominator(p: BubbleParams, x) -> tuple:
+    z = np.asarray(x, dtype=float) - p.center
+    d = 1.0 + p.beta * float(z @ z)
+    if d <= 0.0:
+        raise DomainError(
+            f"bubble denominator 1 + beta*|x-center|^2 = {d:.6g} <= 0"
+        )
+    return z, d
+
+
+def bubble_value(p: BubbleParams, x) -> float:
+    z, d = _denominator(p, x)
+    m = 0.5 * (p.n - 2)
+    return (p.a / d) ** m
+
+
+def bubble_grad(p: BubbleParams, x) -> np.ndarray:
+    z, d = _denominator(p, x)
+    m = 0.5 * (p.n - 2)
+    return (-2.0 * m * p.beta * p.a**m) * d ** (-m - 1.0) * z
+
+
+def bubble_hess(p: BubbleParams, x) -> np.ndarray:
+    z, d = _denominator(p, x)
+    m = 0.5 * (p.n - 2)
+    am = p.a**m
+    h = (-2.0 * m * p.beta * am) * d ** (-m - 1.0) * np.eye(p.n)
+    h += (4.0 * m * (m + 1.0) * p.beta**2 * am) * d ** (-m - 2.0) * np.outer(z, z)
+    return h
+
+
+class PointField(ScalarField):
+    """The per-point field protocol that the rows protocol replaced:
+    subclasses implement _value, _grad and _hess of one point, and values
+    loops over rows."""
+
+    def _check(self, x, margin: float = 0.0):
+        if self.domain is not None and not self.domain.contains(x, margin):
+            raise GeometryError(
+                f"point {np.asarray(x).tolist()} leaves the domain "
+                f"(margin {margin:g})"
+            )
+
+    def value(self, x) -> float:
+        self._check(x)
+        return float(self._value(np.asarray(x, dtype=float)))
+
+    def values(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        return np.array([self.value(x) for x in X])
+
+    def grad(self, x) -> np.ndarray:
+        self._check(x)
+        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
+
+    def hess(self, x) -> np.ndarray:
+        self._check(x)
+        return np.asarray(self._hess(np.asarray(x, dtype=float)), dtype=float)
+
+
 class GaussianBumpField(ScalarField):
     """u = base + amp * exp(-|x - center|^2 / width^2), positive for amp > -base."""
 
@@ -78,53 +140,57 @@ class GaussianBumpField(ScalarField):
         self.center = np.zeros(n) if center is None else np.asarray(center, float)
         self.width = float(width)
 
-    def _bump(self, x):
-        z = x - self.center
-        return self.amp * math.exp(-float(z @ z) / self.width**2), z
-
-    def _value(self, x):
-        b, _ = self._bump(x)
-        return self.base + b
+    def _bumps(self, X):
+        Z = np.atleast_2d(X) - self.center
+        return self.amp * np.exp(-np.einsum("ij,ij->i", Z, Z) / self.width**2), Z
 
     def values(self, X):
-        Z = np.atleast_2d(X) - self.center
-        return self.base + self.amp * np.exp(
-            -np.einsum("ij,ij->i", Z, Z) / self.width**2
-        )
+        b, _ = self._bumps(X)
+        return self.base + b
 
-    def _grad(self, x):
-        b, z = self._bump(x)
-        return b * (-2.0 / self.width**2) * z
+    def _grads(self, X):
+        b, Z = self._bumps(X)
+        return b[:, None] * (-2.0 / self.width**2) * Z
 
-    def _hess(self, x):
-        b, z = self._bump(x)
+    def _hessians(self, X):
+        b, Z = self._bumps(X)
         w2 = self.width**2
-        return b * (4.0 * np.outer(z, z) / w2**2 - 2.0 * np.eye(self.n) / w2)
+        return b[:, None, None] * (
+            4.0 * (Z[:, :, None] * Z[:, None, :]) / w2**2 - 2.0 * np.eye(self.n) / w2
+        )
 
 
 class HarmonicPowerField(ScalarField):
     """u = |x|^(2-n), the Kelvin image of the constant 1; singular at 0, so
     evaluation is guarded to 1e-6 + margin <= |x| <= 1e6 - margin."""
 
-    def _check(self, x, margin=0.0):
-        if not 1e-6 + margin <= float(np.linalg.norm(x)) <= 1e6 - margin:
+    def _check(self, X, margin=0.0):
+        r = np.sqrt(np.vecdot(X, X))
+        inside = (1e-6 + margin <= r) & (r <= 1e6 - margin)
+        if not np.all(inside):
             raise GeometryError(
-                f"point {np.asarray(x).tolist()} leaves the pole guard (margin {margin:g})"
+                f"point {X[np.argmin(inside)].tolist()} leaves the pole guard "
+                f"(margin {margin:g})"
             )
 
-    def _value(self, x):
-        r = float(np.linalg.norm(x))
+    def _norms(self, X):
+        X = np.atleast_2d(X)
+        return X, np.sqrt(np.vecdot(X, X))
+
+    def values(self, X):
+        _, r = self._norms(X)
         return r ** (2.0 - self.n)
 
-    def _grad(self, x):
-        r = float(np.linalg.norm(x))
-        return (2.0 - self.n) * r ** (-self.n) * x
+    def _grads(self, X):
+        X, r = self._norms(X)
+        return ((2.0 - self.n) * r ** (-self.n))[:, None] * X
 
-    def _hess(self, x):
+    def _hessians(self, X):
         n = self.n
-        r = float(np.linalg.norm(x))
+        X, r = self._norms(X)
         return (2.0 - n) * (
-            r ** (-n) * np.eye(n) - n * r ** (-n - 2.0) * np.outer(x, x)
+            (r ** (-n))[:, None, None] * np.eye(n)
+            - (n * r ** (-n - 2.0))[:, None, None] * (X[:, :, None] * X[:, None, :])
         )
 
 
@@ -146,7 +212,7 @@ def sphere_inversion_u(u, x, lam):
     return pullback_u(u, sphere_inversion_map(x, lam))
 
 
-class TranslatePullback(ScalarField):
+class TranslatePullback(PointField):
     """w(x) = u(x + v): the translate pullback that the affine one replaced."""
 
     def __init__(self, inner: ScalarField, v):
@@ -164,7 +230,7 @@ class TranslatePullback(ScalarField):
         return self.inner.hess(x + self.v)
 
 
-class ScalePullback(ScalarField):
+class ScalePullback(PointField):
     """w(x) = |c|^{(n-2)/2} u(cx): the scale pullback that the affine one
     replaced."""
 
@@ -184,7 +250,7 @@ class ScalePullback(ScalarField):
         return self.pref * self.c**2 * self.inner.hess(self.c * x)
 
 
-class KelvinPullbackLoop(ScalarField):
+class KelvinPullbackLoop(PointField):
     """w(x) = |x|^{2-n} u(x/|x|^2), with the second derivatives of the
     inversion filled one entry at a time."""
 
@@ -253,7 +319,7 @@ class KelvinPullbackLoop(ScalarField):
 ORDER2_D1 = ((1, 0.5), (-1, -0.5))
 
 
-class FDFieldOrder2(ScalarField):
+class FDFieldOrder2(PointField):
     """Finite-difference derivative view of another field, with the
     second-order central stencils of the order-2 path of the former
     two-order FDField."""
@@ -306,6 +372,37 @@ class FDFieldOrder2(ScalarField):
                         acc += wk * wl * self.inner.value(x + k * ei + l * ej)
                 H[i, j] = H[j, i] = acc / h**2
         return H
+
+
+def a_matrix_flat_loop(u, x) -> np.ndarray:
+    """Conformal Schouten matrix A^u(x) of the flat metric factor u, one
+    point, its upper triangle assembled entry by entry and mirrored: an
+    oracle for the rows form of conformal.a_matrix_flat."""
+    x = np.asarray(x, dtype=float)
+    n = u.n
+    if n < 3:
+        raise DomainError("conformal matrix needs n >= 3")
+    val = u.value(x)
+    if not val > 0:
+        raise PositivityError(f"u(x) = {val:.6g} is not positive")
+    g = u.grad(x)
+    H = u.hess(x)
+    c1 = -2.0 / (n - 2)
+    c2 = 2.0 * n / (n - 2) ** 2
+    c3 = -2.0 / (n - 2) ** 2
+    w1 = val ** (-(n + 2.0) / (n - 2.0))
+    w2 = val ** (-2.0 * n / (n - 2.0))
+    g2 = float(g @ g)
+    # assemble the upper triangle, then mirror: exact symmetry by construction
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            val_ij = c1 * w1 * 0.5 * (H[i, j] + H[j, i]) + c2 * w2 * g[i] * g[j]
+            if i == j:
+                val_ij += c3 * w2 * g2
+            A[i, j] = val_ij
+            A[j, i] = val_ij
+    return A
 
 
 def pullback_u_generators(u, psi):

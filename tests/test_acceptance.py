@@ -274,7 +274,7 @@ def test_criterion_07_harnack_bound():
     worst_P = 0.0
     worst_rescale = 0.0
     for u in cases:
-        rep = harnack_product(u, R=1.0, delta=1.0, n=3)
+        rep = harnack_product(u, R=1.0, delta=1.0)
         worst_P = max(worst_P, rep.P)
         worst_rescale = max(worst_rescale, rep.rescaling_exactness)
     elapsed = time.perf_counter() - t0

@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bubble_from_initial_conditions
+from helpers import bubble_from_initial_conditions, bubble_grad, bubble_hess, bubble_value
 
 from conforma.bubbles import (
     BubbleParams,
     ball_robin_residual,
-    bubble_grad,
-    bubble_hess,
-    bubble_value,
     bubble_values,
     halfspace_residual,
     verify_fullspace,

@@ -98,6 +98,34 @@ def test_moving_sphere_sweep(tmp_path):
     assert res["result"]["alpha"]["spread"] <= 1e-6
 
 
+def test_moving_sphere_sweep_solves_each_centre_once(tmp_path, monkeypatch):
+    # the origin check reads lambda_bar(0) from the ring sweep, which starts there
+    from conforma import moving_sphere
+
+    solved = []
+    solve = moving_sphere.critical_radius
+
+    def counted(u, x, cfg):
+        cr = solve(u, x, cfg)
+        solved.append((x.tolist(), cr.lambda_bar))
+        return cr
+
+    monkeypatch.setattr(moving_sphere, "critical_radius", counted)
+    rc = run(
+        tmp_path,
+        "moving-sphere",
+        "--task", "sweep",
+        "--check-count", "256",
+        "--lambda-steps", "64",
+        "--center-count", "4",
+    )
+    assert rc == 0
+    assert len(solved) == 4
+    origin = read_result(tmp_path)["result"]["checks"]["lambda_bar_origin"]
+    assert solved[0] == ([0.0, 0.0, 0.0], origin["value"])
+    assert origin["flag"] == ""
+
+
 def test_moving_sphere_lemmas(tmp_path):
     rc = run(tmp_path, "moving-sphere", "--task", "lemmas", "--h-count", "10", "--density", "16")
     assert rc == 0

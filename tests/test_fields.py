@@ -4,9 +4,19 @@ derivatives."""
 import numpy as np
 import pytest
 
-from helpers import GaussianBumpField, HarmonicPowerField
+from hypothesis import given, settings, strategies as st
 
-from conforma.bubbles import BubbleParams, bubble_value
+from helpers import (
+    FDFieldOrder2,
+    GaussianBumpField,
+    HarmonicPowerField,
+    a_matrix_flat_loop,
+    bubble_value,
+    random_word,
+)
+
+from conforma.bubbles import BubbleParams, bubble_values
+from conforma.conformal import a_matrix_flat, pullback_u
 from conforma.errors import DomainError, GeometryError, PositivityError
 from conforma.fields import BubbleField, ConstantField, FDField, ball, finite_difference
 from conforma.radial import order_estimate
@@ -36,7 +46,8 @@ def test_bubble_field_wraps_closed_form():
     u = BubbleField(p)
     rng = make_rng(0)
     for x in shell_points(rng, 4, 10, 0.2, 2.0):
-        assert u.value(x) == bubble_value(p, x)
+        assert u.value(x) == bubble_values(p, x[None])[0]
+        assert u.value(x) == pytest.approx(bubble_value(p, x), rel=1e-14)
     X = shell_points(rng, 4, 10, 0.2, 2.0)
     # vectorized path may reorder operations; agreement is to the ulp scale
     assert np.allclose(u.values(X), [u.value(x) for x in X], rtol=1e-14)
@@ -85,3 +96,69 @@ def test_positivity_guards():
         ConstantField(3, -1.0)
     with pytest.raises(PositivityError):
         GaussianBumpField(3, base=0.1, amp=-0.2)
+
+
+def _rows_fields(n, rng):
+    """Bubble, constant, FD, and affine and Kelvin pullbacks from random
+    words, analytic and FD."""
+    bubble = BubbleField(BubbleParams(n=n, a=2.0, beta=4.0, center=np.linspace(0.3, -0.2, n)))
+    word = random_word(rng, n)
+    return [
+        bubble,
+        ConstantField(n, 2.5),
+        FDField(bubble, h=1e-3),
+        pullback_u(bubble, word),
+        pullback_u(FDField(bubble, h=1e-3), word),
+        pullback_u(GaussianBumpField(n, base=1.0, amp=0.3, width=1.2), random_word(rng, n)),
+    ]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+rows_cases = given(
+    n=st.integers(min_value=3, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=1, max_value=9),
+)
+
+
+@rows_cases
+@settings(max_examples=40, deadline=None)
+def test_point_calls_are_row_calls(n, seed, count):
+    # value/grad/hess of a point are its row of values/grads/hessians, bit for bit
+    rng = make_rng(seed)
+    X = shell_points(rng, n, count, 0.7, 1.3)
+    for u in _rows_fields(n, rng):
+        vals, grads, hessians = u.values(X), u.grads(X), u.hessians(X)
+        for i, x in enumerate(X):
+            assert _bits(u.value(x)) == _bits(vals[i])
+            assert _bits(u.grad(x)) == _bits(grads[i])
+            assert _bits(u.hess(x)) == _bits(hessians[i])
+
+
+@rows_cases
+@settings(max_examples=40, deadline=None)
+def test_fd_rows_match_per_point_stencils(n, seed, count):
+    rng = make_rng(seed)
+    X = shell_points(rng, n, count, 0.7, 1.3)
+    for inner in _rows_fields(n, rng):
+        rows, loop = FDField(inner, h=1e-3), FDFieldOrder2(inner, h=1e-3)
+        grads, hessians = rows.grads(X), rows.hessians(X)
+        for i, x in enumerate(X):
+            assert _bits(grads[i]) == _bits(loop.grad(x))
+            assert _bits(hessians[i]) == _bits(loop.hess(x))
+
+
+@rows_cases
+@settings(max_examples=40, deadline=None)
+def test_a_matrix_rows_match_upper_triangle_loop(n, seed, count):
+    rng = make_rng(seed)
+    X = shell_points(rng, n, count, 0.7, 1.3)
+    for u in _rows_fields(n, rng):
+        A = a_matrix_flat(u, X)
+        assert A.shape == (count, n, n)
+        for i, x in enumerate(X):
+            assert _bits(A[i]) == _bits(a_matrix_flat_loop(u, x))
+            assert _bits(a_matrix_flat(u, x)) == _bits(A[i])

@@ -189,7 +189,7 @@ def test_harnack_product_on_catalog():
         ConstantField(3, 2.0, ball(4.0)),
     ]
     for u in cases:
-        rep = harnack_product(u, R=1.0, delta=1.0, n=3)
+        rep = harnack_product(u, R=1.0, delta=1.0)
         assert rep.passed
         assert rep.P <= C3
         assert rep.B == C3
@@ -200,10 +200,10 @@ def test_harnack_product_on_catalog():
 def test_harnack_bound_scales_with_radius():
     # B = C(n) delta^{(2-n)/2} R^{2-n}
     u = ConstantField(3, 1.0, ball(9.0))
-    rep1 = harnack_product(u, R=1.0, delta=1.0, n=3)
-    rep2 = harnack_product(u, R=2.0, delta=1.0, n=3)
+    rep1 = harnack_product(u, R=1.0, delta=1.0)
+    rep2 = harnack_product(u, R=2.0, delta=1.0)
     assert rep2.B == pytest.approx(rep1.B / 2.0, rel=1e-12)
-    rep3 = harnack_product(u, R=1.0, delta=4.0, n=3)
+    rep3 = harnack_product(u, R=1.0, delta=4.0)
     assert rep3.B == pytest.approx(rep1.B / 2.0, rel=1e-12)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     bubble_deviation_full,
+    bubble_value,
     homotopy_operator,
     implicit_vpp_bracket,
     implicit_vpp_node,
@@ -38,7 +39,7 @@ from conforma.radial import (
     slope_kernel,
     vpp0_exact,
 )
-from conforma.bubbles import BubbleParams, bubble_value
+from conforma.bubbles import BubbleParams
 
 
 def test_mu_star_closed_forms():

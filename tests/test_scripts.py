@@ -55,3 +55,24 @@ def test_bench_tracer_installs():
     code = "import tracing; t = tracing.Tracer(); t.install(); t.uninstall()"
     proc = run_python("-c", code, path=[str(ROOT / "bench")])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_checks_pass_runs_clean():
+    # the tracer wraps every values method defined in conforma.fields; one
+    # traced checks pass must still classify every item ok or known
+    code = "\n".join([
+        "import tempfile",
+        "from pathlib import Path",
+        "import tracing, worker, workloads",
+        "from conforma import cli",
+        "tracer = tracing.Tracer()",
+        "tracer.install()",
+        "with tempfile.TemporaryDirectory() as work:",
+        "    loop = worker.Loop(cli, Path(work))",
+        "    worker.run_pass(loop, workloads.build('checks', 1), tracer=tracer)",
+        "tracer.uninstall()",
+        "bad = [r['outcome'] for r in loop.records if r['outcome'] not in ('ok', 'known')]",
+        "assert loop.records and not bad, bad",
+    ])
+    proc = run_python("-c", code, path=[str(ROOT / "bench")])
+    assert proc.returncode == 0, proc.stderr
