@@ -76,7 +76,12 @@ MAX_CENTER_COUNT = 4096
 # --h-count: a catalog function's interval-lemma check takes about 7 ms at the
 # default density 64, 70 s at the cap (and 3.8 s each at MAX_DENSITY).
 MAX_H_COUNT = 10_000
+# --n: verify-liouville --family fullspace holds (samples, n, n) matrices, a
+# peak of about 250 MiB at n = 9 and 680 MiB (2 s) at n = 16 at the --samples
+# cap. (harnack's constant C(n) overflows a float from n = 23.)
+MAX_DIMENSION = 16
 COUNT_CAPS = (
+    ("n", MAX_DIMENSION),
     ("samples", MAX_SAMPLES),
     ("check_count", MAX_CHECK_COUNT),
     ("center_count", MAX_CENTER_COUNT),

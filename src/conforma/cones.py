@@ -218,6 +218,51 @@ def two_cluster_kernel(k: int, t: float, m: int, a, b):
     return f, t * ga + (1.0 - t) * total, m * (t * gb + (1.0 - t) * total), margin
 
 
+def _no_bracket(down, where: str) -> ConvergenceError:
+    side = "lower" if down else "upper"
+    return ConvergenceError(
+        f"no root of f(s*lambda)=1 with s in [1e-9, 1e9] ({side} side){where}"
+    )
+
+
+def _stalled(resid: float, where: str) -> ConvergenceError:
+    return ConvergenceError(f"ray solve stalled at |f-1| = {abs(resid):.3g}{where}")
+
+
+def _solve_ray(fn, lam: np.ndarray, tol: float) -> float:
+    """solve_unit_level on the one vector lam, stepping on Python floats."""
+
+    def g(s):
+        return float(fn(s * lam)) - 1.0
+
+    lo = hi = 1.0
+    gs = g(1.0)
+    down = gs > 0.0
+    # a ray with f = 1 exactly at s = 1 keeps lo = hi = 1
+    open_ = gs != 0.0
+    while open_:
+        trial = lo * 0.5 if down else hi * 2.0
+        if not S_MIN <= trial <= S_MAX:
+            raise _no_bracket(down, "")
+        gt = g(trial)
+        open_ = not (gt < 0.0 if down else gt > 0.0)
+        if down or open_:
+            lo = trial
+        if not down or open_:
+            hi = trial
+    for _ in range(BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        gm = g(mid)
+        lo, hi = (lo if gm > 0.0 else mid), (hi if gm < 0.0 else mid)
+    s = 0.5 * (lo + hi)
+    resid = g(s)
+    if abs(resid) > tol:
+        raise _stalled(resid, "")
+    return s
+
+
 def solve_unit_level(fn: Callable[[np.ndarray], object], lam, tol: float = 1e-12):
     """Unique s > 0 with fn(s*lam) = 1 on each ray where fn is increasing.
 
@@ -233,104 +278,55 @@ def solve_unit_level(fn: Callable[[np.ndarray], object], lam, tol: float = 1e-12
     or ends with |fn - 1| > tol.
     """
     arr = np.asarray(lam, dtype=float)
+    if arr.ndim == 1:
+        return _solve_ray(fn, arr, tol)
     rows = arr.reshape(-1, arr.shape[-1])
 
-    def g(s, sub=rows):
+    def g(s, sub):
         """fn - 1 on the rows sub (of rows) scaled by s."""
-        if not len(sub):
-            return np.zeros(0)
-        if arr.ndim == 1:
-            return np.array([float(fn(s[0] * arr)) - 1.0])
         return np.asarray(fn(s[:, None] * sub), dtype=float) - 1.0
 
-    def g_row(s, i):
-        """fn - 1 on row i scaled by the float s, as a float."""
-        if arr.ndim == 1:
-            return float(fn(s * arr)) - 1.0
-        return float(fn(s * rows[i : i + 1])[0]) - 1.0
-
-    def where(i):
-        return "" if arr.ndim == 1 else f" at row {i}"
-
     s = np.ones(len(rows))
-    resid = g(s)
+    resid = g(s, rows)
     down = resid > 0.0
     lo, hi = s.copy(), s.copy()
 
-    def no_bracket(i):
-        side = "lower" if down[i] else "upper"
-        return ConvergenceError(
-            f"no root of f(s*lambda)=1 with s in [1e-9, 1e9] ({side} side){where(i)}"
-        )
-
-    # In both loops below the last row left steps on Python floats, with the
-    # rules of the array step: numpy on one-element arrays would cost more
-    # than fn itself.
-
     # a row with f = 1 exactly at s = 1 keeps lo = hi = 1
     pending = np.flatnonzero(resid != 0.0)
-    while pending.size > 1:
+    while pending.size:
         dn = down[pending]
         trial = np.where(dn, lo[pending] * 0.5, hi[pending] * 2.0)
-        out = np.where(dn, trial < S_MIN, trial > S_MAX)
+        out = (trial < S_MIN) | (trial > S_MAX)
         if out.any():
-            raise no_bracket(pending[np.argmax(out)])
+            i = pending[np.argmax(out)]
+            raise _no_bracket(down[i], f" at row {i}")
         gt = g(trial, rows[pending])
         open_ = np.where(dn, ~(gt < 0.0), ~(gt > 0.0))
         lo[pending] = np.where(dn | open_, trial, lo[pending])
         hi[pending] = np.where(dn & ~open_, hi[pending], trial)
         pending = pending[open_]
-    if pending.size == 1:
-        i = pending[0]
-        dn, a, b = bool(down[i]), float(lo[i]), float(hi[i])
-        open_ = True
-        while open_:
-            trial = a * 0.5 if dn else b * 2.0
-            if (trial < S_MIN) if dn else (trial > S_MAX):
-                raise no_bracket(i)
-            gt = g_row(trial, i)
-            open_ = (not gt < 0.0) if dn else (not gt > 0.0)
-            a = trial if dn or open_ else a
-            b = b if dn and not open_ else trial
-        lo[i], hi[i] = a, b
 
-    # Only the rows whose midpoint still moves are bisected: the brackets of
-    # the active rows act are a, b, and go back to lo, hi when rows stop. A
-    # row whose midpoint has f - 1 of neither sign takes a = b = mid, and
-    # stops at the next step, so s = (lo + hi) / 2 is that midpoint.
+    # Only the rows act whose midpoint still moves are bisected. A row whose
+    # midpoint has f - 1 of neither sign takes lo = hi = mid, and stops at
+    # the next step, so s = (lo + hi) / 2 is that midpoint.
     act = np.flatnonzero(lo != hi)
-    a, b, sub = lo[act], hi[act], rows[act]
-    steps = 0
-    while act.size > 1 and steps < BISECT_ITERS:
-        steps += 1
+    for _ in range(BISECT_ITERS):
+        a, b = lo[act], hi[act]
         mid = 0.5 * (a + b)
         moving = (a < mid) & (mid < b)
-        if not moving.all():
-            lo[act], hi[act] = a, b
-            act, a, b, sub, mid = (x[moving] for x in (act, a, b, sub, mid))
-        gm = g(mid, sub)
-        a, b = np.where(gm > 0.0, a, mid), np.where(gm < 0.0, b, mid)
-    lo[act], hi[act] = a, b
-    if act.size == 1:
-        i = act[0]
-        a, b = float(lo[i]), float(hi[i])
-        for _ in range(BISECT_ITERS - steps):
-            mid = 0.5 * (a + b)
-            if not a < mid < b:
-                break
-            gm = g_row(mid, i)
-            a, b = (a if gm > 0.0 else mid), (b if gm < 0.0 else mid)
-        lo[i], hi[i] = a, b
+        act, a, b, mid = act[moving], a[moving], b[moving], mid[moving]
+        if not act.size:
+            break
+        gm = g(mid, rows[act])
+        lo[act], hi[act] = np.where(gm > 0.0, a, mid), np.where(gm < 0.0, b, mid)
 
     s = 0.5 * (lo + hi)
-    resid = g(s)
+    resid = g(s, rows)
     stalled = np.flatnonzero(np.abs(resid) > tol)
     if stalled.size:
         i = stalled[0]
-        raise ConvergenceError(
-            f"ray solve stalled at |f-1| = {abs(resid[i]):.3g}{where(i)}"
-        )
-    return float(s[0]) if arr.ndim == 1 else s.reshape(arr.shape[:-1])
+        raise _stalled(resid[i], f" at row {i}")
+    return s.reshape(arr.shape[:-1])
 
 
 def homogenize(op: CurvatureOperator) -> CurvatureOperator:

@@ -1,4 +1,4 @@
-"""Conformal Schouten calculus on flat domains and the circle-sphere product.
+"""Conformal Schouten calculus on flat domains.
 
 The flat conformal matrix of a positive field u is
 
@@ -254,36 +254,6 @@ def schouten_eigen_flat(u: ScalarField, x) -> np.ndarray:
     A = a_matrix_flat(u, x)
     eig = [jacobi_eigenvalues(a) for a in A.reshape(-1, u.n, u.n)]
     return np.reshape(eig, A.shape[:-1])
-
-
-def product_background_eigenvalues(n: int) -> np.ndarray:
-    """Schouten eigenvalues of the circle-sphere product metric:
-    (-1/2, 1/2, ..., 1/2)."""
-    lam = 0.5 * np.ones(n)
-    lam[0] = -0.5
-    return lam
-
-
-def product_eigenvalues(vv, vp, vpp, n: int) -> np.ndarray:
-    """Eigenvalues (lambda_t, lambda_s, ..., lambda_s) of the conformal
-    Schouten tensor on S^1(L) x S^{n-1} for the factor v.
-
-    Scalar (v, v', v'') give shape (n,); arrays of a common shape S give
-    one eigenvalue row per point, shape S + (n,).
-    """
-    vv, vp, vpp = np.broadcast_arrays(vv, vp, vpp)
-    if not np.all(vv > 0):
-        raise PositivityError(f"profile value {np.min(vv):.6g} is not positive")
-    conf = vv ** (-4.0 / (n - 2))
-    lam_t = conf * (
-        -2.0 / (n - 2) * vpp / vv
-        + 2.0 * (n - 1) / (n - 2) ** 2 * (vp / vv) ** 2
-        - 0.5
-    )
-    lam_s = conf * (-2.0 / (n - 2) ** 2 * (vp / vv) ** 2 + 0.5)
-    out = np.repeat(lam_s[..., None], n, axis=-1)
-    out[..., 0] = lam_t
-    return out
 
 
 # ---------------------------------------------------------------------------

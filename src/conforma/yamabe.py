@@ -2,11 +2,12 @@
 
 The background metric on S^1(L) x S^{n-1} has Schouten eigenvalues
 (-1/2, 1/2, ..., 1/2). A conformal factor v depending only on the circle
-coordinate produces the two explicit eigenvalue branches of
-conformal.product_eigenvalues, so the discretized problem lives on a single
-periodic grid. The homotopy f_t(lam) = f(t lam + (1-t) sigma_1(lam) e)
-connects a semilinear t = 0 problem (solved from a constant start) to the
-full operator at t = 1. The stage t is a number passed next to the operator:
+coordinate produces two explicit eigenvalue branches, lambda_t once and
+lambda_s n-1 times, which _product_spectrum computes with their partials in
+(v, v', v''), so the discretized problem lives on a single periodic grid.
+The homotopy f_t(lam) = f(t lam + (1-t) sigma_1(lam) e) connects a
+semilinear t = 0 problem (solved from a constant start) to the full
+operator at t = 1. The stage t is a number passed next to the operator:
 every evaluation takes (op, t), with t = 1, the target, by default.
 
 Every node spectrum has the two-cluster shape (lambda_t, lambda_s^{n-1}), so
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cones import CurvatureOperator, two_cluster_kernel
-from .conformal import product_background_eigenvalues, product_eigenvalues
 from .errors import ConeError, ConvergenceError, DomainError, PositivityError
 from .radial import mu_star
 
@@ -142,15 +142,44 @@ class PeriodicGrid:
         reporting.write_csv(path, ("t_node", "u"), rows)
 
 
+def product_background_eigenvalues(n: int) -> np.ndarray:
+    """Schouten eigenvalues of the circle-sphere product metric:
+    (-1/2, 1/2, ..., 1/2)."""
+    return np.array([-0.5] + [0.5] * (n - 1))
+
+
+def _product_spectrum(u, up, upp, n: int):
+    """(lambda_t, lambda_s, partials) of the conformal Schouten tensor on
+    S^1(L) x S^{n-1} for the factor u, elementwise: w T and w S with weight
+    w = u^(-4/(n-2)) and brackets T = -c u''/u + b (u'/u)^2 - 1/2 and
+    S = -q (u'/u)^2 + 1/2, c = 2/(n-2), b = 2(n-1)/(n-2)^2, q = 2/(n-2)^2.
+    partials are (dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp), in (u, u', u'')."""
+    e4, c = 4.0 / (n - 2), 2.0 / (n - 2)
+    b, q = 2.0 * (n - 1) / (n - 2) ** 2, 2.0 / (n - 2) ** 2
+    w = u ** (-e4)
+    p2 = (up / u) ** 2
+    T = -c * upp / u + b * p2 - 0.5
+    S = -q * p2 + 0.5
+    dt_dvpp = -c * w / u
+    dt_dvp = w * (2.0 * b) * up / u**2
+    dt_dv = -e4 * w / u * T + w * (c * upp / u**2 - 2.0 * b * up**2 / u**3)
+    ds_dvp = -w * (2.0 * q) * up / u**2
+    ds_dv = -e4 * w / u * S + w * (2.0 * q) * up**2 / u**3
+    return w * T, w * S, (dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp)
+
+
 def node_eigenvalues(g: PeriodicGrid, n: int) -> np.ndarray:
     """Per-node eigenvalue rows (lambda_t, lambda_s x (n-1))."""
-    up, upp = g.derivatives()
-    return product_eigenvalues(g.values, up, upp, n)
+    lam_t, lam_s, _ = _product_spectrum(g.values, *g.derivatives(), n)
+    out = np.repeat(lam_s[:, None], n, axis=1)
+    out[:, 0] = lam_t
+    return out
 
 
 def _node_kernel(op: CurvatureOperator, g: PeriodicGrid, t: float):
-    """(v', v'', eigenvalue rows, kernel) at every node, where kernel is
-    (f_t, df_t/dlambda_t, sum of df_t/dlambda_s, cone margin) at stage t."""
+    """(lambda_t, lambda_s, partials) of _product_spectrum at every node,
+    and the kernel (f_t, df_t/dlambda_t, sum of df_t/dlambda_s, cone margin)
+    at stage t."""
     k = op.sigma_order
     if k is None:
         raise DomainError(
@@ -159,35 +188,8 @@ def _node_kernel(op: CurvatureOperator, g: PeriodicGrid, t: float):
         )
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"homotopy parameter t={t} outside [0, 1]")
-    up, upp = g.derivatives()
-    lam = product_eigenvalues(g.values, up, upp, op.n)
-    return up, upp, lam, two_cluster_kernel(k, t, op.n - 1, lam[:, 0], lam[:, 1])
-
-
-def _gate(lam: np.ndarray, margin: np.ndarray) -> None:
-    bad = np.flatnonzero(~(margin > 0.0))
-    if bad.size:
-        raise ConeError(
-            f"eigenvalues leave the cone at nodes {bad.tolist()}",
-            witness=[(i, lam[i].tolist()) for i in bad.tolist()],
-        )
-
-
-def _eigen_partials(u, up, upp, n):
-    """Partial derivatives of (lambda_t, lambda_s) in (v, v', v'')."""
-    e4 = 4.0 / (n - 2.0)
-    c = 2.0 / (n - 2.0)
-    w = u ** (-e4)
-    T = -c * upp / u + c * (n - 1.0) / (n - 2.0) * (up / u) ** 2 - 0.5
-    S = -c / (n - 2.0) * (up / u) ** 2 + 0.5
-    dt_dvpp = -c * w / u
-    dt_dvp = w * (2.0 * c * (n - 1.0) / (n - 2.0)) * up / u**2
-    dt_dv = -e4 * w / u * T + w * (
-        c * upp / u**2 - 2.0 * c * (n - 1.0) / (n - 2.0) * up**2 / u**3
-    )
-    ds_dvp = -w * (2.0 * c / (n - 2.0)) * up / u**2
-    ds_dv = -e4 * w / u * S + w * (2.0 * c / (n - 2.0)) * up**2 / u**3
-    return dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp
+    lam_t, lam_s, partials = _product_spectrum(g.values, *g.derivatives(), op.n)
+    return lam_t, lam_s, partials, two_cluster_kernel(k, t, op.n - 1, lam_t, lam_s)
 
 
 @dataclass
@@ -246,9 +248,15 @@ def evaluate(op: CurvatureOperator, g: PeriodicGrid, t: float = 1.0):
     """(residual, min cone margin, jacobian) of g for f_t from one two-cluster
     kernel pass, gated on cone membership at every node; the only evaluation
     newton_solve makes of a grid."""
-    up, upp, lam, (f, gt, Gs, margin) = _node_kernel(op, g, t)
-    _gate(lam, margin)
-    dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp = _eigen_partials(g.values, up, upp, op.n)
+    lam_t, lam_s, partials, (f, gt, Gs, margin) = _node_kernel(op, g, t)
+    bad = np.flatnonzero(~(margin > 0.0))
+    if bad.size:
+        rows = zip(bad.tolist(), lam_t[bad].tolist(), lam_s[bad].tolist())
+        raise ConeError(
+            f"eigenvalues leave the cone at nodes {bad.tolist()}",
+            witness=[(i, [a] + [b] * (op.n - 1)) for i, a, b in rows],
+        )
+    dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp = partials
     J = Linearisation(
         diag_v=gt * dt_dv + Gs * ds_dv,
         diag_vp=gt * dt_dvp + Gs * ds_dvp,

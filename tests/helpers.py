@@ -8,7 +8,9 @@ per-node radial eigenvalues, slope, shoot and unit-residual loop that the
 per-operator slope kernel and the whole-profile check replaced, the
 one-vector homotopy operator f_t with its pullback cone and margin, per-node
 loop oracles for the periodic solver's closed-form residual, Jacobian
-coefficients and margin at a stage t, one-radius-at-a-time oracles for the
+coefficients and margin at a stage t, built on the n-wide product
+eigenvalue rows and the separate eigenvalue partials that yamabe's one
+spectrum kernel replaced, one-radius-at-a-time oracles for the
 batched moving-sphere kernels, the whole-profile bubble deviation, and the
 one-ray-at-a-time unit-level solve with the per-sample homogenize handler
 built on it, the one-sample-at-a-time operator validation, the lemmas
@@ -65,7 +67,6 @@ from conforma.moving_sphere import (
 )
 from conforma.radial import RadialProfile, vpp0_exact
 from conforma.sampling import make_rng
-from conforma.yamabe import _eigen_partials, node_eigenvalues
 
 
 def _denominator(p: BubbleParams, x) -> tuple:
@@ -719,10 +720,50 @@ def homotopy_operator(op, t):
     )
 
 
+def product_eigenvalues(vv, vp, vpp, n: int) -> np.ndarray:
+    """Eigenvalues (lambda_t, lambda_s, ..., lambda_s) of the conformal
+    Schouten tensor on S^1(L) x S^{n-1} for the factor v.
+
+    Scalar (v, v', v'') give shape (n,); arrays of a common shape S give
+    one eigenvalue row per point, shape S + (n,).
+    """
+    vv, vp, vpp = np.broadcast_arrays(vv, vp, vpp)
+    if not np.all(vv > 0):
+        raise PositivityError(f"profile value {np.min(vv):.6g} is not positive")
+    conf = vv ** (-4.0 / (n - 2))
+    lam_t = conf * (
+        -2.0 / (n - 2) * vpp / vv
+        + 2.0 * (n - 1) / (n - 2) ** 2 * (vp / vv) ** 2
+        - 0.5
+    )
+    lam_s = conf * (-2.0 / (n - 2) ** 2 * (vp / vv) ** 2 + 0.5)
+    out = np.repeat(lam_s[..., None], n, axis=-1)
+    out[..., 0] = lam_t
+    return out
+
+
+def eigen_partials(u, up, upp, n):
+    """Partial derivatives of (lambda_t, lambda_s) in (v, v', v''), as
+    (dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp)."""
+    e4 = 4.0 / (n - 2.0)
+    c = 2.0 / (n - 2.0)
+    w = u ** (-e4)
+    T = -c * upp / u + c * (n - 1.0) / (n - 2.0) * (up / u) ** 2 - 0.5
+    S = -c / (n - 2.0) * (up / u) ** 2 + 0.5
+    dt_dvpp = -c * w / u
+    dt_dvp = w * (2.0 * c * (n - 1.0) / (n - 2.0)) * up / u**2
+    dt_dv = -e4 * w / u * T + w * (
+        c * upp / u**2 - 2.0 * c * (n - 1.0) / (n - 2.0) * up**2 / u**3
+    )
+    ds_dvp = -w * (2.0 * c / (n - 2.0)) * up / u**2
+    ds_dv = -e4 * w / u * S + w * (2.0 * c / (n - 2.0)) * up**2 / u**3
+    return dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp
+
+
 def residual_loop(op, g):
     """Per-node op.f(lam) - 1; the off-cone nodes, in order, as ConeError
     witnesses (node index, eigenvalue row)."""
-    lam = node_eigenvalues(g, op.n)
+    lam = product_eigenvalues(g.values, *g.derivatives(), op.n)
     res = np.empty(g.N)
     bad = []
     for i in range(g.N):
@@ -742,9 +783,8 @@ def jacobian_coefficients_loop(op, g):
     """(diag_v, diag_vp, diag_vpp) from per-node op.grad_f, and for each the
     per-node sum of its terms' magnitudes, the scale of its rounding error
     (diag_vp cancels to zero wherever the gradient is a multiple of e)."""
-    up, upp = g.derivatives()
-    dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp = _eigen_partials(g.values, up, upp, op.n)
-    lam = node_eigenvalues(g, op.n)
+    dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp = eigen_partials(g.values, *g.derivatives(), op.n)
+    lam = product_eigenvalues(g.values, *g.derivatives(), op.n)
     gt = np.empty(g.N)
     Gs = np.empty(g.N)
     for i in range(g.N):
@@ -761,7 +801,7 @@ def jacobian_coefficients_loop(op, g):
 
 
 def min_cone_margin_loop(op, g):
-    lam = node_eigenvalues(g, op.n)
+    lam = product_eigenvalues(g.values, *g.derivatives(), op.n)
     return min(float(cone_margin(op.cone, lam[i])) for i in range(g.N))
 
 

@@ -302,6 +302,10 @@ def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
         ("solve-yamabe", "--N", str(2 * yamabe.MAX_NODES)),
         ("conjugation-test", "--samples", str(cli.MAX_SAMPLES + 1)),
         ("moving-sphere", "--check-count", str(cli.MAX_CHECK_COUNT + 1)),
+        # just above the cap, so that without it these run cheaply and fail
+        # the test rather than allocate
+        ("verify-liouville", "--family", "fullspace", "--n", str(cli.MAX_DIMENSION + 1)),
+        ("harnack", "--n", str(cli.MAX_DIMENSION + 1)),
     ],
     ids=["word-dim", "n9", "v0-overflow", "validate-0", "homogenize-0",
          "conjugation-0", "harnack-neg", "lemmas-0", "r-max-inf", "L-inf",
@@ -315,7 +319,8 @@ def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
          "yamabe-N-huge", "harnack-samples-huge", "sweep-check-count-huge",
          "validate-samples-huge", "sweep-check-count-neg", "yamabe-N-neg",
          "sweep-center-count-cap", "lemmas-h-count-cap", "yamabe-N-cap",
-         "conjugation-samples-cap", "sweep-check-count-cap"],
+         "conjugation-samples-cap", "sweep-check-count-cap", "fullspace-n-cap",
+         "harnack-n-cap"],
 )
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     # a domain error returns 2, an argument rejected by the parser exits 2;
@@ -328,6 +333,13 @@ def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_dimension_cap_runs_at_its_value(tmp_path):
+    # the cap is a ceiling, not a refusal of the dimensions in use (n = 9)
+    assert cli.MAX_DIMENSION >= 9
+    argv = ("verify-liouville", "--family", "fullspace", "--n", str(cli.MAX_DIMENSION))
+    assert run(tmp_path, *argv) == 0
 
 
 FUZZ_VALUES = ("0", "-0.0", "1e-320", "1e-300", "1e-160", "-1", "0.5", "1", "3",

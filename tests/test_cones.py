@@ -346,6 +346,32 @@ def test_batched_unit_level_exact_root_row():
     assert solve_unit_level(op.f, rows.reshape(3, 1, 3)).shape == (3, 1)
 
 
+def test_batched_unit_level_lone_row_passes():
+    # fn(s lam) - 1 = s lam_0 - 1: rows with lam_0 = 1.6 and 0.8 hit f = 1
+    # exactly at their second midpoint (s = 5/8, 5/4) and stop, and the row
+    # with lam_0 = 1e-6 doubles from s = 1 to 2^20, so each case has passes
+    # of one row left, which must keep the bits of a one-ray solve
+    sizes = []
+
+    def first(lam):
+        if np.ndim(lam) == 2:
+            sizes.append(len(lam))
+        return lam[..., 0]
+
+    bracketing = np.array([[1e-6, 0.0], [1.6, 0.0], [3.0, 0.0]])
+    got = solve_unit_level(first, bracketing)
+    assert got.tolist() == [solve_unit_level_scalar(first, row) for row in bracketing]
+    # the 1e-6 row brackets alone for 18 passes, then all three bisect
+    assert sizes[:22] == [3, 3, 2] + [1] * 18 + [3]
+
+    sizes.clear()
+    bisecting = np.array([[1.6, 0.0], [0.8, 0.0], [3.0, 0.0]])
+    got = solve_unit_level(first, bisecting)
+    assert got.tolist() == [solve_unit_level_scalar(first, row) for row in bisecting]
+    # two bisection passes of all rows, then the 1/3 row bisects alone
+    assert sizes[3:6] == [3, 3, 1] and set(sizes[5:-1]) == {1} and len(sizes) > 40
+
+
 @pytest.mark.parametrize("n,k", [(4, 1), (5, 3), (8, 8)])
 def test_batched_unit_level_tight_tol_matches_oracle(n, k):
     # f - 1 near the root moves in steps of about 1.1e-16 and 2.2e-16, so at

@@ -22,8 +22,6 @@ from conforma.conformal import (
     Translate,
     a_matrix_flat,
     conjugation_residual,
-    product_background_eigenvalues,
-    product_eigenvalues,
     pullback_u,
     schouten_eigen_flat,
     sphere_inversion_values,
@@ -196,19 +194,3 @@ def test_conjugation_residual_identity_word_is_zero():
     pts = shell_points(make_rng(8), 3, 5, 0.8, 1.2)
     assert conjugation_residual(u, MoebiusMap(()), pts) == 0.0
 
-
-def test_product_background_eigenvalues():
-    for n in (3, 5, 8):
-        lam = product_background_eigenvalues(n)
-        assert lam[0] == -0.5
-        assert np.all(lam[1:] == 0.5)
-        assert lam.shape == (n,)
-
-
-def test_product_eigenvalues_constant_factor():
-    # a constant factor only rescales the background eigenvalues
-    n = 5
-    for c in (0.5, 1.0, 2.3):
-        lam = product_eigenvalues(c, 0.0, 0.0, n)
-        scale = c ** (-4.0 / (n - 2))
-        assert np.allclose(lam, scale * product_background_eigenvalues(n), rtol=1e-14)

@@ -22,13 +22,15 @@ from conforma.yamabe import (
     min_cone_margin,
     newton_solve,
     node_eigenvalues,
+    product_background_eigenvalues,
     residual,
 )
-from conforma.conformal import product_background_eigenvalues
 from helpers import (
+    eigen_partials,
     homotopy_operator,
     jacobian_coefficients_loop,
     min_cone_margin_loop,
+    product_eigenvalues,
     residual_loop,
 )
 
@@ -119,6 +121,56 @@ def test_derivatives_of_trig_polynomial(scheme):
         assert np.max(np.abs(got2 - want2)) <= 1e-12 * np.max(np.abs(want2))
     with pytest.raises(DomainError):
         derivative_symbols(n_nodes, length, "fd9")
+
+
+def test_product_background_eigenvalues():
+    for n in (3, 5, 8):
+        lam = product_background_eigenvalues(n)
+        assert lam[0] == -0.5
+        assert np.all(lam[1:] == 0.5)
+        assert lam.shape == (n,)
+
+
+def test_product_eigenvalues_constant_factor():
+    # a constant factor only rescales the background eigenvalues
+    n = 5
+    for c in (0.5, 1.0, 2.3):
+        lam = node_eigenvalues(constant_grid(c), n)
+        scale = c ** (-4.0 / (n - 2))
+        assert np.allclose(lam, scale * product_background_eigenvalues(n), rtol=1e-14)
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_product_spectrum_matches_oracle(n, scheme):
+    t = constant_grid(1.0).nodes()
+    g = PeriodicGrid(
+        L=L,
+        values=1.0 + 0.3 * np.sin(2.0 * np.pi * t / L) + 0.1 * np.cos(6.0 * np.pi * t / L),
+        scheme=scheme,
+    )
+    u, (up, upp) = g.values, g.derivatives()
+    lam_t, lam_s, partials = yamabe._product_spectrum(u, up, upp, n)
+    rows = product_eigenvalues(u, up, upp, n)
+    assert lam_t.tolist() == rows[:, 0].tolist()
+    assert lam_s.tolist() == rows[:, 1].tolist()
+    assert node_eigenvalues(g, n).tolist() == rows.tolist()
+    # the partials may differ from the oracle's only by the rounding of
+    # 2(n-1)/(n-2)^2 against (2/(n-2))(n-1)/(n-2): a few ulp of each term
+    e4, c = 4.0 / (n - 2), 2.0 / (n - 2)
+    b, q = 2.0 * (n - 1) / (n - 2) ** 2, 2.0 / (n - 2) ** 2
+    p2, wu = (up / u) ** 2, u ** (-e4) / u
+    want = eigen_partials(u, up, upp, n)
+    scales = (
+        wu * ((e4 + 1.0) * c * np.abs(upp / u) + (e4 + 2.0) * b * p2 + 0.5 * e4),
+        np.abs(want[1]),
+        np.abs(want[2]),
+        wu * ((e4 + 2.0) * q * p2 + 0.5 * e4),
+        np.abs(want[4]),
+    )
+    eps = np.finfo(float).eps
+    for got, ref, scale in zip(partials, want, scales):
+        assert np.all(np.abs(got - ref) <= 8.0 * eps * scale)
 
 
 def test_node_eigenvalues_at_constant():
