@@ -63,9 +63,11 @@ R1_TOL = 1e-10
 R2_TOL = 1e-12
 
 # Caps on the integer work flags, from their measured cost per unit on a
-# 2-core Xeon VM at one thread. --samples: conjugation-test --mode fd --n 8
-# takes about 8 ms a sample (15 min at the cap) and harnack --n 8 holds about
-# 0.4 KiB a sample (a peak near 75 MiB at the cap).
+# 2-core Xeon VM at one thread. --samples: conjugation-test --n 16 takes about
+# 0.4 ms a sample with --mode fd (42 s and a 127 MiB peak RSS at the cap) and
+# 0.1 ms analytic (10 s, 79 MiB); it holds conformal.CONJUGATION_SLAB samples'
+# matrices at a time. harnack --n 8 holds about 0.4 KiB a sample (a peak near
+# 75 MiB at the cap).
 MAX_SAMPLES = 100_000
 # --check-count: a default sweep (10 centres, 256 lambda steps) takes about
 # 0.12 ms a check point, 31 s at the cap.
@@ -439,29 +441,21 @@ def _cmd_homogenize(args):
     rng = make_rng(args.seed)
     lams = sample_cone_directions(rng, n, args.samples)
 
-    scales = (0.5, 2.0, 7.3)
-    scaled = (lams[:100, None, :] * np.array(scales)[:, None]).reshape(-1, n)
+    scales = np.array([0.5, 2.0, 7.3])
+    scaled = (lams[:100, None, :] * scales[:, None]).reshape(-1, n)
     pairs = min(args.triples, len(lams) - 1)
     mids = 0.5 * (lams[:pairs] + lams[1 : pairs + 1])
     # every ray of the three checks in one batched root solve
     roots = deg1.f(np.concatenate([lams, scaled, mids]))
     cuts = [len(lams), len(lams) + len(scaled)]
-    vals, scaled_vals, mid_vals = (part.tolist() for part in np.split(roots, cuts))
+    vals, scaled_vals, mid_vals = np.split(roots, cuts)
 
     # the closed form sigma_k^{1/k}
-    targets = op.f(lams).tolist()
-    gap = 0.0
-    for val, target in zip(vals, targets):
-        gap = max(gap, abs(val - target))
-
-    deg_gap = 0.0
-    for i, val in enumerate(scaled_vals):
-        s, base = scales[i % len(scales)], vals[i // len(scales)]
-        deg_gap = max(deg_gap, abs(val - s * base) / (s * base))
-
-    conc_worst = -math.inf
-    for i, mid in enumerate(mid_vals):
-        conc_worst = max(conc_worst, 0.5 * (vals[i] + vals[i + 1]) - mid)
+    gap = float(np.max(np.abs(vals - op.f(lams)), initial=0.0))
+    base = vals[:100, None] * scales
+    deg_gap = float(np.max(np.abs(scaled_vals.reshape(base.shape) - base) / base, initial=0.0))
+    conc = 0.5 * (vals[:pairs] + vals[1 : pairs + 1]) - mid_vals
+    conc_worst = float(np.max(conc, initial=-math.inf))
 
     checks = {
         "closed_form_gap": {"pass": gap <= 1e-10, "value": gap, "tol": 1e-10},

@@ -219,29 +219,48 @@ def test_solve_yamabe_trace_always_written(tmp_path):
     assert not (tmp_path / "grid.csv").exists()
 
 
+def _result_bytes_at_threads(out, argv, threads):
+    """Run the CLI in a fresh process at an OpenMP thread count; return its
+    result.json and (if written) trace.jsonl bytes."""
+    src = str(Path(conforma.__file__).resolve().parents[1])
+    env = {key: v for key, v in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["OMP_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "conforma.cli", *argv, "--output-dir", str(out)]
+    proc = subprocess.run(cmd, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    trace = out / "trace.jsonl"
+    return (out / "result.json").read_bytes(), trace.read_bytes() if trace.exists() else None
+
+
 def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
     # N = 256 spectral is where a derivative rounding floor of eps N^2 ||u||
     # would sit at tol 1e-10 and let the BLAS thread count decide the outcome;
     # (6, 2, 512, spectral) differed in its last digits under a dense LU step
-    src = str(Path(conforma.__file__).resolve().parents[1])
     cases = [("5", "2", "256"), ("6", "2", "512")]
     for n, k, nodes in cases:
         argv = [
-            sys.executable, "-m", "conforma.cli", "solve-yamabe", "--n", n, "--k", k,
+            "solve-yamabe", "--n", n, "--k", k,
             "--N", nodes, "--scheme", "spectral", "--L", "1", "--t-steps", "11",
             "--tol", "1e-10",
         ]
-        raw = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"{n}-{nodes}-{threads}"
-            env = {key: v for key, v in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-            env["OMP_NUM_THREADS"] = threads
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            proc = subprocess.run([*argv, "--output-dir", str(out)], env=env, capture_output=True)
-            assert proc.returncode == 0, proc.stderr
-            raw.append(((out / "result.json").read_bytes(), (out / "trace.jsonl").read_bytes()))
+        raw = [_result_bytes_at_threads(tmp_path / f"{n}-{nodes}-{threads}", argv, threads)
+               for threads in ("1", "2")]
+        assert raw[0][1] is not None
         assert raw[0] == raw[1]
         assert json.loads(raw[0][0])["result"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("n, word", [
+    ("4", "translate:0.3,-0.1,0.2,0.1;scale:1.7;invert"),
+    ("16", "scale:1.7;invert"),
+])
+def test_conjugation_test_result_independent_of_blas_threads(tmp_path, n, word):
+    # the spectra come from LAPACK, one eigvalsh call per stack of matrices
+    argv = ["conjugation-test", "--n", n, "--word", word, "--samples", "2000"]
+    raw = [_result_bytes_at_threads(tmp_path / threads, argv, threads)
+           for threads in ("1", "2")]
+    assert raw[0] == raw[1]
 
 
 @pytest.mark.parametrize(
@@ -287,6 +306,10 @@ def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
         ("verify-liouville", "--family", "ball", "--n", "4", "--c", "nan"),
         ("conjugation-test", "--a", "inf"),
         ("conjugation-test", "--mode", "fd", "--h", "inf"),
+        # finite parameters whose conformal matrices are not: refused before
+        # LAPACK, which would return numbers for them
+        ("conjugation-test", "--mode", "analytic", "--a", "1e300", "--beta", "1e100",
+         "--samples", "8"),
         # refused before the lambda grid or the stage list is built
         ("moving-sphere", "--lambda-steps", "100000000"),
         ("solve-yamabe", "--t-steps", "100000000"),
@@ -315,6 +338,7 @@ def test_solve_yamabe_result_independent_of_blas_threads(tmp_path):
          "fullspace-a-overflow", "fullspace-a-underflow", "lemmas-density-cap",
          "harnack-R-inf", "harnack-delta-inf", "halfspace-beta-inf", "halfspace-xn-inf",
          "ball-beta-inf", "ball-c-nan", "conjugation-a-inf", "fd-h-inf",
+         "conjugation-matrix-non-finite",
          "sweep-lambda-steps-cap", "yamabe-t-steps-cap",
          "yamabe-N-huge", "harnack-samples-huge", "sweep-check-count-huge",
          "validate-samples-huge", "sweep-check-count-neg", "yamabe-N-neg",
@@ -421,6 +445,16 @@ def test_conjugation_test_command(tmp_path):
     assert rc == 0
     res = read_result(tmp_path)["result"]
     assert res["checks"]["eigenvalue_conjugation"]["value"] <= 1e-8
+
+
+@pytest.mark.parametrize("extra", [
+    ("--n", "9"), ("--n", "12"), ("--n", "16"),
+    # the fd truncation error grows with n: at n = 16 the default h = 1e-3
+    # misses the 1e-4 gate, h = 1e-4 meets it
+    ("--n", "16", "--mode", "fd", "--h", "1e-4"),
+])
+def test_conjugation_test_runs_up_to_the_dimension_cap(tmp_path, extra):
+    assert run(tmp_path, "conjugation-test", "--word", "scale:1.7;invert", *extra) == 0
 
 
 def test_failing_check_returns_one(tmp_path, capsys):

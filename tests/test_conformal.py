@@ -1,6 +1,8 @@
 """Moebius maps, conformal pullback, the flat Schouten matrix, and the
 conjugation identity that ties them together."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from conforma.conformal import (
 )
 from conforma.errors import ConformaError, DomainError, SingularityError
 from conforma.fields import BubbleField, ConstantField, finite_difference
+from conforma.jacobi import jacobi_eigenvalues
 from conforma.radial import order_estimate
 from conforma.sampling import ball_points, make_rng, shell_points
 
@@ -44,6 +47,36 @@ def test_bubble_schouten_is_constant_multiple_of_identity():
             assert np.max(np.abs(A - target * np.eye(n))) <= 1e-10
             lam = schouten_eigen_flat(u, x)
             assert np.max(np.abs(lam - target)) <= 1e-10
+
+
+def test_schouten_eigen_rows_match_jacobi_oracle():
+    # one batched eigvalsh against the cyclic Jacobi solve of each matrix, on
+    # bubbles (A^u = c I) and on their pullbacks under random words
+    eps = np.finfo(float).eps
+    for n in range(3, 9):
+        rng = make_rng(n)
+        pts = shell_points(rng, n, 30, 0.7, 1.3)
+        bubbles = catalog_fields(n)[:2]
+        fields = bubbles + [pullback_u(u, random_word(rng, n)) for u in bubbles for _ in range(3)]
+        for u in fields:
+            A = a_matrix_flat(u, pts)
+            lam = schouten_eigen_flat(u, pts)
+            assert lam.shape == (len(pts), n)
+            for a, row in zip(A, lam):
+                tol = 4 * n * eps * np.max(np.abs(a))
+                assert np.max(np.abs(row - jacobi_eigenvalues(a))) <= tol
+
+
+def test_schouten_eigen_refuses_a_non_finite_matrix():
+    # LAPACK returns numbers for a NaN or inf matrix, so it never sees one
+    u = BubbleField(BubbleParams(n=3, a=1e300, beta=1e100))
+    x = np.array([[0.5, 0.0, 0.0], [0.2, -0.2, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(a_matrix_flat(u, x)))
+        with pytest.raises(DomainError, match="not finite at x"):
+            schouten_eigen_flat(u, x)
+        with pytest.raises(DomainError, match="not finite at x"):
+            schouten_eigen_flat(u, x[1])
 
 
 def test_constant_and_harmonic_power_are_flat():
@@ -187,6 +220,23 @@ def test_conjugation_fd_second_order():
     devs = [conjugation_residual(finite_difference(u, h=h), word, pts) for h in hs]
     slope = order_estimate(hs, devs)
     assert 1.8 <= slope <= 2.2, (devs, slope)
+
+
+def test_conjugation_residual_memory_does_not_grow_with_samples():
+    # samples are taken CONJUGATION_SLAB at a time: 4x the samples, the same
+    # peak (one pass over all of them held about 4x)
+    u = BubbleField(BubbleParams(n=8, a=1.0, beta=1.0))
+    psi = MoebiusMap((Scale(1.7), Invert()))
+    peaks = []
+    for m in (500, 2000):
+        pts = shell_points(make_rng(0), 8, m, 0.6, 1.4)
+        tracemalloc.start()
+        try:
+            conjugation_residual(u, psi, pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_conjugation_residual_identity_word_is_zero():

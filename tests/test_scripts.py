@@ -57,6 +57,13 @@ def test_bench_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_does_not_import_jacobi():
+    # the Jacobi solver is the tests' reference only; no command loads it
+    code = "import sys, conforma.cli; assert 'conforma.jacobi' not in sys.modules"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_traced_checks_pass_runs_clean():
     # the tracer wraps every values method defined in conforma.fields; one
     # traced checks pass must still classify every item ok or known
