@@ -28,6 +28,7 @@ from .bubbles import (
 from .cones import (
     make_sigma_k_operator,
     homogenize,
+    mu_star,
     sample_cone_directions,
     validate_operator,
 )
@@ -51,7 +52,6 @@ from .moving_sphere import (
 from .radial import (
     bubble_deviation,
     matched_bubble,
-    mu_star,
     profile_max_unit_residual,
     shoot,
 )
@@ -82,31 +82,20 @@ MAX_H_COUNT = 10_000
 # peak of about 250 MiB at n = 9 and 680 MiB (2 s) at n = 16 at the --samples
 # cap. (harnack's constant C(n) overflows a float from n = 23.)
 MAX_DIMENSION = 16
-COUNT_CAPS = (
-    ("n", MAX_DIMENSION),
-    ("samples", MAX_SAMPLES),
-    ("check_count", MAX_CHECK_COUNT),
-    ("center_count", MAX_CENTER_COUNT),
-    ("h_count", MAX_H_COUNT),
-)
 
 
-def _positive_count(text: str) -> int:
-    """argparse type for evidence counts: a check never passes on none."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+def _count(cap=math.inf, low=1):
+    """argparse type for an integer work flag: an int in [low, cap], refused
+    by the parser before any handler builds an array or a loop from it. The
+    default low is 1: a check never passes on no evidence."""
 
+    def count(text: str) -> int:
+        value = int(text)
+        if not low <= value <= cap:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{low}, {cap}]")
+        return value
 
-def _check_counts(args) -> None:
-    """Refuse a work flag above its cap before any handler builds an array
-    or a loop from it."""
-    for name, cap in COUNT_CAPS:
-        value = getattr(args, name, None)
-        if value is not None and value > cap:
-            flag = "--" + name.replace("_", "-")
-            raise DomainError(f"{flag} {value} is above the cap {cap}")
+    return count
 
 
 def _parse_word(text: str, n: int) -> MoebiusMap:
@@ -243,8 +232,6 @@ def _cmd_moving_sphere(args):
     u = BubbleField(
         BubbleParams(n=n, a=args.a, beta=args.beta), domain=ball(args.domain_radius)
     )
-    if args.center_count < 2:
-        raise DomainError("center-count must be at least 2")
     rng = make_rng(args.seed)
     pts = ball_points(rng, n, args.check_count, radius=args.domain_radius)
     cfg = SweepConfig(
@@ -541,27 +528,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-operator", help="structural checks on (f, cone)")
     common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count(MAX_DIMENSION), required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=_positive_count, default=500)
+    p.add_argument("--samples", type=_count(MAX_SAMPLES), default=500)
     p.set_defaults(handler=_cmd_validate_operator)
 
     p = sub.add_parser("verify-liouville", help="bubble residuals for the rigidity families")
     common(p)
     p.add_argument("--family", choices=("fullspace", "halfspace", "ball"),
                    default="fullspace")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count(MAX_DIMENSION), required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--xn", type=float, default=0.7)
-    p.add_argument("--samples", type=_positive_count, default=100)
+    p.add_argument("--samples", type=_count(MAX_SAMPLES), default=100)
     p.set_defaults(handler=_cmd_verify_liouville)
 
     p = sub.add_parser("radial-shoot", help="integrate the radial profile, compare to the bubble")
     common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count(MAX_DIMENSION), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--v0", type=float, default=1.0)
     p.add_argument("--h", type=float, default=1e-4)
@@ -572,44 +559,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moving-sphere", help="critical-radius sweeps or interval-lemma suite")
     common(p)
     p.add_argument("--task", choices=("sweep", "lemmas"), default="sweep")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_count(MAX_DIMENSION), default=3)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--domain-radius", type=float, default=8.0)
     p.add_argument("--lambda-min", type=float, default=0.04)
     p.add_argument("--lambda-max", type=float, default=4.0)
     p.add_argument("--lambda-steps", type=int, default=256)
-    p.add_argument("--check-count", type=_positive_count, default=4096)
-    p.add_argument("--center-count", type=int, default=9)
+    p.add_argument("--check-count", type=_count(MAX_CHECK_COUNT), default=4096)
+    p.add_argument("--center-count", type=_count(MAX_CENTER_COUNT, 2), default=9)
     p.add_argument("--center-radius", type=float, default=0.3)
     p.add_argument("--emit-sweep-csv", action="store_true")
-    p.add_argument("--h-count", type=_positive_count, default=50, help="lemmas task: catalog size")
+    p.add_argument("--h-count", type=_count(MAX_H_COUNT), default=50, help="lemmas task: catalog size")
     p.add_argument("--density", type=int, default=64, help="lemmas task: grid density")
     p.set_defaults(handler=_cmd_moving_sphere)
 
     p = sub.add_parser("harnack", help="sup-inf product against the explicit constant")
     common(p)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_count(MAX_DIMENSION), default=3)
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--samples", type=_positive_count, default=4096)
+    p.add_argument("--samples", type=_count(MAX_SAMPLES), default=4096)
     p.set_defaults(handler=_cmd_harnack)
 
     p = sub.add_parser("homogenize", help="degree-1 normalization checks")
     common(p)
     p.add_argument("--op", default="sigma2", help="sigmaK, e.g. sigma2")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--samples", type=_positive_count, default=100)
-    p.add_argument("--triples", type=_positive_count, default=500)
+    p.add_argument("--n", type=_count(MAX_DIMENSION), default=3)
+    p.add_argument("--samples", type=_count(MAX_SAMPLES), default=100)
+    p.add_argument("--triples", type=_count(), default=500)
     p.set_defaults(handler=_cmd_homogenize)
 
     p = sub.add_parser("solve-yamabe", help="homotopy continuation on the product manifold")
     common(p)
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=_count(MAX_DIMENSION), default=5)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--N", type=_positive_count, default=64)
+    p.add_argument("--N", type=_count(), default=64)
     p.add_argument("--t-steps", type=int, default=11)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--scheme", choices=("spectral", "fd4"), default="spectral")
@@ -617,13 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjugation-test", help="eigenvalue conjugation under a Mobius word")
     common(p)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_count(MAX_DIMENSION), default=3)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--word", default="translate:0.3,-0.1,0.2;scale:1.7;invert")
     p.add_argument("--mode", choices=("analytic", "fd"), default="analytic")
     p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--samples", type=_positive_count, default=20)
+    p.add_argument("--samples", type=_count(MAX_SAMPLES), default=20)
     p.set_defaults(handler=_cmd_conjugation_test)
 
     return parser
@@ -644,7 +631,6 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        _check_counts(args)
         result, passed, artifacts = args.handler(args)
     except ConformaError as exc:
         # parameter-shape problems are usage errors: nothing is written

@@ -93,8 +93,8 @@ class CurvatureOperator:
     """Symmetric operator f together with its admissibility cone.
 
     sigma_order is k when f is sigma_k^{1/k} on Gamma_k (set by
-    make_sigma_k_operator), which licenses the closed-form solves and
-    two_cluster_kernel; None otherwise. takes_rows is True when f and grad_f
+    make_sigma_k_operator), which licenses the closed forms through
+    sigma_k_order; None otherwise. takes_rows is True when f and grad_f
     also take an (m, n) array of rows and return the m values (gradients) of
     m one-vector calls, raising ConeError when a row is off the cone.
     """
@@ -179,6 +179,25 @@ def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
         sigma_order=k,
         takes_rows=True,
     )
+
+
+def sigma_k_order(op: CurvatureOperator, what: str) -> int:
+    """The k of an operator made by make_sigma_k_operator, which every
+    sigma_k^{1/k} closed form needs; DomainError naming what needs it for
+    any other operator."""
+    k = op.sigma_order
+    if k is None:
+        raise DomainError(f"{what} needs a sigma_k operator, got {op.name}")
+    return k
+
+
+def mu_star(op: CurvatureOperator) -> float:
+    """The diagonal level scale: f(mu* e) = 1.
+
+    For f = sigma_k^{1/k}, f(mu e) = mu C(n,k)^{1/k}, so mu* = C(n,k)^{-1/k}.
+    """
+    k = sigma_k_order(op, "closed-form mu*")
+    return math.comb(op.n, k) ** (-1.0 / k)
 
 
 def two_cluster_sigmas(a: float, b: float, m: int, k: int) -> list:
@@ -428,14 +447,9 @@ def _first_worst(values, ok, start):
     return float(values[i]), i
 
 
-def _pymax(first, *rest):
-    """Elementwise Python max(first, *rest): a later value replaces the
-    running one only when greater, so a nan replaces nothing and a leading
-    nan stays."""
-    out = first
-    for x in rest:
-        out = np.where(x > out, x, out)
-    return out
+def _row_norms(rows):
+    """np.linalg.norm of every row of an (m, n) array, with its bits."""
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def _check(passed, worst, rows, i) -> CheckResult:
@@ -493,7 +507,8 @@ def validate_operator(
     op.takes_rows), and keeps the witness a loop over its samples keeps: the
     first sample whose value exceeds the worst so far. A sample where op.f
     or op.grad_f raises ConeError drops out, and a check with no sample
-    evaluated fails: no evidence is no pass.
+    evaluated fails: no evidence is no pass. A maximum over one sample's
+    values is np.fmax's: a nan value is skipped unless every value is nan.
     """
     rng = make_rng(seed)
     n = op.cone.n
@@ -514,8 +529,9 @@ def validate_operator(
         f_s, ok_s = f(samples)
 
         # permutation symmetry
-        perms = np.array([rng.permutation(n) for _ in range(m)], dtype=np.intp)
-        f_p, ok_p = f(np.take_along_axis(samples, perms.reshape(m, n), axis=1))
+        # the stream of m rng.permutation(n) calls, row by row
+        perms = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+        f_p, ok_p = f(np.take_along_axis(samples, perms, axis=1))
         ok = ok_s & ok_p
         worst, i = _first_worst(np.abs(f_s - f_p), ok, 0.0)
         checks["permutation_symmetry"] = _check(ok.any() and worst <= 1e-12, worst, samples, i)
@@ -531,7 +547,7 @@ def validate_operator(
         fl, fm = (f_s[p] for p in pairs)
         f_mid, ok = f(0.5 * (lam + mu))
         ok &= ok_s[pairs[0]] & ok_s[pairs[1]]
-        unit = _pymax(np.ones(len(lam)), np.abs(fl), np.abs(fm))
+        unit = np.fmax(np.fmax(1.0, np.abs(fl)), np.abs(fm))
         worst, i = _first_worst((0.5 * (fl + fm) - f_mid) / unit, ok, 0.0)
         # no pair evaluated is no evidence
         checks["midpoint_concavity"] = _check(
@@ -544,7 +560,7 @@ def validate_operator(
         head = samples[:64]
         vals, ok = f_grid(head[:, None, :] * s_grid[:, None])
         ok = ok.all(axis=1)
-        worst, i = _first_worst(_pymax(*(vals[:, :-1] - vals[:, 1:]).T), ok, 0.0)
+        worst, i = _first_worst(np.fmax.reduce(vals[:, :-1] - vals[:, 1:], axis=1), ok, 0.0)
         checks["ray_growth"] = _check(ok.any() and worst <= 0.0, worst, head, i)
 
         # cone nesting, positive orthant side: every positive vector is a member
@@ -557,10 +573,9 @@ def validate_operator(
         # cone nesting, Gamma_1 side: members (the samples, each followed by
         # its jitter when that is in the cone) have positive entry sum
         head = samples[:200]
-        jitters = np.array([
-            lam + rng.normal(0.0, 0.4 * np.linalg.norm(lam) / math.sqrt(n), size=n)
-            for lam in head
-        ]).reshape(-1, n)
+        # the stream of one rng.normal call per sample, row by row
+        scale = 0.4 * _row_norms(head) / math.sqrt(n)
+        jitters = head + rng.normal(0.0, scale[:, None], size=head.shape)
         kept = np.stack([np.ones(len(head), dtype=bool), op.cone.contains(jitters)], axis=1)
         members = np.stack([head, jitters], axis=1)[kept]
         worst, i = _first_worst(-members.sum(axis=1), np.ones(len(members), dtype=bool), -math.inf)
@@ -569,9 +584,10 @@ def validate_operator(
         # boundary vanishing: f decays below 1e-3 along segments approaching
         # sampled boundary points (unit scale)
         n_boundary = max(4, min(20, sample_count // 10))
-        starts = np.array([lam / np.linalg.norm(lam) for lam in samples[:n_boundary]])
-        found, bpts = _boundary_points(op.cone, rng, starts.reshape(-1, n))
-        norms = np.array([np.linalg.norm(bpt) for bpt in bpts])
+        head = samples[:n_boundary]
+        starts = head / _row_norms(head)[:, None]
+        found, bpts = _boundary_points(op.cone, rng, starts)
+        norms = _row_norms(bpts)
         unit = np.where(norms > 0, norms, 1.0)[:, None]
         ends, lams = bpts / unit, starts[found] / unit
         # reach 1e-12: sigma_k^{1/k}-type operators vanish like eps^{1/k}, so the
@@ -579,7 +595,7 @@ def validate_operator(
         eps_grid = np.array([10.0 ** (-j) for j in range(1, 13)])
         seq, ok = f_grid(ends[:, None, :] + eps_grid[:, None] * (lams - ends)[:, None, :])
         ok = ok.all(axis=1)
-        v = _pymax(seq[:, -1], _pymax(*(seq[:, 1:] - seq[:, :-1]).T))
+        v = np.fmax(seq[:, -1], np.fmax.reduce(seq[:, 1:] - seq[:, :-1], axis=1))
         worst, witness = 0.0, []
         for end, v_i, ok_i in zip(ends, v.tolist(), ok.tolist()):
             # an off-cone segment point fails the check at that boundary point

@@ -252,6 +252,12 @@ def a_matrix_flat(u: ScalarField, x) -> np.ndarray:
     # mirror the upper triangle: exact symmetry by construction
     lo, up = np.tril_indices(n, -1)
     A[:, lo, up] = A[:, up, lo]
+    # u > 0 makes both weights positive, so a zero weight underflowed and A
+    # lost its terms (it can read zero on no evidence). A non-finite A is
+    # returned as it is: schouten_eigen_flat names it.
+    lost = ((w1 == 0.0) | (w2 == 0.0)) & np.isfinite(A).all(axis=(1, 2))
+    if lost.any():
+        raise DomainError(f"the weights of A^u underflow at x = {X[np.argmax(lost)]}")
     return A if x.ndim > 1 else A[0]
 
 

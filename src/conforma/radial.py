@@ -25,7 +25,7 @@ import numpy as np
 
 from . import reporting
 from .bubbles import BubbleParams, bubble_values
-from .cones import CurvatureOperator, gamma_k_check, sigma_rows
+from .cones import CurvatureOperator, gamma_k_check, mu_star, sigma_k_order, sigma_rows
 from .errors import ConeError, DomainError, PositivityError
 
 # Most RK4 steps one shot may take (r_max / h). A step (four slope calls)
@@ -93,24 +93,6 @@ def radial_eigenvalues(v: float, vp: float, vpp: float, r: float, n: int) -> np.
     return _eigenvalue_rows(*node, n)[0]
 
 
-def _sigma_order(op: CurvatureOperator, what: str) -> int:
-    k = op.sigma_order
-    if k is None:
-        raise DomainError(f"{what} needs a sigma_k operator, got {op.name}")
-    return k
-
-
-def mu_star(op: CurvatureOperator) -> float:
-    """The diagonal level scale: f(mu* e) = 1.
-
-    For f = sigma_k^{1/k}, f(mu e) = mu C(n,k)^{1/k}, so mu* = C(n,k)^{-1/k};
-    operators without a recorded sigma_k order get a DomainError, as in
-    implicit_vpp.
-    """
-    k = _sigma_order(op, "closed-form mu*")
-    return math.comb(op.n, k) ** (-1.0 / k)
-
-
 def vpp0_exact(op: CurvatureOperator, v0: float) -> float:
     """Center curvature of the f = 1 profile: v''(0) matching mu*."""
     if not v0 > 0:
@@ -144,7 +126,7 @@ def slope_kernel(op: CurvatureOperator):
     operations and their order are fixed: tests/helpers.py keeps a form that
     recomputes every constant per call, and the slopes agree bit for bit.
     """
-    k = _sigma_order(op, "closed-form slope")
+    k = sigma_k_order(op, "closed-form slope")
     n = op.n
     m = n - 1
     e1, e2, c, c_rad, c_tang = _coefficients(n)
@@ -358,7 +340,7 @@ def profile_max_unit_residual(op: CurvatureOperator, profile: RadialProfile) -> 
     a node-by-node evaluation of op.f would. A pass takes RESIDUAL_SLAB
     nodes, so the temporaries stay small at any step count shoot accepts.
     """
-    k = _sigma_order(op, "closed-form unit residual")
+    k = sigma_k_order(op, "closed-form unit residual")
     worst = 0.0
     for lo in range(0, len(profile.r), RESIDUAL_SLAB):
         nodes = slice(lo, lo + RESIDUAL_SLAB)

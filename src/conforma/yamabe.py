@@ -29,9 +29,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cones import CurvatureOperator, two_cluster_kernel
+from .cones import CurvatureOperator, mu_star, sigma_k_order, two_cluster_kernel
 from .errors import ConeError, ConvergenceError, DomainError, PositivityError
-from .radial import mu_star
 
 MIN_STEP = 1e-4
 RESTORE_BISECTIONS = 20
@@ -180,12 +179,7 @@ def _node_kernel(op: CurvatureOperator, g: PeriodicGrid, t: float):
     """(lambda_t, lambda_s, partials) of _product_spectrum at every node,
     and the kernel (f_t, df_t/dlambda_t, sum of df_t/dlambda_s, cone margin)
     at stage t."""
-    k = op.sigma_order
-    if k is None:
-        raise DomainError(
-            f"operator {op.name} has no two-cluster closed form "
-            "(only sigma_k^(1/k) does)"
-        )
+    k = sigma_k_order(op, "two-cluster kernel")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"homotopy parameter t={t} outside [0, 1]")
     lam_t, lam_s, partials = _product_spectrum(g.values, *g.derivatives(), op.n)

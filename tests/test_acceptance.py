@@ -26,6 +26,7 @@ from conforma.cones import (
     CurvatureOperator,
     homogenize,
     make_sigma_k_operator,
+    mu_star,
     sample_cone_directions,
     solve_unit_level,
 )
@@ -44,7 +45,6 @@ from conforma.moving_sphere import (
 from conforma.radial import (
     bubble_deviation,
     matched_bubble,
-    mu_star,
     order_estimate,
     shoot,
 )

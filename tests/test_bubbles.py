@@ -14,9 +14,9 @@ from conforma.bubbles import (
     halfspace_residual,
     verify_fullspace,
 )
-from conforma.cones import make_sigma_k_operator
+from conforma.cones import make_sigma_k_operator, mu_star
 from conforma.errors import DomainError
-from conforma.radial import matched_bubble, mu_star, vpp0_exact
+from conforma.radial import matched_bubble, vpp0_exact
 from conforma.sampling import ball_points, make_rng
 
 

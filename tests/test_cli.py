@@ -329,6 +329,15 @@ def test_conjugation_test_result_independent_of_blas_threads(tmp_path, n, word):
         # the test rather than allocate
         ("verify-liouville", "--family", "fullspace", "--n", str(cli.MAX_DIMENSION + 1)),
         ("harnack", "--n", str(cli.MAX_DIMENSION + 1)),
+        # a ring needs the origin and one more centre
+        ("moving-sphere", "--center-count", "1"),
+        ("harnack", "--n", "0"),
+        # a negative dimension reached math.sqrt with a ValueError
+        ("harnack", "--n", "-1"),
+        # the weights of A^u underflow: A read zero on both sides and passed
+        ("conjugation-test", "--a", "1e300", "--beta", "1", "--samples", "8"),
+        ("conjugation-test", "--mode", "fd", "--a", "1e300", "--beta", "1e100",
+         "--samples", "8"),
     ],
     ids=["word-dim", "n9", "v0-overflow", "validate-0", "homogenize-0",
          "conjugation-0", "harnack-neg", "lemmas-0", "r-max-inf", "L-inf",
@@ -344,7 +353,8 @@ def test_conjugation_test_result_independent_of_blas_threads(tmp_path, n, word):
          "validate-samples-huge", "sweep-check-count-neg", "yamabe-N-neg",
          "sweep-center-count-cap", "lemmas-h-count-cap", "yamabe-N-cap",
          "conjugation-samples-cap", "sweep-check-count-cap", "fullspace-n-cap",
-         "harnack-n-cap"],
+         "harnack-n-cap", "sweep-center-count-1", "harnack-n-0", "harnack-n-neg",
+         "conjugation-weights-underflow", "fd-weights-underflow"],
 )
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     # a domain error returns 2, an argument rejected by the parser exits 2;

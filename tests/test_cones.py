@@ -243,7 +243,7 @@ def _same_report(got, want):
     assert dumps_json(got.to_json_dict()) == dumps_json(want.to_json_dict())
 
 
-@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 8) for k in range(1, n + 1)])
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 9) for k in range(1, n + 1)])
 @given(seed=st.integers(0, 2**32 - 1), count=st.sampled_from([1, 2, 3, 17, 500]))
 @settings(max_examples=4, deadline=None)
 def test_validate_operator_matches_loop_oracle(n, k, seed, count):
@@ -294,6 +294,28 @@ def test_validate_operator_drops_off_cone_rows_alone():
     op = CurvatureOperator("picky", f, base.grad_f, base.cone, 1.0, takes_rows=True)
     for seed in (0, 5):
         _same_report(validate_operator(op, 200, seed), validate_operator_loop(op, 200, seed))
+
+
+def test_validate_operator_maxima_skip_nan():
+    # f = 1/sigma_1 on rows, nan where sigma_1 < 0.05: a ray whose first
+    # scales are nan still counts, with its largest finite decrease
+    def f(lam):
+        s1 = np.sum(lam, axis=-1)
+        with np.errstate(divide="ignore"):
+            return np.where(s1 < 0.05, np.nan, 1.0 / s1)
+
+    op = CurvatureOperator("nan_inv_sigma1", f, lambda lam: -np.ones_like(lam),
+                           GammaKCone(3, 1), takes_rows=True)
+    check = validate_operator(op, sample_count=500, seed=0).checks["ray_growth"]
+
+    head = sample_cone_directions(make_rng(0), 3, 500)[:64]
+    s_grid = np.exp(np.linspace(np.log(1e-2), np.log(1e2), 17))
+    vals = f(head[:, None, :] * s_grid[:, None])
+    drops = np.nanmax(vals[:, :-1] - vals[:, 1:], axis=1)
+    assert np.isnan(vals[:, 0]).any()
+    assert check.worst_violation == np.max(drops)
+    assert check.witness == head[np.argmax(drops)].tolist()
+    assert not check.passed
 
 
 def test_solve_unit_level_closed_forms():

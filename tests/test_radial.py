@@ -20,6 +20,7 @@ from helpers import (
 from conforma.cones import (
     homogenize,
     make_sigma_k_operator,
+    mu_star,
     sigma_all,
     solve_unit_level,
     two_cluster_sigmas,
@@ -31,7 +32,6 @@ from conforma.radial import (
     bubble_deviation,
     implicit_vpp,
     matched_bubble,
-    mu_star,
     order_estimate,
     profile_max_unit_residual,
     radial_eigenvalues,

@@ -2,10 +2,15 @@
 Jacobian, Newton, and the homotopy path."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conforma
 from conforma import yamabe
 from conforma.cones import homogenize, make_sigma_k_operator
 from conforma.errors import ConeError, ConvergenceError, DomainError
@@ -323,6 +328,18 @@ def test_closed_form_matches_loop_oracle(n, k, t, scheme):
     assert min_cone_margin(op, off, t) < 0.0
 
 
+def test_yamabe_does_not_import_radial():
+    # the sigma_k closed forms yamabe needs (mu*, the order guard) live in cones
+    src = str(Path(conforma.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, conforma.yamabe; print('conforma.radial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_closed_form_needs_two_cluster_operator():
     # the closed form needs a recorded sigma_k order, at every stage t in
     # [0, 1]; other operators and stages outside [0, 1] are refused
@@ -331,7 +348,7 @@ def test_closed_form_needs_two_cluster_operator():
     g = constant_grid(CS, 16)
     for fn in (residual, jacobian, min_cone_margin):
         for t in (0.0, 0.3, 1.0):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="needs a sigma_k operator"):
                 fn(deg1, g, t)
         for t in (-0.1, 1.5, float("nan")):
             with pytest.raises(DomainError):
