@@ -18,8 +18,7 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of three suites.
 --suite radial (written to BENCH_8.json by default):
 
 - L1 the radial slope per call on the (v, v', r) nodes of an h=1e-3 shot
-  of every workload (n, k): the callable `shoot` uses (`slope_kernel(op)`),
-  and the public `implicit_vpp`;
+  of every workload (n, k): the callable `shoot` uses (`slope_kernel(op)`);
 - L3 `shoot` per h=1e-4 shot from v0 = 1 for every workload (n, k), and
   `profile_max_unit_residual` per profile of those shots;
 - L4 the handler time of `radial-shoot --n 5 --k 2` at h=1e-3 and h=1e-4,
@@ -215,23 +214,15 @@ def radial_layer1(repeats):
         op = make_sigma_k_operator(n, k)
         prof = radial.shoot(op, 1.0, h=1e-3, r_max=0.9)
         nodes = list(zip(prof.v.tolist()[1:], prof.vp.tolist()[1:], prof.r.tolist()[1:]))
-        cases.append((op, radial.slope_kernel(op), nodes))
-    count = sum(len(nodes) for _, _, nodes in cases)
+        cases.append((radial.slope_kernel(op), nodes))
+    count = sum(len(nodes) for _, nodes in cases)
 
     def kernel_calls():
-        for _, slope, nodes in cases:
+        for slope, nodes in cases:
             for v, vp, r in nodes:
                 slope(v, vp, r)
 
-    def implicit_calls():
-        for op, _, nodes in cases:
-            for v, vp, r in nodes:
-                radial.implicit_vpp(op, v, vp, r)
-
-    return {
-        "slope_per_call_s": per_item(timed(kernel_calls, repeats * 4), count),
-        "implicit_vpp_per_call_s": per_item(timed(implicit_calls, repeats * 4), count),
-    }
+    return {"slope_per_call_s": per_item(timed(kernel_calls, repeats * 4), count)}
 
 
 def radial_layer3(repeats):
@@ -402,7 +393,6 @@ SUITES = {
         "layers": {"L1": radial_layer1, "L3": radial_layer3, "L4": radial_layer4},
         "speedups": {
             "L1 radial slope per call": ("L1", "slope_per_call_s"),
-            "L1 implicit_vpp per call": ("L1", "implicit_vpp_per_call_s"),
             "L3 shoot per h=1e-4 shot": ("L3", "shoot_h1e-4_s"),
             "L3 residual check per profile": ("L3", "residual_check_per_profile_s"),
             "L4 radial-shoot --n 5 --k 2 --h 1e-3 handler": (

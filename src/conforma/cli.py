@@ -28,7 +28,6 @@ from .bubbles import (
 from .cones import (
     make_sigma_k_operator,
     homogenize,
-    mu_star,
     sample_cone_directions,
     validate_operator,
 )
@@ -51,6 +50,7 @@ from .moving_sphere import (
 )
 from .radial import (
     bubble_deviation,
+    matched_beta,
     matched_bubble,
     profile_max_unit_residual,
     shoot,
@@ -148,18 +148,13 @@ def _cmd_validate_operator(args):
     return result, passed, []
 
 
-def _matched_beta(n: int, k: int, a: float) -> float:
-    op = make_sigma_k_operator(n, k)
-    return 0.5 * mu_star(op) * a * a
-
-
 def _cmd_verify_liouville(args):
     n, k, a = args.n, args.k, args.a
     family = args.family
     if family == "fullspace":
-        beta = args.beta if args.beta is not None else _matched_beta(n, k, a)
-        p = BubbleParams(n=n, a=a, beta=beta)
         op = make_sigma_k_operator(n, k)
+        beta = args.beta if args.beta is not None else matched_beta(op, a)
+        p = BubbleParams(n=n, a=a, beta=beta)
         res = verify_fullspace(op, p, sample_count=args.samples, seed=args.seed)
     elif family == "halfspace":
         beta = args.beta if args.beta is not None else 1.0
@@ -173,8 +168,6 @@ def _cmd_verify_liouville(args):
         p = BubbleParams(n=n, a=a, beta=beta)
         c = args.c if args.c is not None else -0.5 * (n - 2.0) * (1.0 - beta) / a
         res = ball_robin_residual(p, c, sample_count=args.samples, seed=args.seed)
-    else:
-        raise DomainError(f"unknown family {family!r}")
     checks = {
         "r1": {"pass": res.r1 <= R1_TOL, "value": res.r1, "tol": R1_TOL},
         "r2": {"pass": res.r2 <= R2_TOL, "value": res.r2, "tol": R2_TOL},

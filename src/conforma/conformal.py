@@ -194,29 +194,17 @@ def pullback_u(u: ScalarField, psi: MoebiusMap) -> ScalarField:
     return out
 
 
-def sphere_inversion_values(u: ScalarField, x, lam: float, Y) -> np.ndarray:
-    """u_{x,lam}(y) = (lam/|y-x|)^{n-2} u(x + lam^2 (y-x)/|y-x|^2) over rows
-    of Y, in closed form."""
-    x = np.asarray(x, dtype=float)
-    Y = np.atleast_2d(Y)
-    D = Y - x
-    d2 = np.einsum("ij,ij->i", D, D)
-    if np.any(d2 <= POLE_GUARD_ANALYTIC**2):
-        raise SingularityError("u_{x,lam} evaluated at its pole y = x")
-    return sphere_inversion_at_offsets(u, x, lam, D.T, d2)
-
-
 def sphere_inversion_at_offsets(
     u: ScalarField, x, lam: float, DT: np.ndarray, d2: np.ndarray
 ) -> np.ndarray:
-    """u_{x,lam}(x + d) for offsets d given by coordinate, DT = [d_1 ... d_P]
-    of shape (n, P), with d2 = |d|^2 off the pole.
+    """u_{x,lam}(y) = (lam/|y-x|)^{n-2} u(x + lam^2 (y-x)/|y-x|^2) in closed
+    form at y = x + d, for offsets d given by coordinate, DT = [d_1 ... d_P]
+    of shape (n, P), with d2 = |d|^2 off the pole (the caller refuses it).
 
     The offsets and their squared norms do not depend on lam, so a caller
     that evaluates many radii at one centre computes them once. The mapped
     points are formed one coordinate row at a time, so each operation runs
-    over P contiguous values instead of P rows of n; every entry goes
-    through the same operations as in the row form, so it gets the same bits.
+    over P contiguous values instead of P rows of n.
     """
     lam2 = lam * lam
     kernel = (lam2 / d2) ** (0.5 * (u.n - 2))

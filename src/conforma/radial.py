@@ -101,14 +101,18 @@ def vpp0_exact(op: CurvatureOperator, v0: float) -> float:
     return -0.5 * (n - 2.0) * v0 ** ((n + 2.0) / (n - 2.0)) * mu_star(op)
 
 
+def matched_beta(op: CurvatureOperator, a: float) -> float:
+    """beta = mu* a^2 / 2: the bubble of scale a with f(lam) = 1."""
+    return 0.5 * mu_star(op) * a * a
+
+
 def matched_bubble(op: CurvatureOperator, v0: float) -> BubbleParams:
     """The standard bubble with the same center data as the f = 1 profile."""
     if not v0 > 0:
         raise PositivityError(f"center value v0 = {v0:.6g} is not positive")
     n = op.n
     a = v0 ** (2.0 / (n - 2.0))
-    beta = 0.5 * mu_star(op) * a * a
-    return BubbleParams(n=n, a=a, beta=beta)
+    return BubbleParams(n=n, a=a, beta=matched_beta(op, a))
 
 
 def slope_kernel(op: CurvatureOperator):
@@ -157,12 +161,6 @@ def slope_kernel(op: CurvatureOperator):
         )
 
     return slope
-
-
-def implicit_vpp(op: CurvatureOperator, v: float, vp: float, r: float) -> float:
-    """Solve f(lam(v, v', w, r)) = 1 for the vertical slope w = v''
-    (one call of slope_kernel(op))."""
-    return slope_kernel(op)(v, vp, r)
 
 
 @dataclass
@@ -220,10 +218,10 @@ def shoot(
 ) -> RadialProfile:
     """Integrate the radial f = 1 profile from v(0) = v0, v'(0) = 0.
 
-    First node reached by the Taylor step v(h) = v0 + v''(0) h^2/2,
-    v'(h) = v''(0) h; after that classical RK4 with the slope from
-    slope_kernel(op) at every stage. Stops early with status "cone_exit"
-    or "positivity_loss" when the data leaves the admissible set.
+    Step 0 is the Taylor step v(h) = v0 + v''(0) h^2/2, v'(h) = v''(0) h;
+    every later step is classical RK4 with the slope from slope_kernel(op)
+    at every stage. Stops early with status "cone_exit" or
+    "positivity_loss" when the data leaves the admissible set.
     """
     if not v0 > 0:
         raise PositivityError(f"center value v0 = {v0:.6g} is not positive")
@@ -250,33 +248,22 @@ def shoot(
     r_at[0], v_at[0], vp_at[0], w_at[0] = 0.0, v0, 0.0, w0
     nodes = 1
     status = "ok"
-
-    v1 = v0 + 0.5 * w0 * h * h
-    vp1 = w0 * h
-    try:
-        w1 = slope(v1, vp1, h)
-        r_at[1], v_at[1], vp_at[1], w_at[1] = h, v1, vp1, w1
-        nodes = 2
-    except ConeError:
-        status = "cone_exit"
-    except PositivityError:
-        status = "positivity_loss"
-
-    if status == "ok":
-        v, vp, w = v1, vp1, w1
-        for i in range(1, steps):
-            r = i * h
-            try:
+    for i in range(steps):
+        r = i * h
+        try:
+            if i:
                 v, vp = _rk4_step(slope, r, v, vp, w, h)
-                w = slope(v, vp, r + h)
-            except ConeError:
-                status = "cone_exit"
-                break
-            except PositivityError:
-                status = "positivity_loss"
-                break
-            r_at[i + 1], v_at[i + 1], vp_at[i + 1], w_at[i + 1] = r + h, v, vp, w
-            nodes = i + 2
+            else:
+                v, vp = v0 + 0.5 * w0 * h * h, w0 * h
+            w = slope(v, vp, r + h)
+        except ConeError:
+            status = "cone_exit"
+            break
+        except PositivityError:
+            status = "positivity_loss"
+            break
+        r_at[i + 1], v_at[i + 1], vp_at[i + 1], w_at[i + 1] = r + h, v, vp, w
+        nodes = i + 2
 
     return RadialProfile(
         r=np.asarray(r_at[:nodes]),

@@ -24,23 +24,17 @@ def unit_vectors(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
 
 
 def ball_points(
-    rng: np.random.Generator, n: int, count: int, radius: float = 1.0, center=None
+    rng: np.random.Generator, n: int, count: int, radius: float = 1.0
 ) -> np.ndarray:
     dirs = unit_vectors(rng, n, count)
     radii = radius * rng.random(count) ** (1.0 / n)
-    pts = dirs * radii[:, None]
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts
+    return dirs * radii[:, None]
 
 
 def sphere_points(
-    rng: np.random.Generator, n: int, count: int, radius: float = 1.0, center=None
+    rng: np.random.Generator, n: int, count: int, radius: float = 1.0
 ) -> np.ndarray:
-    pts = radius * unit_vectors(rng, n, count)
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts
+    return radius * unit_vectors(rng, n, count)
 
 
 def shell_points(
@@ -49,11 +43,7 @@ def shell_points(
     count: int,
     r_inner: float,
     r_outer: float,
-    center=None,
 ) -> np.ndarray:
     dirs = unit_vectors(rng, n, count)
     radii = r_inner + (r_outer - r_inner) * rng.random(count)
-    pts = dirs * radii[:, None]
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts
+    return dirs * radii[:, None]

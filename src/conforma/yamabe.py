@@ -167,14 +167,6 @@ def _product_spectrum(u, up, upp, n: int):
     return w * T, w * S, (dt_dv, dt_dvp, dt_dvpp, ds_dv, ds_dvp)
 
 
-def node_eigenvalues(g: PeriodicGrid, n: int) -> np.ndarray:
-    """Per-node eigenvalue rows (lambda_t, lambda_s x (n-1))."""
-    lam_t, lam_s, _ = _product_spectrum(g.values, *g.derivatives(), n)
-    out = np.repeat(lam_s[:, None], n, axis=1)
-    out[:, 0] = lam_t
-    return out
-
-
 def _node_kernel(op: CurvatureOperator, g: PeriodicGrid, t: float):
     """(lambda_t, lambda_s, partials) of _product_spectrum at every node,
     and the kernel (f_t, df_t/dlambda_t, sum of df_t/dlambda_s, cone margin)
@@ -552,10 +544,6 @@ def newton_solve(
     )
 
 
-def background_admissible(op: CurvatureOperator) -> bool:
-    return op.cone.contains(product_background_eigenvalues(op.n))
-
-
 def c_star(op: CurvatureOperator) -> float:
     """Constant solution c* = f(lam(A_g))^{(n-2)/4} for degree-1 operators."""
     n = op.n
@@ -646,8 +634,8 @@ def continuation(
         raise DomainError(f"t_steps {t_steps} is above the cap {MAX_T_STEPS}")
     if N > MAX_NODES:
         raise DomainError(f"node count N={N} is above the cap {MAX_NODES}")
-    if not background_admissible(op):
-        lam = product_background_eigenvalues(op.n)
+    lam = product_background_eigenvalues(op.n)
+    if not op.cone.contains(lam):
         raise DomainError(
             "background eigenvalues "
             f"{lam.tolist()} are not admissible for {op.name}; "

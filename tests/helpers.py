@@ -209,7 +209,7 @@ def sphere_inversion_map(x, lam):
 def sphere_inversion_u(u, x, lam):
     """u_{x,lam} as the pullback of u by the generator chain of
     sphere_inversion_map: an oracle for the closed-form
-    conformal.sphere_inversion_values."""
+    conformal.sphere_inversion_at_offsets."""
     return pullback_u(u, sphere_inversion_map(x, lam))
 
 

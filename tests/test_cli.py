@@ -338,6 +338,8 @@ def test_conjugation_test_result_independent_of_blas_threads(tmp_path, n, word):
         ("conjugation-test", "--a", "1e300", "--beta", "1", "--samples", "8"),
         ("conjugation-test", "--mode", "fd", "--a", "1e300", "--beta", "1e100",
          "--samples", "8"),
+        # argparse choices refuse a family the handler does not know
+        ("verify-liouville", "--family", "cone", "--n", "4"),
     ],
     ids=["word-dim", "n9", "v0-overflow", "validate-0", "homogenize-0",
          "conjugation-0", "harnack-neg", "lemmas-0", "r-max-inf", "L-inf",
@@ -354,7 +356,7 @@ def test_conjugation_test_result_independent_of_blas_threads(tmp_path, n, word):
          "sweep-center-count-cap", "lemmas-h-count-cap", "yamabe-N-cap",
          "conjugation-samples-cap", "sweep-check-count-cap", "fullspace-n-cap",
          "harnack-n-cap", "sweep-center-count-1", "harnack-n-0", "harnack-n-neg",
-         "conjugation-weights-underflow", "fd-weights-underflow"],
+         "conjugation-weights-underflow", "fd-weights-underflow", "family-unknown"],
 )
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     # a domain error returns 2, an argument rejected by the parser exits 2;

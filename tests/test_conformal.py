@@ -26,11 +26,12 @@ from conforma.conformal import (
     conjugation_residual,
     pullback_u,
     schouten_eigen_flat,
-    sphere_inversion_values,
+    sphere_inversion_at_offsets,
 )
 from conforma.errors import ConformaError, DomainError, SingularityError
 from conforma.fields import BubbleField, ConstantField, finite_difference
 from conforma.jacobi import jacobi_eigenvalues
+from conforma.moving_sphere import msi_violation
 from conforma.radial import order_estimate
 from conforma.sampling import ball_points, make_rng, shell_points
 
@@ -92,9 +93,10 @@ def test_constant_and_harmonic_power_are_flat():
 def test_pole_guard():
     with pytest.raises(SingularityError):
         Invert().apply(np.zeros(3))
+    # a check point inside the pole guard of u_{x,lam}, outside the sphere
     u = ConstantField(3, 1.0)
     with pytest.raises(SingularityError):
-        sphere_inversion_values(u, np.zeros(3), 1.0, np.zeros((1, 3)))
+        msi_violation(u, np.zeros(3), 1e-13, np.array([[5e-13, 0.0, 0.0]]))
 
 
 def test_scale_zero_rejected():
@@ -155,6 +157,12 @@ def test_pullback_matches_generator_oracle(n, seed, kinds, field, fd):
             assert _outcome(getattr(got, name), x) == _outcome(getattr(want, name), x)
 
 
+def _inverted(u, x, lam, Y):
+    # u_{x,lam} at the rows of Y, through the offsets y - x
+    D = Y - x
+    return sphere_inversion_at_offsets(u, x, lam, D.T, np.einsum("ij,ij->i", D, D))
+
+
 def test_sphere_inversion_matches_closed_form():
     rng = make_rng(4)
     u = BubbleField(BubbleParams(n=5, a=1.3, beta=0.7))
@@ -162,7 +170,7 @@ def test_sphere_inversion_matches_closed_form():
     lam = 0.9
     chain = sphere_inversion_u(u, x0, lam)
     Y = x0 + shell_points(rng, 5, 30, 0.4, 2.5)
-    direct = sphere_inversion_values(u, x0, lam, Y)
+    direct = _inverted(u, x0, lam, Y)
     for y, d in zip(Y, direct):
         assert chain.value(y) == pytest.approx(d, rel=1e-10)
 
@@ -172,7 +180,7 @@ def test_inversion_of_constant_is_harmonic_power():
     u = ConstantField(4, 1.0)
     hp = HarmonicPowerField(4)
     Y = shell_points(make_rng(5), 4, 20, 0.3, 3.0)
-    got = sphere_inversion_values(u, np.zeros(4), 1.0, Y)
+    got = _inverted(u, np.zeros(4), 1.0, Y)
     for y, g in zip(Y, got):
         assert g == pytest.approx(hp.value(y), rel=1e-13)
 
@@ -184,7 +192,7 @@ def test_inversion_fixed_sphere():
     lam = 0.75
     D = shell_points(make_rng(6), 3, 10, 1.0, 1.0)
     Y = x0 + lam * D / np.linalg.norm(D, axis=1)[:, None]
-    got = sphere_inversion_values(u, x0, lam, Y)
+    got = _inverted(u, x0, lam, Y)
     assert np.allclose(got, u.values(Y), rtol=1e-12, atol=0.0)
 
 

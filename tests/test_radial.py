@@ -30,7 +30,6 @@ from conforma.errors import ConeError, DomainError, PositivityError
 from conforma.radial import (
     RadialProfile,
     bubble_deviation,
-    implicit_vpp,
     matched_bubble,
     order_estimate,
     profile_max_unit_residual,
@@ -95,7 +94,7 @@ def test_implicit_vpp_recovers_bubble_second_derivative():
     vpp_true = (
         -2.0 * e * p.a**e * p.beta * rr2 ** (-e - 2.0) * (1.0 - (2.0 * e + 1.0) * p.beta * r * r)
     )
-    w = implicit_vpp(op, v, vp, r)
+    w = slope_kernel(op)(v, vp, r)
     assert w == pytest.approx(vpp_true, rel=1e-11)
 
 
@@ -103,7 +102,7 @@ def test_implicit_vpp_rejects_off_cone_data():
     op = make_sigma_k_operator(5, 2)
     # v' > 0 far from the center forces the tangential eigenvalues negative
     with pytest.raises(ConeError):
-        implicit_vpp(op, 1.0, 1.0, 0.5)
+        slope_kernel(op)(1.0, 1.0, 0.5)
 
 
 WORKLOAD_PAIRS = [(3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (5, 3)]
@@ -126,9 +125,9 @@ def _slope_inputs(op, seed):
     return pts
 
 
-def _outcome(solve, op, v, vp, r):
+def _outcome(solve, *args):
     try:
-        return solve(op, v, vp, r)
+        return solve(*args)
     except ConeError:
         return "cone"
 
@@ -136,9 +135,10 @@ def _outcome(solve, op, v, vp, r):
 @pytest.mark.parametrize("n,k", WORKLOAD_PAIRS)
 def test_implicit_vpp_matches_root_search_oracle(n, k):
     op = make_sigma_k_operator(n, k)
+    slope = slope_kernel(op)
     solved = off_cone = 0
     for v, vp, r in _slope_inputs(op, seed=100 * n + k):
-        w = _outcome(implicit_vpp, op, v, vp, r)
+        w = _outcome(slope, v, vp, r)
         w_ref = _outcome(implicit_vpp_bracket, op, v, vp, r)
         if w_ref == "cone":
             assert w == "cone", (v, vp, r, w)
@@ -150,17 +150,17 @@ def test_implicit_vpp_matches_root_search_oracle(n, k):
     assert solved >= 20
     # sigma_1 operators admit a slope for every positive v
     assert (off_cone == 0) if k == 1 else (off_cone >= 2)
-    for solve in (implicit_vpp, implicit_vpp_bracket):
+    for v in (0.0, -1.0):
         with pytest.raises(PositivityError):
-            solve(op, 0.0, -0.1, 0.5)
+            slope(v, -0.1, 0.5)
         with pytest.raises(PositivityError):
-            solve(op, -1.0, -0.1, 0.5)
+            implicit_vpp_bracket(op, v, -0.1, 0.5)
     # the closed form needs a recorded sigma_k order
     assert op.sigma_order == k
     for other in (homogenize(op), homotopy_operator(op, 0.5)):
         assert other.sigma_order is None
         with pytest.raises(DomainError):
-            implicit_vpp(other, 1.0, -0.1, 0.5)
+            slope_kernel(other)
 
 
 def _bits(solve, *args):
@@ -187,12 +187,17 @@ def test_slope_kernel_matches_per_call_slope_bit_for_bit(nk, data):
     kernel = slope_kernel(op)
     want = _bits(implicit_vpp_node, op, v, vp, r)
     assert _bits(kernel, v, vp, r) == want
-    assert _bits(implicit_vpp, op, v, vp, r) == want
 
 
-# shots that stop early: a cone exit inside the RK4 loop, and a profile that
-# crosses zero; both only at coarse steps
-EARLY_STOPS = [((3, 3, 1.5, 0.42), "cone_exit"), ((3, 1, 3.25, 0.18), "positivity_loss")]
+# shots that stop early, only at coarse steps: a cone exit inside the RK4
+# loop, a profile that crosses zero, and each of the two at the Taylor node
+# (one node kept)
+EARLY_STOPS = [
+    ((3, 3, 1.5, 0.42), "cone_exit"),
+    ((3, 1, 3.25, 0.18), "positivity_loss"),
+    ((3, 1, 1.0, 3.5), "positivity_loss"),
+    ((5, 2, 1.0, 2.0), "cone_exit"),
+]
 
 
 def _oracle_shots():

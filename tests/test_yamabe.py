@@ -16,7 +16,6 @@ from conforma.cones import homogenize, make_sigma_k_operator
 from conforma.errors import ConeError, ConvergenceError, DomainError
 from conforma.yamabe import (
     PeriodicGrid,
-    background_admissible,
     c_star,
     constant_start,
     continuation,
@@ -26,7 +25,6 @@ from conforma.yamabe import (
     jacobian_fd,
     min_cone_margin,
     newton_solve,
-    node_eigenvalues,
     product_background_eigenvalues,
     residual,
 )
@@ -140,9 +138,11 @@ def test_product_eigenvalues_constant_factor():
     # a constant factor only rescales the background eigenvalues
     n = 5
     for c in (0.5, 1.0, 2.3):
-        lam = node_eigenvalues(constant_grid(c), n)
-        scale = c ** (-4.0 / (n - 2))
-        assert np.allclose(lam, scale * product_background_eigenvalues(n), rtol=1e-14)
+        g = constant_grid(c)
+        lam_t, lam_s, _ = yamabe._product_spectrum(g.values, *g.derivatives(), n)
+        target = c ** (-4.0 / (n - 2)) * product_background_eigenvalues(n)
+        assert np.allclose(lam_t, target[0], rtol=1e-14)
+        assert np.allclose(lam_s, target[1], rtol=1e-14)
 
 
 @pytest.mark.parametrize("scheme", ["spectral", "fd4"])
@@ -159,7 +159,6 @@ def test_product_spectrum_matches_oracle(n, scheme):
     rows = product_eigenvalues(u, up, upp, n)
     assert lam_t.tolist() == rows[:, 0].tolist()
     assert lam_s.tolist() == rows[:, 1].tolist()
-    assert node_eigenvalues(g, n).tolist() == rows.tolist()
     # the partials may differ from the oracle's only by the rounding of
     # 2(n-1)/(n-2)^2 against (2/(n-2))(n-1)/(n-2): a few ulp of each term
     e4, c = 4.0 / (n - 2), 2.0 / (n - 2)
@@ -180,17 +179,20 @@ def test_product_spectrum_matches_oracle(n, scheme):
 
 def test_node_eigenvalues_at_constant():
     g = constant_grid(2.0)
-    lam = node_eigenvalues(g, 5)
-    scale = 2.0 ** (-4.0 / 3.0)
-    target = scale * product_background_eigenvalues(5)
-    assert np.max(np.abs(lam - target)) <= 1e-12
+    lam_t, lam_s, _ = yamabe._product_spectrum(g.values, *g.derivatives(), 5)
+    target = 2.0 ** (-4.0 / 3.0) * product_background_eigenvalues(5)
+    assert np.max(np.abs(lam_t - target[0])) <= 1e-12
+    assert np.max(np.abs(lam_s - target[1])) <= 1e-12
 
 
 def test_background_admissibility_gate():
-    assert background_admissible(OP)
-    assert background_admissible(make_sigma_k_operator(4, 1))
+    def admissible(op):
+        return op.cone.contains(product_background_eigenvalues(op.n))
+
+    assert admissible(OP)
+    assert admissible(make_sigma_k_operator(4, 1))
     # sigma_2 at n=4 rejects the product background
-    assert not background_admissible(make_sigma_k_operator(4, 2))
+    assert not admissible(make_sigma_k_operator(4, 2))
     with pytest.raises(DomainError):
         continuation(make_sigma_k_operator(4, 2), L=1.0, N=16)
 
