@@ -1,6 +1,15 @@
 """Per-layer timings of one path of the code, written to a BENCH_*.json.
 
-Times, with fixed seeds and one BLAS/OpenMP thread, one of three suites.
+Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites.
+
+--suite cli (written to BENCH_20.json by default):
+
+- L4 for one argv per command (the 14 argvs of the checks workload,
+  `radial-shoot --n 5 --k 2 --h 1e-3` and `solve-yamabe --n 5 --k 2 --N 64`,
+  each at --seed 0): the wall time of one `cli.main` call, its handler time
+  (`timing_seconds` of `manifest.json`) and their difference, the CLI's own
+  cost (parser, argument digest, writing result.json and manifest.json);
+  and the wall time of the tier-1 suite.
 
 --suite cones (written to BENCH_11.json by default):
 
@@ -56,8 +65,10 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import functools  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import operator  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -159,16 +170,28 @@ def ms_layer3(repeats):
     }
 
 
-def handler_time(argv, repeats):
-    samples = []
+def cli_times(argv, repeats):
+    """The wall time of main(argv), its handler time and their difference."""
+    walls, handlers = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(repeats + 1):
             out = Path(tmp) / str(i)
             with contextlib.redirect_stderr(io.StringIO()):
+                t0 = time.perf_counter()
                 main(argv + ["--output-dir", str(out)])
-            samples.append(json.loads((out / "manifest.json").read_text())["timing_seconds"])
-    samples = samples[1:]  # the first run pays for lazy imports
-    return {"median_s": statistics.median(samples), "samples": samples}
+                walls.append(time.perf_counter() - t0)
+            handlers.append(json.loads((out / "manifest.json").read_text())["timing_seconds"])
+    # the first run pays for lazy imports
+    columns = {
+        "wall_s": walls[1:],
+        "handler_s": handlers[1:],
+        "overhead_s": [w - h for w, h in zip(walls[1:], handlers[1:])],
+    }
+    return {key: {"median_s": statistics.median(v), "samples": v} for key, v in columns.items()}
+
+
+def handler_time(argv, repeats):
+    return cli_times(argv, repeats)["handler_s"]
 
 
 def acceptance(name, repeats):
@@ -333,6 +356,33 @@ def cones_layer4(repeats):
     }
 
 
+CLI_ARGVS = [
+    ["validate-operator", "--n", "3", "--k", "2"],
+    ["validate-operator", "--n", "5", "--k", "3"],
+    ["validate-operator", "--n", "6", "--k", "4"],
+    ["verify-liouville", "--family", "fullspace", "--n", "4", "--k", "2"],
+    ["verify-liouville", "--family", "halfspace", "--n", "4"],
+    ["verify-liouville", "--family", "ball", "--n", "4"],
+    ["harnack", "--n", "3"],
+    ["harnack", "--n", "5"],
+    ["homogenize", "--op", "sigma2", "--n", "3"],
+    ["homogenize", "--op", "sigma3", "--n", "4"],
+    ["conjugation-test", "--mode", "analytic", "--n", "3"],
+    ["conjugation-test", "--mode", "analytic", "--n", "4",
+     "--word", "translate:0.3,-0.1,0.2,0.1;scale:1.7;invert"],
+    ["conjugation-test", "--mode", "fd", "--n", "3"],
+    ["moving-sphere", "--task", "lemmas"],
+    ["radial-shoot", "--n", "5", "--k", "2", "--h", "1e-3"],
+    ["solve-yamabe", "--n", "5", "--k", "2", "--N", "64"],
+]
+
+
+def cli_layer4(repeats):
+    out = {" ".join(argv): cli_times(argv + ["--seed", "0"], repeats * 4) for argv in CLI_ARGVS}
+    out["tier1"] = tier1()
+    return out
+
+
 def machine():
     cpu = platform.processor()
     try:
@@ -354,6 +404,15 @@ def machine():
 
 
 SUITES = {
+    "cli": {
+        "out": "BENCH_20.json",
+        "layers": {"L4": cli_layer4},
+        "speedups": {
+            f"L4 {' '.join(argv)} {part}": ("L4", " ".join(argv), f"{part}_s")
+            for argv in CLI_ARGVS
+            for part in ("wall", "overhead")
+        },
+    },
     "cones": {
         "out": "BENCH_11.json",
         "layers": {"L0": cones_layer0, "L1": cones_layer1, "L4": cones_layer4},
@@ -407,8 +466,9 @@ SUITES = {
 
 def speedups(suite, parent, change):
     out = {}
-    for name, (layer, key) in SUITES[suite]["speedups"].items():
-        out[name] = parent[layer][key]["median_s"] / change[layer][key]["median_s"]
+    for name, path in SUITES[suite]["speedups"].items():
+        out[name] = (functools.reduce(operator.getitem, path, parent)["median_s"]
+                     / functools.reduce(operator.getitem, path, change)["median_s"])
     out["L4 tier-1 wall"] = parent["L4"]["tier1"]["wall_s"] / change["L4"]["tier1"]["wall_s"]
     for one, rows, name in [
         ("sigma_all_per_row_s", "sigma_rows_per_row_s", "sigma_all per row over sigma_rows"),

@@ -4,7 +4,9 @@ Eight subcommands, each a single deterministic experiment that writes
 result.json (byte-stable for fixed command, params, and seed), manifest.json
 (version, seed, timing — the only place timing lives), and optional CSV/JSONL
 artifacts. Exit status: 0 all asserted checks pass, 1 an assertion failed,
-2 usage or parameter error (nothing written).
+2 usage or parameter error (nothing written). One table, COMMANDS, holds
+the subcommands; main builds the parser of the command it runs, and the full
+parser only for help, --version and an argv that names no command first.
 """
 
 from __future__ import annotations
@@ -506,28 +508,14 @@ def _cmd_conjugation_test(args):
 # parser and driver
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="conforma",
-        description="Desk-scale checks for conformally invariant curvature equations.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--output-dir", default=".", help="artifact directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv", "both"), default="json")
-
-    p = sub.add_parser("validate-operator", help="structural checks on (f, cone)")
-    common(p)
+def _validate_operator_flags(p):
     p.add_argument("--n", type=_count(MAX_DIMENSION), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=_count(MAX_SAMPLES), default=500)
     p.set_defaults(handler=_cmd_validate_operator)
 
-    p = sub.add_parser("verify-liouville", help="bubble residuals for the rigidity families")
-    common(p)
+
+def _verify_liouville_flags(p):
     p.add_argument("--family", choices=("fullspace", "halfspace", "ball"),
                    default="fullspace")
     p.add_argument("--n", type=_count(MAX_DIMENSION), required=True)
@@ -539,8 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count(MAX_SAMPLES), default=100)
     p.set_defaults(handler=_cmd_verify_liouville)
 
-    p = sub.add_parser("radial-shoot", help="integrate the radial profile, compare to the bubble")
-    common(p)
+
+def _radial_shoot_flags(p):
     p.add_argument("--n", type=_count(MAX_DIMENSION), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--v0", type=float, default=1.0)
@@ -549,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sup-tol", type=float, default=SUP_TOL_RADIAL)
     p.set_defaults(handler=_cmd_radial_shoot)
 
-    p = sub.add_parser("moving-sphere", help="critical-radius sweeps or interval-lemma suite")
-    common(p)
+
+def _moving_sphere_flags(p):
     p.add_argument("--task", choices=("sweep", "lemmas"), default="sweep")
     p.add_argument("--n", type=_count(MAX_DIMENSION), default=3)
     p.add_argument("--a", type=float, default=1.0)
@@ -567,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=int, default=64, help="lemmas task: grid density")
     p.set_defaults(handler=_cmd_moving_sphere)
 
-    p = sub.add_parser("harnack", help="sup-inf product against the explicit constant")
-    common(p)
+
+def _harnack_flags(p):
     p.add_argument("--n", type=_count(MAX_DIMENSION), default=3)
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1.0)
@@ -576,16 +564,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count(MAX_SAMPLES), default=4096)
     p.set_defaults(handler=_cmd_harnack)
 
-    p = sub.add_parser("homogenize", help="degree-1 normalization checks")
-    common(p)
+
+def _homogenize_flags(p):
     p.add_argument("--op", default="sigma2", help="sigmaK, e.g. sigma2")
     p.add_argument("--n", type=_count(MAX_DIMENSION), default=3)
     p.add_argument("--samples", type=_count(MAX_SAMPLES), default=100)
     p.add_argument("--triples", type=_count(), default=500)
     p.set_defaults(handler=_cmd_homogenize)
 
-    p = sub.add_parser("solve-yamabe", help="homotopy continuation on the product manifold")
-    common(p)
+
+def _solve_yamabe_flags(p):
     p.add_argument("--n", type=_count(MAX_DIMENSION), default=5)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--L", type=float, default=1.0)
@@ -595,8 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("spectral", "fd4"), default="spectral")
     p.set_defaults(handler=_cmd_solve_yamabe)
 
-    p = sub.add_parser("conjugation-test", help="eigenvalue conjugation under a Mobius word")
-    common(p)
+
+def _conjugation_test_flags(p):
     p.add_argument("--n", type=_count(MAX_DIMENSION), default=3)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
@@ -606,6 +594,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count(MAX_SAMPLES), default=20)
     p.set_defaults(handler=_cmd_conjugation_test)
 
+
+# the subcommands in help order: name -> (help, adder of its own flags)
+COMMANDS = {
+    "validate-operator": ("structural checks on (f, cone)", _validate_operator_flags),
+    "verify-liouville": ("bubble residuals for the rigidity families", _verify_liouville_flags),
+    "radial-shoot": ("integrate the radial profile, compare to the bubble", _radial_shoot_flags),
+    "moving-sphere": ("critical-radius sweeps or interval-lemma suite", _moving_sphere_flags),
+    "harnack": ("sup-inf product against the explicit constant", _harnack_flags),
+    "homogenize": ("degree-1 normalization checks", _homogenize_flags),
+    "solve-yamabe": ("homotopy continuation on the product manifold", _solve_yamabe_flags),
+    "conjugation-test": ("eigenvalue conjugation under a Mobius word", _conjugation_test_flags),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the named one alone.
+
+    A one-command parser names all of them in its usage line, as the full
+    parser does, so the errors it prints read the same."""
+    parser = argparse.ArgumentParser(
+        prog="conforma",
+        description="Desk-scale checks for conformally invariant curvature equations.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    # on the full parser a metavar would rename "command" in argparse's
+    # invalid-choice and missing-command errors
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--output-dir", default=".", help="artifact directory")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=("json", "csv", "both"), default="json")
+        add_flags(p)
     return parser
 
 
@@ -619,8 +642,11 @@ def _args_digest(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named command's parser; anything else (help, --version, no or
+    # an unknown command) gets the full one and its messages
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
 
     t0 = time.perf_counter()
     try:

@@ -594,18 +594,11 @@ def validate_operator(
         # shallow end of the grid must sit well below (1e-3)^k
         eps_grid = np.array([10.0 ** (-j) for j in range(1, 13)])
         seq, ok = f_grid(ends[:, None, :] + eps_grid[:, None] * (lams - ends)[:, None, :])
-        ok = ok.all(axis=1)
         v = np.fmax(seq[:, -1], np.fmax.reduce(seq[:, 1:] - seq[:, :-1], axis=1))
-        worst, witness = 0.0, []
-        for end, v_i, ok_i in zip(ends, v.tolist(), ok.tolist()):
-            # an off-cone segment point fails the check at that boundary point
-            if not ok_i:
-                worst, witness = max(worst, 1.0), end.tolist()
-            elif v_i > worst:
-                worst, witness = v_i, end.tolist()
-        checks["boundary_vanishing"] = CheckResult(
-            len(ends) > 0 and worst < 1e-3, worst, witness
-        )
+        # an off-cone segment point fails the check at that boundary point
+        v = np.where(ok.all(axis=1), v, 1.0)
+        worst, i = _first_worst(v, np.ones(len(v), dtype=bool), 0.0)
+        checks["boundary_vanishing"] = _check(len(ends) > 0 and worst < 1e-3, worst, ends, i)
 
         # tagged homogeneity
         if op.homogeneous_degree is not None:

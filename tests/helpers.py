@@ -16,14 +16,17 @@ one-ray-at-a-time unit-level solve with the per-sample homogenize handler
 built on it, the one-sample-at-a-time operator validation, the lemmas
 catalog with one closure pair per kind, the one-vector sigma_k
 gradient, the one-point bubble value, gradient and Hessian, the per-point
-field protocol that the rows protocol replaced, and the per-point
-upper-triangle assembly of A^u."""
+field protocol that the rows protocol replaced, the per-point
+upper-triangle assembly of A^u, and the hand-written parser of all eight
+subcommands that the CLI's command table replaced."""
 
+import argparse
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from conforma import __version__, cli
 from conforma.bubbles import BubbleParams, bubble_values
 from conforma.cones import (
     BISECT_ITERS as RAY_BISECT_ITERS,
@@ -1165,12 +1168,13 @@ def validate_operator_loop(op, sample_count=500, seed=0):
         try:
             seq = [op.f(bpt + e * (lam_in - bpt)) for e in eps_grid]
         except ConeError:
-            worst, witness = max(worst, 1.0), list(bpt)
-            continue
-        increase = max(
-            (seq[j + 1] - seq[j]) for j in range(len(seq) - 1)
-        )
-        v = max(seq[-1], increase)
+            # an off-cone segment point fails the check at that boundary point
+            v = 1.0
+        else:
+            increase = max(
+                (seq[j + 1] - seq[j]) for j in range(len(seq) - 1)
+            )
+            v = max(seq[-1], increase)
         if v > worst:
             worst, witness = v, list(bpt)
     checks["boundary_vanishing"] = CheckResult(worst < 1e-3, worst, witness)
@@ -1287,3 +1291,108 @@ def sigma_k_grad_one(k, lam):
     return np.array(
         [front * _sigma_minor(vals, e, k - 1, i) for i in range(n)]
     )
+
+
+def build_parser_all() -> argparse.ArgumentParser:
+    """The parser of every subcommand as one hand-written function; an
+    oracle for the help and error output of cli.main."""
+    parser = argparse.ArgumentParser(
+        prog="conforma",
+        description="Desk-scale checks for conformally invariant curvature equations.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--output-dir", default=".", help="artifact directory")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=("json", "csv", "both"), default="json")
+
+    p = sub.add_parser("validate-operator", help="structural checks on (f, cone)")
+    common(p)
+    p.add_argument("--n", type=cli._count(cli.MAX_DIMENSION), required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--samples", type=cli._count(cli.MAX_SAMPLES), default=500)
+    p.set_defaults(handler=cli._cmd_validate_operator)
+
+    p = sub.add_parser("verify-liouville", help="bubble residuals for the rigidity families")
+    common(p)
+    p.add_argument("--family", choices=("fullspace", "halfspace", "ball"),
+                   default="fullspace")
+    p.add_argument("--n", type=cli._count(cli.MAX_DIMENSION), required=True)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--xn", type=float, default=0.7)
+    p.add_argument("--samples", type=cli._count(cli.MAX_SAMPLES), default=100)
+    p.set_defaults(handler=cli._cmd_verify_liouville)
+
+    p = sub.add_parser("radial-shoot", help="integrate the radial profile, compare to the bubble")
+    common(p)
+    p.add_argument("--n", type=cli._count(cli.MAX_DIMENSION), required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--v0", type=float, default=1.0)
+    p.add_argument("--h", type=float, default=1e-4)
+    p.add_argument("--r-max", type=float, default=0.9)
+    p.add_argument("--sup-tol", type=float, default=cli.SUP_TOL_RADIAL)
+    p.set_defaults(handler=cli._cmd_radial_shoot)
+
+    p = sub.add_parser("moving-sphere", help="critical-radius sweeps or interval-lemma suite")
+    common(p)
+    p.add_argument("--task", choices=("sweep", "lemmas"), default="sweep")
+    p.add_argument("--n", type=cli._count(cli.MAX_DIMENSION), default=3)
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--domain-radius", type=float, default=8.0)
+    p.add_argument("--lambda-min", type=float, default=0.04)
+    p.add_argument("--lambda-max", type=float, default=4.0)
+    p.add_argument("--lambda-steps", type=int, default=256)
+    p.add_argument("--check-count", type=cli._count(cli.MAX_CHECK_COUNT), default=4096)
+    p.add_argument("--center-count", type=cli._count(cli.MAX_CENTER_COUNT, 2), default=9)
+    p.add_argument("--center-radius", type=float, default=0.3)
+    p.add_argument("--emit-sweep-csv", action="store_true")
+    p.add_argument("--h-count", type=cli._count(cli.MAX_H_COUNT), default=50, help="lemmas task: catalog size")
+    p.add_argument("--density", type=int, default=64, help="lemmas task: grid density")
+    p.set_defaults(handler=cli._cmd_moving_sphere)
+
+    p = sub.add_parser("harnack", help="sup-inf product against the explicit constant")
+    common(p)
+    p.add_argument("--n", type=cli._count(cli.MAX_DIMENSION), default=3)
+    p.add_argument("--R", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--samples", type=cli._count(cli.MAX_SAMPLES), default=4096)
+    p.set_defaults(handler=cli._cmd_harnack)
+
+    p = sub.add_parser("homogenize", help="degree-1 normalization checks")
+    common(p)
+    p.add_argument("--op", default="sigma2", help="sigmaK, e.g. sigma2")
+    p.add_argument("--n", type=cli._count(cli.MAX_DIMENSION), default=3)
+    p.add_argument("--samples", type=cli._count(cli.MAX_SAMPLES), default=100)
+    p.add_argument("--triples", type=cli._count(), default=500)
+    p.set_defaults(handler=cli._cmd_homogenize)
+
+    p = sub.add_parser("solve-yamabe", help="homotopy continuation on the product manifold")
+    common(p)
+    p.add_argument("--n", type=cli._count(cli.MAX_DIMENSION), default=5)
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--L", type=float, default=1.0)
+    p.add_argument("--N", type=cli._count(), default=64)
+    p.add_argument("--t-steps", type=int, default=11)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--scheme", choices=("spectral", "fd4"), default="spectral")
+    p.set_defaults(handler=cli._cmd_solve_yamabe)
+
+    p = sub.add_parser("conjugation-test", help="eigenvalue conjugation under a Mobius word")
+    common(p)
+    p.add_argument("--n", type=cli._count(cli.MAX_DIMENSION), default=3)
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--word", default="translate:0.3,-0.1,0.2;scale:1.7;invert")
+    p.add_argument("--mode", choices=("analytic", "fd"), default="analytic")
+    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--samples", type=cli._count(cli.MAX_SAMPLES), default=20)
+    p.set_defaults(handler=cli._cmd_conjugation_test)
+
+    return parser

@@ -1,6 +1,8 @@
 """Command-line driver: artifact layout, determinism, exit codes."""
 
+import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import conforma
 from conforma import cli, yamabe
 from conforma.cli import main
-from helpers import homogenize_handler_loop, validate_operator_loop
+from helpers import build_parser_all, homogenize_handler_loop, validate_operator_loop
 
 
 def run(tmp_path, *argv):
@@ -512,3 +514,73 @@ def test_result_json_is_byte_stable(tmp_path):
              "--samples", "80", "--seed", "8")
     assert rc == 0
     assert (a / "result.json").read_bytes() != (tmp_path / "c" / "result.json").read_bytes()
+
+
+def _outcome(parse, argv):
+    """stdout, stderr and exit code of parse(argv), which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return out.getvalue(), err.getvalue(), exc.value.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["--version"],
+    *([name, "--help"] for name in cli.COMMANDS),
+    [],
+    ["frobnicate"],
+    ["--seed", "1", "harnack"],
+    ["radial-shoot", "--n", "3", "--k", "1", "--bogus"],
+    ["radial-shoot", "--n", "3"],
+    ["validate-operator", "--n", "3", "--k", "2", "--samples", "100001"],
+    ["verify-liouville", "--n", "3", "--family", "cube"],
+], ids=" ".join)
+def test_cli_surface_matches_full_parser(argv):
+    # help, version and usage errors read as the hand-written full parser's
+    got = _outcome(main, argv)
+    assert got == _outcome(lambda a: build_parser_all().parse_args(a), argv)
+    assert got[2] in (0, 2)
+
+
+def _workload_argvs():
+    """The distinct argvs of the benchmark's workloads, at the cheap end of
+    the radial and yamabe grids (a command's parser does not depend on its
+    values)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    argvs = {it.argv for w in workloads.WORKLOADS for seed in range(6)
+             for it in workloads.build(w, seed)}
+    return sorted(a for a in argvs if "1e-4" not in a
+                  and ("--N" not in a or a[a.index("--N") + 1] == "64"))
+
+
+def test_main_builds_only_the_command_parser(tmp_path, monkeypatch):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    argvs = _workload_argvs()
+    assert {a[0] for a in argvs} == set(cli.COMMANDS)
+    for argv in argvs:
+        calls.clear()
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert run(tmp_path, *argv, "--seed", "1") in (0, 1)
+        assert calls == [argv[0]], argv
+
+
+@pytest.mark.parametrize("argv", _workload_argvs(), ids=" ".join)
+def test_command_parser_matches_full_parser(argv):
+    # the same namespace, handler included, as the full parser gives
+    full = vars(build_parser_all().parse_args(argv))
+    assert vars(cli.build_parser(argv[0]).parse_args(argv)) == full
+    assert vars(cli.build_parser().parse_args(argv)) == full

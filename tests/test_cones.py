@@ -296,6 +296,22 @@ def test_validate_operator_drops_off_cone_rows_alone():
         _same_report(validate_operator(op, 200, seed), validate_operator_loop(op, 200, seed))
 
 
+def test_boundary_vanishing_witness_holds_the_worst():
+    # f = 10 wherever it evaluates: an on-cone segment reads 10, an off-cone
+    # one 1.0, so the witness is the end of a segment f evaluates
+    def f(lam):
+        if lam[1] < lam[2]:
+            raise ConeError("refused", witness=list(lam))
+        return 10.0
+
+    op = CurvatureOperator("ten", f, lambda lam: np.ones(3), GammaKCone(3, 1))
+    for seed in range(5):
+        check = validate_operator(op, 200, seed).checks["boundary_vanishing"]
+        assert check.worst_violation == 10.0
+        assert f(np.array(check.witness)) == 10.0
+        _same_report(validate_operator(op, 200, seed), validate_operator_loop(op, 200, seed))
+
+
 def test_validate_operator_maxima_skip_nan():
     # f = 1/sigma_1 on rows, nan where sigma_1 < 0.05: a ray whose first
     # scales are nan still counts, with its largest finite decrease

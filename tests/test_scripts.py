@@ -43,6 +43,7 @@ def test_bench_layers_script_help():
     # imports cli._h_catalog and the moving-sphere and cones APIs
     proc = run_script("bench_layers.py", "--help")
     assert proc.returncode == 0, proc.stderr
+    assert "{cli,cones,moving-sphere,radial}" in proc.stdout
 
 
 def test_radial_convergence_script():
