@@ -50,14 +50,6 @@ class BubbleParams:
             raise DomainError(f"bubble center must be finite, got {c.tolist()}")
         object.__setattr__(self, "center", c)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "beta": self.beta,
-            "center": [float(c) for c in self.center],
-        }
-
 
 def _offsets(p: BubbleParams, X) -> tuple:
     """Rows x - center and the denominators 1 + beta*|x - center|^2."""

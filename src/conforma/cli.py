@@ -3,10 +3,11 @@
 Eight subcommands, each a single deterministic experiment that writes
 result.json (byte-stable for fixed command, params, and seed), manifest.json
 (version, seed, timing — the only place timing lives), and optional CSV/JSONL
-artifacts. Exit status: 0 all asserted checks pass, 1 an assertion failed,
-2 usage or parameter error (nothing written). One table, COMMANDS, holds
-the subcommands; main builds the parser of the command it runs, and the full
-parser only for help, --version and an argv that names no command first.
+artifacts. Exit status: 0 every check record passes, 1 a record failed or
+the command returned none, 2 usage or parameter error (nothing written).
+One table, COMMANDS, holds the subcommands; main builds the parser of the
+command it runs, and the full parser only for help, --version and an argv
+that names no command first.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, reporting
+from .reporting import Check
 from .bubbles import (
     BubbleParams,
     ball_robin_residual,
@@ -130,24 +133,24 @@ def _parse_word(text: str, n: int) -> MoebiusMap:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (result_dict, passed, artifacts)
+# command handlers: each returns (result_dict, checks, artifacts)
+# checks: {name: Check}, the records main takes the run's pass from; a result
+# with a "checks" key holds the same records there
 # artifacts: list of (filename, kind, payload); kind "csv" carries a writer
 # called with the path only when the CSV is written, kind "jsonl" the records
 
 
 def _cmd_validate_operator(args):
     op = make_sigma_k_operator(args.n, args.k)
-    report = validate_operator(op, sample_count=args.samples, seed=args.seed)
-    rd = report.to_json_dict()
-    passed = all(entry["pass"] for entry in rd.values())
+    checks = validate_operator(op, sample_count=args.samples, seed=args.seed)
     result = {
         "operator": op.name,
         "n": args.n,
         "k": args.k,
         "samples": args.samples,
-        "checks": rd,
+        "checks": checks,
     }
-    return result, passed, []
+    return result, checks, []
 
 
 def _cmd_verify_liouville(args):
@@ -171,16 +174,17 @@ def _cmd_verify_liouville(args):
         c = args.c if args.c is not None else -0.5 * (n - 2.0) * (1.0 - beta) / a
         res = ball_robin_residual(p, c, sample_count=args.samples, seed=args.seed)
     checks = {
-        "r1": {"pass": res.r1 <= R1_TOL, "value": res.r1, "tol": R1_TOL},
-        "r2": {"pass": res.r2 <= R2_TOL, "value": res.r2, "tol": R2_TOL},
+        "r1": Check(res.r1 <= R1_TOL, res.samples_used, {"value": res.r1, "tol": R1_TOL}),
+        # a closed form in the parameters: one evaluation
+        "r2": Check(res.r2 <= R2_TOL, 1, {"value": res.r2, "tol": R2_TOL}),
     }
     result = {
         "family": family,
-        "bubble": p.to_json_dict(),
+        "bubble": p,
         "samples_used": res.samples_used,
         "checks": checks,
     }
-    return result, checks["r1"]["pass"] and checks["r2"]["pass"], []
+    return result, checks, []
 
 
 def _cmd_radial_shoot(args):
@@ -196,16 +200,16 @@ def _cmd_radial_shoot(args):
         raise DomainError(f"matched bubble varies by {flat:.3g} <= sup_tol over [0, r_max]")
     sup_error = bubble_deviation(profile, params)
     unit_res = profile_max_unit_residual(op, profile)
-    passed = profile.status == "ok" and sup_error <= args.sup_tol
+    check = Check(profile.status == "ok" and sup_error <= args.sup_tol, len(profile.r))
     result = {
-        "profile": profile.to_json_dict(),
-        "matched_bubble": params.to_json_dict(),
+        "profile": profile,
+        "matched_bubble": params,
         "sup_error": sup_error,
         "sup_tol": args.sup_tol,
         "max_unit_residual": unit_res,
-        "pass": passed,
+        "pass": check.passed,
     }
-    return result, passed, [("profile.csv", "csv", profile.write_csv)]
+    return result, {"sup_error": check}, [("profile.csv", "csv", profile.write_csv)]
 
 
 def _ring_centers(n: int, radius: float, count: int) -> np.ndarray:
@@ -242,24 +246,22 @@ def _cmd_moving_sphere(args):
     origin = alpha.lambda_bars[0]  # the ring centres start at the origin
     alpha_expected = (args.a / args.beta) ** (0.5 * (n - 2))
     checks = {
-        "lambda_bar_origin": {
-            "pass": abs(origin - expected) <= 1e-3 * expected,
-            "value": origin,
-            "expected": expected,
-            "flag": "",
-        },
-        "alpha_spread": {
-            "pass": alpha.spread <= 1e-2 * alpha_expected,
-            "value": alpha.spread,
-            "alpha_expected": alpha_expected,
-        },
+        "lambda_bar_origin": Check(
+            abs(origin - expected) <= 1e-3 * expected,
+            len(pts),
+            {"value": origin, "expected": expected, "flag": ""},
+        ),
+        "alpha_spread": Check(
+            alpha.spread <= 1e-2 * alpha_expected,
+            len(centers),
+            {"value": alpha.spread, "alpha_expected": alpha_expected},
+        ),
     }
-    passed = all(c["pass"] for c in checks.values())
     result = {
         "n": n,
         "a": args.a,
         "beta": args.beta,
-        "alpha": alpha.to_json_dict(),
+        "alpha": alpha,
         "checks": checks,
     }
     artifacts = []
@@ -272,7 +274,7 @@ def _cmd_moving_sphere(args):
         artifacts.append(
             ("sweep.csv", "csv", lambda path: reporting.write_csv(path, header, rows))
         )
-    return result, passed, artifacts
+    return result, checks, artifacts
 
 
 def _h_catalog(rng, count: int):
@@ -347,8 +349,6 @@ def _cmd_appendix_suite(args):
         if not rep.implication_holds():
             implication_failures += 1
 
-    grad_reports = []
-    grad_ok = True
     fields = [
         ("bubble_beta1", BubbleField(BubbleParams(3, 1.0, 1.0), domain=ball(9.0)), 0.5),
         (
@@ -358,27 +358,27 @@ def _cmd_appendix_suite(args):
         ),
         ("constant", ConstantField(3, 2.0, domain=ball(9.0)), 1.0),
     ]
-    for name, u, a in fields:
-        rep = gradient_bound_check(u, a, seed=args.seed)
-        entry = {"field": name, "a": a}
-        entry.update(rep.to_json_dict())
-        grad_reports.append(entry)
-        if rep.vacuous or not rep.conclusion_pass:
-            grad_ok = False
+    grads = [(name, a, gradient_bound_check(u, a, seed=args.seed)) for name, u, a in fields]
 
     checks = {
-        "no_implication_failures": {
-            "pass": implication_failures == 0,
-            "failures": implication_failures,
-            "h_count": args.h_count,
-            "hypothesis_passes": hyp_passes,
-            "conclusion_passes": concl_passes,
-        },
-        "gradient_bound_on_catalog": {"pass": grad_ok, "reports": grad_reports},
+        "no_implication_failures": Check(
+            implication_failures == 0,
+            len(catalog),
+            {
+                "failures": implication_failures,
+                "h_count": args.h_count,
+                "hypothesis_passes": hyp_passes,
+                "conclusion_passes": concl_passes,
+            },
+        ),
+        "gradient_bound_on_catalog": Check(
+            all(not rep.vacuous and rep.conclusion_pass for _, _, rep in grads),
+            len(grads),
+            {"reports": [{"field": name, "a": a, **asdict(rep)} for name, a, rep in grads]},
+        ),
     }
-    passed = all(c["pass"] for c in checks.values())
     result = {"task": "lemmas", "checks": checks}
-    return result, passed, []
+    return result, checks, []
 
 
 def _cmd_harnack(args):
@@ -391,23 +391,21 @@ def _cmd_harnack(args):
     )
     rep = harnack_product(u, args.R, args.delta, sample_count=args.samples, seed=args.seed)
     checks = {
-        "product_bound": {"pass": rep.passed, "P": rep.P, "B": rep.B},
-        "rescaling_exactness": {
-            "pass": rep.rescaling_exactness <= 1e-10,
-            "value": rep.rescaling_exactness,
-        },
+        "product_bound": Check(rep.within_bound, args.samples, {"P": rep.P, "B": rep.B}),
+        "rescaling_exactness": Check(
+            rep.rescaling_exactness <= 1e-10, args.samples, {"value": rep.rescaling_exactness}
+        ),
     }
-    passed = all(c["pass"] for c in checks.values())
     result = {
         "n": n,
         "R": args.R,
         "delta": args.delta,
         "beta": args.beta,
         "C_n": harnack_constant(n),
-        "report": rep.to_json_dict(),
+        "report": rep,
         "checks": checks,
     }
-    return result, passed, []
+    return result, checks, []
 
 
 def _cmd_homogenize(args):
@@ -440,19 +438,16 @@ def _cmd_homogenize(args):
     conc_worst = float(np.max(conc, initial=-math.inf))
 
     checks = {
-        "closed_form_gap": {"pass": gap <= 1e-10, "value": gap, "tol": 1e-10},
-        "degree_one": {"pass": deg_gap <= 1e-9, "value": deg_gap, "tol": 1e-9},
-        "midpoint_concavity": {
-            # a sample with no neighbour forms no pair: no evidence, no pass
-            "pass": pairs > 0 and conc_worst <= 1e-9,
-            "worst": conc_worst,
-            "pairs": pairs,
-        },
+        "closed_form_gap": Check(gap <= 1e-10, len(lams), {"value": gap, "tol": 1e-10}),
+        "degree_one": Check(deg_gap <= 1e-9, len(scaled), {"value": deg_gap, "tol": 1e-9}),
+        # a sample with no neighbour forms no pair
+        "midpoint_concavity": Check(
+            conc_worst <= 1e-9, pairs, {"worst": conc_worst, "pairs": pairs}
+        ),
     }
-    passed = all(c["pass"] for c in checks.values())
     result = {"operator": op.name, "n": n, "k": k, "samples": args.samples,
               "checks": checks}
-    return result, passed, []
+    return result, checks, []
 
 
 def _cmd_solve_yamabe(args):
@@ -461,8 +456,9 @@ def _cmd_solve_yamabe(args):
         op, args.L, args.N, t_steps=args.t_steps, tol=args.tol, scheme=args.scheme
     )
     result = res.to_json_dict()
-    passed = res.status == "ok"
-    if passed:
+    # the continuation's verdict; result.json carries its status, not a check
+    checks = {"continuation": Check(res.status == "ok", len(res.records))}
+    if res.status == "ok":
         cs = c_star(op)
         dev = float(np.max(np.abs(res.final.values - cs)))
         result["c_star"] = cs
@@ -476,7 +472,7 @@ def _cmd_solve_yamabe(args):
     ]
     if res.final is not None:
         artifacts.append(("grid.csv", "csv", res.final.write_csv))
-    return result, passed, artifacts
+    return result, checks, artifacts
 
 
 def _cmd_conjugation_test(args):
@@ -491,9 +487,7 @@ def _cmd_conjugation_test(args):
     rng = make_rng(args.seed)
     pts = shell_points(rng, n, args.samples, 0.6, 1.4)
     res = conjugation_residual(u, psi, pts)
-    checks = {
-        "eigenvalue_conjugation": {"pass": res <= tol, "value": res, "tol": tol}
-    }
+    checks = {"eigenvalue_conjugation": Check(res <= tol, len(pts), {"value": res, "tol": tol})}
     result = {
         "n": n,
         "mode": args.mode,
@@ -501,7 +495,7 @@ def _cmd_conjugation_test(args):
         "samples": args.samples,
         "checks": checks,
     }
-    return result, checks["eigenvalue_conjugation"]["pass"], []
+    return result, checks, []
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +644,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        result, passed, artifacts = args.handler(args)
+        result, checks, artifacts = args.handler(args)
     except ConformaError as exc:
         # parameter-shape problems are usage errors: nothing is written
         print(f"error: {exc}", file=sys.stderr)
@@ -660,6 +654,8 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
+    # a command with no check record certifies nothing
+    passed = bool(checks) and all(c.passed for c in checks.values())
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

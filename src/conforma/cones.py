@@ -8,12 +8,13 @@ ConeError outside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConeError, ConvergenceError, DomainError
+from .reporting import Check
 from .sampling import make_rng
 
 # Root-finder policy shared by every on-a-ray solve: bracket by doubling or
@@ -382,28 +383,6 @@ def homogenize(op: CurvatureOperator) -> CurvatureOperator:
 # Validation
 
 
-@dataclass
-class CheckResult:
-    passed: bool
-    worst_violation: float
-    witness: list = field(default_factory=list)
-
-
-@dataclass
-class ValidationReport:
-    checks: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            name: {
-                "pass": c.passed,
-                "worst_violation": c.worst_violation,
-                "witness": list(c.witness),
-            }
-            for name, c in self.checks.items()
-        }
-
-
 def sample_cone_directions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """Validation sampling measure: uniform simplex direction times
     log-uniform scale in [1e-2, 1e2]."""
@@ -435,25 +414,22 @@ def _evaluate(fn, rows, batched, shape=()):
     return vals, ok
 
 
-def _first_worst(values, ok, start):
-    """(worst, index) as a loop over values keeps them: from start, each
-    value where ok that is greater than the worst so far replaces it, so the
-    index is the first one of the largest such value, and None when no value
-    is taken. nan is never greater, so it never becomes the worst."""
+def _first_worst(values, ok, start, rows):
+    """The fields of a check, worst_violation and witness, as a loop over
+    values keeps them: from start, each value where ok that is greater than
+    the worst so far replaces it, and its row of rows is the witness, so the
+    witness is the row of the first of the largest such values, and [] when
+    no value is taken. nan is never greater, so it never becomes the worst."""
     taken = ok & (values > start)
     if not taken.any():
-        return start, None
+        return {"worst_violation": start, "witness": []}
     i = int(np.argmax(np.where(taken, values, -np.inf)))
-    return float(values[i]), i
+    return {"worst_violation": float(values[i]), "witness": rows[i].tolist()}
 
 
 def _row_norms(rows):
     """np.linalg.norm of every row of an (m, n) array, with its bits."""
     return np.sqrt(np.vecdot(rows, rows))
-
-
-def _check(passed, worst, rows, i) -> CheckResult:
-    return CheckResult(bool(passed), float(worst), [] if i is None else rows[i].tolist())
 
 
 def _boundary_points(cone, rng, starts):
@@ -497,18 +473,20 @@ def _boundary_points(cone, rng, starts):
 
 def validate_operator(
     op: CurvatureOperator, sample_count: int = 500, seed: int = 0
-) -> ValidationReport:
+) -> dict[str, Check]:
     """Sampled hypothesis checks: symmetry, gradient positivity, concavity,
     ray growth, cone nesting, boundary vanishing, and (when tagged) degree
-    homogeneity. Failures land in the report, never as exceptions.
+    homogeneity, one Check each. Failures land in the checks, never as
+    exceptions.
 
     Each check evaluates all its samples in one call of op.f, op.grad_f or
     op.cone.contains on rows (op.f and op.grad_f one row per call unless
     op.takes_rows), and keeps the witness a loop over its samples keeps: the
     first sample whose value exceeds the worst so far. A sample where op.f
-    or op.grad_f raises ConeError drops out, and a check with no sample
-    evaluated fails: no evidence is no pass. A maximum over one sample's
-    values is np.fmax's: a nan value is skipped unless every value is nan.
+    or op.grad_f raises ConeError drops out; a check's evidence is the count
+    of samples (pairs, members, boundary points) it evaluated. A maximum over
+    one sample's values is np.fmax's: a nan value is skipped unless every
+    value is nan.
     """
     rng = make_rng(seed)
     n = op.cone.n
@@ -533,13 +511,17 @@ def validate_operator(
         perms = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
         f_p, ok_p = f(np.take_along_axis(samples, perms, axis=1))
         ok = ok_s & ok_p
-        worst, i = _first_worst(np.abs(f_s - f_p), ok, 0.0)
-        checks["permutation_symmetry"] = _check(ok.any() and worst <= 1e-12, worst, samples, i)
+        fields = _first_worst(np.abs(f_s - f_p), ok, 0.0, samples)
+        checks["permutation_symmetry"] = Check(
+            fields["worst_violation"] <= 1e-12, int(ok.sum()), fields
+        )
 
         # gradient positivity (hypothesis: components of grad f positive on the cone)
         g, ok = _evaluate(op.grad_f, samples, op.takes_rows, (n,))
-        worst, i = _first_worst(-g.min(axis=1), ok, -math.inf)
-        checks["gradient_positivity"] = _check(ok.any() and worst < 0.0, worst, samples, i)
+        fields = _first_worst(-g.min(axis=1), ok, -math.inf, samples)
+        checks["gradient_positivity"] = Check(
+            fields["worst_violation"] < 0.0, int(ok.sum()), fields
+        )
 
         # midpoint concavity: samples 2i and 2i + 1 form pair i
         pairs = slice(0, m - m % 2, 2), slice(1, m - m % 2, 2)
@@ -548,10 +530,9 @@ def validate_operator(
         f_mid, ok = f(0.5 * (lam + mu))
         ok &= ok_s[pairs[0]] & ok_s[pairs[1]]
         unit = np.fmax(np.fmax(1.0, np.abs(fl)), np.abs(fm))
-        worst, i = _first_worst((0.5 * (fl + fm) - f_mid) / unit, ok, 0.0)
-        # no pair evaluated is no evidence
-        checks["midpoint_concavity"] = _check(
-            ok.any() and worst <= 1e-9, worst, np.hstack([lam, mu]), i
+        fields = _first_worst((0.5 * (fl + fm) - f_mid) / unit, ok, 0.0, np.hstack([lam, mu]))
+        checks["midpoint_concavity"] = Check(
+            fields["worst_violation"] <= 1e-9, int(ok.sum()), fields
         )
 
         # ray growth: f(s*lam) increasing over a log grid (finite test of
@@ -560,14 +541,14 @@ def validate_operator(
         head = samples[:64]
         vals, ok = f_grid(head[:, None, :] * s_grid[:, None])
         ok = ok.all(axis=1)
-        worst, i = _first_worst(np.fmax.reduce(vals[:, :-1] - vals[:, 1:], axis=1), ok, 0.0)
-        checks["ray_growth"] = _check(ok.any() and worst <= 0.0, worst, head, i)
+        fields = _first_worst(np.fmax.reduce(vals[:, :-1] - vals[:, 1:], axis=1), ok, 0.0, head)
+        checks["ray_growth"] = Check(fields["worst_violation"] <= 0.0, int(ok.sum()), fields)
 
         # cone nesting, positive orthant side: every positive vector is a member
-        outside = np.flatnonzero(~op.cone.contains(samples))
-        i = int(outside[0]) if outside.size else None
-        checks["cone_contains_positive_orthant"] = _check(
-            m > 0 and i is None, 0.0 if i is None else 1.0, samples, i
+        outside = (~op.cone.contains(samples)).astype(float)
+        fields = _first_worst(outside, np.ones(m, dtype=bool), 0.0, samples)
+        checks["cone_contains_positive_orthant"] = Check(
+            fields["worst_violation"] == 0.0, m, fields
         )
 
         # cone nesting, Gamma_1 side: members (the samples, each followed by
@@ -578,8 +559,10 @@ def validate_operator(
         jitters = head + rng.normal(0.0, scale[:, None], size=head.shape)
         kept = np.stack([np.ones(len(head), dtype=bool), op.cone.contains(jitters)], axis=1)
         members = np.stack([head, jitters], axis=1)[kept]
-        worst, i = _first_worst(-members.sum(axis=1), np.ones(len(members), dtype=bool), -math.inf)
-        checks["cone_inside_gamma1"] = _check(len(members) and worst < 0.0, worst, members, i)
+        fields = _first_worst(
+            -members.sum(axis=1), np.ones(len(members), dtype=bool), -math.inf, members
+        )
+        checks["cone_inside_gamma1"] = Check(fields["worst_violation"] < 0.0, len(members), fields)
 
         # boundary vanishing: f decays below 1e-3 along segments approaching
         # sampled boundary points (unit scale)
@@ -597,8 +580,8 @@ def validate_operator(
         v = np.fmax(seq[:, -1], np.fmax.reduce(seq[:, 1:] - seq[:, :-1], axis=1))
         # an off-cone segment point fails the check at that boundary point
         v = np.where(ok.all(axis=1), v, 1.0)
-        worst, i = _first_worst(v, np.ones(len(v), dtype=bool), 0.0)
-        checks["boundary_vanishing"] = _check(len(ends) > 0 and worst < 1e-3, worst, ends, i)
+        fields = _first_worst(v, np.ones(len(v), dtype=bool), 0.0, ends)
+        checks["boundary_vanishing"] = Check(fields["worst_violation"] < 1e-3, len(ends), fields)
 
         # tagged homogeneity
         if op.homogeneous_degree is not None:
@@ -611,9 +594,10 @@ def validate_operator(
             v = np.abs(vals - target) / np.where(size > 1e-30, size, 1e-30)
             # a sample counts up to its first scale off the cone
             ok = ok_s[: len(head), None] & np.logical_and.accumulate(ok, axis=1)
-            worst, i = _first_worst(v.ravel(), ok.ravel(), 0.0)
-            checks["degree_homogeneity"] = _check(
-                ok.any() and worst <= 1e-9, worst, head, None if i is None else i // len(scales)
+            rows = np.repeat(head, len(scales), axis=0)
+            fields = _first_worst(v.ravel(), ok.ravel(), 0.0, rows)
+            checks["degree_homogeneity"] = Check(
+                fields["worst_violation"] <= 1e-9, int(ok.sum()), fields
             )
 
-    return ValidationReport(checks=checks)
+    return checks

@@ -312,17 +312,6 @@ class GradientBoundReport:
     slack: float | None
     bound_coeff: float
 
-    def to_json_dict(self):
-        return {
-            "hypothesis_pass": self.hypothesis_pass,
-            "hypothesis_worst": self.hypothesis_worst,
-            "vacuous": self.vacuous,
-            "conclusion_pass": self.conclusion_pass,
-            "conclusion_worst": self.conclusion_worst,
-            "slack": self.slack,
-            "bound_coeff": self.bound_coeff,
-        }
-
 
 GRADIENT_CENTERS = 24
 GRADIENT_RADII = 12
@@ -399,16 +388,19 @@ def harnack_constant(n: int) -> int:
 class HarnackReport:
     P: float
     B: float
-    passed: bool
     rescaling_exactness: float
     sup_u: float
     inf_u: float
+
+    @property
+    def within_bound(self) -> bool:
+        return self.P <= self.B
 
     def to_json_dict(self):
         return {
             "P": self.P,
             "B": self.B,
-            "pass": self.passed,
+            "pass": self.within_bound,
             "rescaling_exactness": self.rescaling_exactness,
             "sup_u": self.sup_u,
             "inf_u": self.inf_u,
@@ -454,7 +446,6 @@ def harnack_product(
     return HarnackReport(
         P=P,
         B=float(B),
-        passed=P <= B,
         rescaling_exactness=exactness,
         sup_u=sup_u,
         inf_u=inf_u,

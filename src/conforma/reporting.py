@@ -3,11 +3,33 @@
 Every run artifact that participates in byte-identical reruns goes through
 these writers: floats are rendered with %.17g (lossless for doubles), dict
 fields keep insertion order, and no timing or host information is included.
+A dataclass renders through its to_json_dict when it has one, else as its
+fields in declaration order. Check is the record every command returns per
+check; a run passes when every one of its records does.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+
+
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """One check of a run: the gate's verdict, the number of samples, pairs,
+    points or items it rests on, and the keys it writes after "pass"."""
+
+    ok: bool
+    evidence: int
+    fields: dict = dataclasses.field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        # no evidence is no pass
+        return bool(self.ok) and self.evidence > 0
+
+    def to_json_dict(self) -> dict:
+        return {"pass": self.passed, **self.fields}
 
 
 def fmt_float(x: float) -> str:
@@ -45,6 +67,9 @@ def _render(obj) -> str:
         return _render(obj.tolist())
     if hasattr(obj, "to_json_dict"):
         return _render(obj.to_json_dict())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # its fields, shallow: a field's value renders by these same rules
+        return _render({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -570,17 +570,6 @@ class StepSummary:
     symbol_ratio: float | None = None
     negative_modes: int | None = None
 
-    def to_json_dict(self):
-        return {
-            "t": self.t,
-            "iterations": self.iterations,
-            "residual_inf": self.residual_inf,
-            "min_cone_margin": self.min_cone_margin,
-            "krylov_iters": self.krylov_iters,
-            "symbol_ratio": self.symbol_ratio,
-            "negative_modes": self.negative_modes,
-        }
-
 
 @dataclass
 class ContinuationResult:
@@ -597,7 +586,7 @@ class ContinuationResult:
             "status": self.status,
             "c0": self.c0,
             "t_values": list(self.t_values),
-            "steps": [s.to_json_dict() for s in self.steps],
+            "steps": list(self.steps),
             "failure": self.failure,
         }
 

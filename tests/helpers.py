@@ -30,10 +30,8 @@ from conforma import __version__, cli
 from conforma.bubbles import BubbleParams, bubble_values
 from conforma.cones import (
     BISECT_ITERS as RAY_BISECT_ITERS,
-    CheckResult,
     CurvatureOperator,
     GammaKCone,
-    ValidationReport,
     S_MAX,
     S_MIN,
     gamma_k_check,
@@ -69,6 +67,7 @@ from conforma.moving_sphere import (
     HLemmaReport,
 )
 from conforma.radial import RadialProfile, vpp0_exact
+from conforma.reporting import Check
 from conforma.sampling import make_rng
 
 
@@ -1013,18 +1012,15 @@ def homogenize_handler_loop(args):
         mid = deg1(0.5 * (lams[i] + lams[i + 1]))
         conc_worst = max(conc_worst, 0.5 * (vals[i] + vals[i + 1]) - mid)
     checks = {
-        "closed_form_gap": {"pass": gap <= 1e-10, "value": gap, "tol": 1e-10},
-        "degree_one": {"pass": deg_gap <= 1e-9, "value": deg_gap, "tol": 1e-9},
-        "midpoint_concavity": {
-            "pass": pairs > 0 and conc_worst <= 1e-9,
-            "worst": conc_worst,
-            "pairs": pairs,
-        },
+        "closed_form_gap": Check(gap <= 1e-10, len(lams), {"value": gap, "tol": 1e-10}),
+        "degree_one": Check(deg_gap <= 1e-9, 3 * len(lams[:100]), {"value": deg_gap, "tol": 1e-9}),
+        "midpoint_concavity": Check(
+            conc_worst <= 1e-9, pairs, {"worst": conc_worst, "pairs": pairs}
+        ),
     }
-    passed = all(c["pass"] for c in checks.values())
     result = {"operator": op.name, "n": n, "k": k, "samples": args.samples,
               "checks": checks}
-    return result, passed, []
+    return result, checks, []
 
 
 def boundary_point_loop(op, rng, lam):
@@ -1063,7 +1059,13 @@ def boundary_point_loop(op, rng, lam):
 def validate_operator_loop(op, sample_count=500, seed=0):
     """cones.validate_operator one sample, and one one-vector call of op.f,
     op.grad_f or op.cone.contains, at a time: the reference for the checks
-    on rows. Unlike them it passes a check with no sample evaluated."""
+    on rows. Unlike them it passes a check with no sample evaluated: its
+    evidence counts the samples a check visits, where theirs counts the ones
+    it evaluates (midpoint concavity counts its evaluated pairs in both)."""
+
+    def check(ok, evidence, worst, witness):
+        return Check(ok, evidence, {"worst_violation": worst, "witness": witness})
+
     rng = np.random.Generator(np.random.PCG64(seed))
     n = op.cone.n
     samples = sample_cone_directions(rng, n, sample_count)
@@ -1079,7 +1081,7 @@ def validate_operator_loop(op, sample_count=500, seed=0):
             continue
         if d > worst:
             worst, witness = d, list(lam)
-    checks["permutation_symmetry"] = CheckResult(worst <= 1e-12, worst, witness)
+    checks["permutation_symmetry"] = check(worst <= 1e-12, len(samples), worst, witness)
 
     # gradient positivity (hypothesis: components of grad f positive on the cone)
     worst, witness = -math.inf, []
@@ -1091,7 +1093,7 @@ def validate_operator_loop(op, sample_count=500, seed=0):
         v = float(-g.min())
         if v > worst:
             worst, witness = v, list(lam)
-    checks["gradient_positivity"] = CheckResult(worst < 0.0, worst, witness)
+    checks["gradient_positivity"] = check(worst < 0.0, len(samples), worst, witness)
 
     # midpoint concavity
     worst, witness, pairs = 0.0, [], 0
@@ -1108,13 +1110,14 @@ def validate_operator_loop(op, sample_count=500, seed=0):
         if v > worst:
             worst, witness = v, list(lam) + list(mu)
     # no pair evaluated is no evidence
-    checks["midpoint_concavity"] = CheckResult(pairs > 0 and worst <= 1e-9, worst, witness)
+    checks["midpoint_concavity"] = check(worst <= 1e-9, pairs, worst, witness)
 
     # ray growth: f(s*lam) increasing over a log grid (finite test of
     # unbounded growth along rays)
     worst, witness = 0.0, []
     s_grid = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 17))
-    for lam in samples[: min(64, len(samples))]:
+    head = samples[: min(64, len(samples))]
+    for lam in head:
         try:
             vals = [op.f(s * lam) for s in s_grid]
         except ConeError:
@@ -1124,7 +1127,7 @@ def validate_operator_loop(op, sample_count=500, seed=0):
         )
         if v > worst:
             worst, witness = v, list(lam)
-    checks["ray_growth"] = CheckResult(worst <= 0.0, worst, witness)
+    checks["ray_growth"] = check(worst <= 0.0, len(head), worst, witness)
 
     # cone nesting, positive orthant side: every positive vector is a member
     worst, witness = 0.0, []
@@ -1132,7 +1135,7 @@ def validate_operator_loop(op, sample_count=500, seed=0):
         if not op.cone.contains(lam):
             worst, witness = 1.0, list(lam)
             break
-    checks["cone_contains_positive_orthant"] = CheckResult(worst == 0.0, worst, witness)
+    checks["cone_contains_positive_orthant"] = check(worst == 0.0, len(samples), worst, witness)
 
     # cone nesting, Gamma_1 side: members have positive entry sum
     worst, witness = -math.inf, []
@@ -1146,7 +1149,7 @@ def validate_operator_loop(op, sample_count=500, seed=0):
         v = float(-np.sum(lam))
         if v > worst:
             worst, witness = v, list(lam)
-    checks["cone_inside_gamma1"] = CheckResult(worst < 0.0, worst, witness)
+    checks["cone_inside_gamma1"] = check(worst < 0.0, len(members), worst, witness)
 
     # boundary vanishing: f decays below 1e-3 along segments approaching
     # sampled boundary points (unit scale)
@@ -1155,7 +1158,8 @@ def validate_operator_loop(op, sample_count=500, seed=0):
     # reach 1e-12: sigma_k^{1/k}-type operators vanish like eps^{1/k}, so the
     # shallow end of the grid must sit well below (1e-3)^k
     eps_grid = [10.0 ** (-j) for j in range(1, 13)]
-    for lam in samples[:n_boundary]:
+    head = samples[:n_boundary]
+    for lam in head:
         lam = lam / np.linalg.norm(lam)
         bpt = boundary_point_loop(op, rng, lam)
         if bpt is None:
@@ -1177,13 +1181,14 @@ def validate_operator_loop(op, sample_count=500, seed=0):
             v = max(seq[-1], increase)
         if v > worst:
             worst, witness = v, list(bpt)
-    checks["boundary_vanishing"] = CheckResult(worst < 1e-3, worst, witness)
+    checks["boundary_vanishing"] = check(worst < 1e-3, len(head), worst, witness)
 
     # tagged homogeneity
     if op.homogeneous_degree is not None:
         d = op.homogeneous_degree
         worst, witness = 0.0, []
-        for lam in samples[: min(100, len(samples))]:
+        head = samples[: min(100, len(samples))]
+        for lam in head:
             try:
                 f1 = op.f(lam)
                 for s in (0.5, 2.0, 7.3):
@@ -1192,9 +1197,9 @@ def validate_operator_loop(op, sample_count=500, seed=0):
                         worst, witness = v, list(lam)
             except ConeError:
                 continue
-        checks["degree_homogeneity"] = CheckResult(worst <= 1e-9, worst, witness)
+        checks["degree_homogeneity"] = check(worst <= 1e-9, len(head), worst, witness)
 
-    return ValidationReport(checks=checks)
+    return checks
 
 
 def h_catalog_by_kind(rng, count):

@@ -1,6 +1,8 @@
 """Closed-form bubble family: rigidity residuals on the full space, the
 half space, and the ball."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from conforma.bubbles import (
 from conforma.cones import make_sigma_k_operator, mu_star
 from conforma.errors import DomainError
 from conforma.radial import matched_bubble, vpp0_exact
+from conforma.reporting import dumps_json
 from conforma.sampling import ball_points, make_rng
 
 
@@ -162,7 +165,7 @@ def test_initial_conditions_positivity():
 
 def test_to_json_dict_roundtrip():
     p = BubbleParams(n=3, a=1.25, beta=0.8, center=np.array([0.1, 0.2, -0.3]))
-    d = p.to_json_dict()
+    d = json.loads(dumps_json(p))
     q = BubbleParams(n=d["n"], a=d["a"], beta=d["beta"], center=np.array(d["center"]))
     rng = make_rng(4)
     for x in ball_points(rng, 3, 10, radius=1.0):
