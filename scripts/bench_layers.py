@@ -5,11 +5,12 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites.
 --suite cli (written to BENCH_20.json by default):
 
 - L4 for one argv per command (the 14 argvs of the checks workload,
-  `radial-shoot --n 5 --k 2 --h 1e-3` and `solve-yamabe --n 5 --k 2 --N 64`,
-  each at --seed 0): the wall time of one `cli.main` call, its handler time
+  `radial-shoot --n 5 --k 2` at h=1e-3 and h=1e-4, `moving-sphere --task
+  sweep --beta 4.0` and `solve-yamabe --n 5 --k 2 --N 64`, each at --seed
+  0): the wall time of one `cli.main` call, its handler time
   (`timing_seconds` of `manifest.json`) and their difference, the CLI's own
   cost (parser, argument digest, writing result.json and manifest.json);
-  and the wall time of the tier-1 suite.
+  and the wall time of the tier-1 suite. Only this suite times commands.
 
 --suite cones (written to BENCH_11.json by default):
 
@@ -19,10 +20,7 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites.
   rays: one row per call, and all rows in one call;
 - L1 the unit-level ray solve per ray on the same rays: one
   `solve_unit_level` call on all the rows;
-- L4 the handler time of `homogenize --op sigma2 --n 3`, `homogenize --op
-  sigma3 --n 4` and the three `validate-operator` argvs of the checks
-  workload (`--n 3 --k 2`, `--n 5 --k 3`, `--n 6 --k 4`), the criterion-8
-  (homogenization) acceptance test, and the wall time of the tier-1 suite.
+- the criterion-8 (homogenization) acceptance test.
 
 --suite radial (written to BENCH_8.json by default):
 
@@ -30,8 +28,7 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites.
   of every workload (n, k): the callable `shoot` uses (`slope_kernel(op)`);
 - L3 `shoot` per h=1e-4 shot from v0 = 1 for every workload (n, k), and
   `profile_max_unit_residual` per profile of those shots;
-- L4 the handler time of `radial-shoot --n 5 --k 2` at h=1e-3 and h=1e-4,
-  the criterion-4 acceptance test, and the wall time of the tier-1 suite.
+- the criterion-4 acceptance test.
 
 --suite moving-sphere (written to BENCH_7.json by default):
 
@@ -39,14 +36,17 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites.
   12-radius array divided by 12;
 - L3 `critical_radius` per call on the criterion-5 inputs, `h_lemma_check`
   per call on the lemmas catalog, `gradient_bound_check` per bubble field;
-- L4 the handler time (`timing_seconds` of `manifest.json`) of
-  `moving-sphere --task lemmas` and `--task sweep --beta 4.0`, the
-  criterion-5 acceptance test, and the wall time of the tier-1 suite.
+- the criterion-5 acceptance test.
 
 Each number is the median of --repeats runs; every run is kept under
 "samples". The reading is stored under --label in --out, next to readings
-of other labels already there; with a "parent" and a "change" reading the
-file also gets parent/change speed-up ratios.
+of other labels already there. Once the file holds a "parent" and a
+"change" reading, "parent_over_change" gets the ratio of the two medians
+of every timed entry (a dict with "median_s") that both readings hold,
+keyed by its path. If the file also holds a "parent-rerun" or a
+"change-rerun" reading, each ratio gets the largest same-side ratio
+max(x/x', x'/x) of its entry over the sides with a rerun, and "resolved":
+false when the parent/change ratio lies inside that spread.
 
 Run from a checkout (it imports that checkout's src/ and tests/):
 
@@ -55,7 +55,6 @@ Run from a checkout (it imports that checkout's src/ and tests/):
 To read an older commit, copy this script into its checkout and run it
 there with --out naming this file.
 """
-
 from __future__ import annotations
 
 import os
@@ -68,7 +67,6 @@ import contextlib  # noqa: E402
 import functools  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
-import operator  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -190,10 +188,6 @@ def cli_times(argv, repeats):
     return {key: {"median_s": statistics.median(v), "samples": v} for key, v in columns.items()}
 
 
-def handler_time(argv, repeats):
-    return cli_times(argv, repeats)["handler_s"]
-
-
 def acceptance(name, repeats):
     import test_acceptance
 
@@ -212,20 +206,9 @@ def tier1():
     )
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
-    return {"wall_s": wall, "returncode": proc.returncode, "summary": lines[-1] if lines else ""}
-
-
-def ms_layer4(repeats):
-    return {
-        "moving_sphere_lemmas_handler_s": handler_time(
-            ["moving-sphere", "--task", "lemmas", "--seed", "0"], repeats
-        ),
-        "moving_sphere_sweep_beta4_handler_s": handler_time(
-            ["moving-sphere", "--task", "sweep", "--beta", "4.0", "--seed", "0"], repeats
-        ),
-        "criterion5_s": acceptance("test_criterion_05_moving_sphere_invariant", repeats),
-        "tier1": tier1(),
-    }
+    # one run: a timed entry with one sample
+    return {"median_s": wall, "samples": [wall], "returncode": proc.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 RADIAL_PAIRS = [(3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (5, 3)]
@@ -264,16 +247,6 @@ def radial_layer3(repeats):
         "shoot_h1e-4_s": shoot_s,
         "residual_check_per_profile_s": per_item(timed(residuals, repeats), len(ops)),
         "nodes_per_profile": len(profiles[0].r),
-    }
-
-
-def radial_layer4(repeats):
-    argv = ["radial-shoot", "--n", "5", "--k", "2", "--v0", "1", "--seed", "0"]
-    return {
-        "radial_shoot_h1e-3_handler_s": handler_time(argv + ["--h", "1e-3"], repeats * 4),
-        "radial_shoot_h1e-4_handler_s": handler_time(argv + ["--h", "1e-4"], repeats),
-        "criterion4_s": acceptance("test_criterion_04_radial_uniqueness", repeats),
-        "tier1": tier1(),
     }
 
 
@@ -334,28 +307,6 @@ def cones_layer1(repeats):
     return {"ray_solve_per_ray_s": per_item(timed(solves, repeats), count), "rays": count}
 
 
-def cones_layer4(repeats):
-    return {
-        "homogenize_sigma2_n3_handler_s": handler_time(
-            ["homogenize", "--op", "sigma2", "--n", "3", "--seed", "0"], repeats * 2
-        ),
-        "homogenize_sigma3_n4_handler_s": handler_time(
-            ["homogenize", "--op", "sigma3", "--n", "4", "--seed", "0"], repeats * 2
-        ),
-        "validate_operator_n3_k2_handler_s": handler_time(
-            ["validate-operator", "--n", "3", "--k", "2", "--seed", "0"], repeats * 2
-        ),
-        "validate_operator_n5_k3_handler_s": handler_time(
-            ["validate-operator", "--n", "5", "--k", "3", "--seed", "0"], repeats * 2
-        ),
-        "validate_operator_n6_k4_handler_s": handler_time(
-            ["validate-operator", "--n", "6", "--k", "4", "--seed", "0"], repeats * 2
-        ),
-        "criterion8_s": acceptance("test_criterion_08_homogenization", repeats),
-        "tier1": tier1(),
-    }
-
-
 CLI_ARGVS = [
     ["validate-operator", "--n", "3", "--k", "2"],
     ["validate-operator", "--n", "5", "--k", "3"],
@@ -372,7 +323,9 @@ CLI_ARGVS = [
      "--word", "translate:0.3,-0.1,0.2,0.1;scale:1.7;invert"],
     ["conjugation-test", "--mode", "fd", "--n", "3"],
     ["moving-sphere", "--task", "lemmas"],
+    ["moving-sphere", "--task", "sweep", "--beta", "4.0"],
     ["radial-shoot", "--n", "5", "--k", "2", "--h", "1e-3"],
+    ["radial-shoot", "--n", "5", "--k", "2", "--h", "1e-4"],
     ["solve-yamabe", "--n", "5", "--k", "2", "--N", "64"],
 ]
 
@@ -403,81 +356,56 @@ def machine():
     }
 
 
+# suite -> (default output file, {reading key: runner of repeats})
 SUITES = {
-    "cli": {
-        "out": "BENCH_20.json",
-        "layers": {"L4": cli_layer4},
-        "speedups": {
-            f"L4 {' '.join(argv)} {part}": ("L4", " ".join(argv), f"{part}_s")
-            for argv in CLI_ARGVS
-            for part in ("wall", "overhead")
-        },
-    },
-    "cones": {
-        "out": "BENCH_11.json",
-        "layers": {"L0": cones_layer0, "L1": cones_layer1, "L4": cones_layer4},
-        "speedups": {
-            "L0 grad_f one row per call": ("L0", "grad_f_per_row_s"),
-            "L1 unit-level ray solve per ray": ("L1", "ray_solve_per_ray_s"),
-            "L4 homogenize --op sigma2 --n 3 handler": ("L4", "homogenize_sigma2_n3_handler_s"),
-            "L4 homogenize --op sigma3 --n 4 handler": ("L4", "homogenize_sigma3_n4_handler_s"),
-            "L4 validate-operator --n 3 --k 2 handler": (
-                "L4", "validate_operator_n3_k2_handler_s"),
-            "L4 validate-operator --n 5 --k 3 handler": (
-                "L4", "validate_operator_n5_k3_handler_s"),
-            "L4 validate-operator --n 6 --k 4 handler": (
-                "L4", "validate_operator_n6_k4_handler_s"),
-            "L4 criterion 8": ("L4", "criterion8_s"),
-        },
-    },
-    "moving-sphere": {
-        "out": "BENCH_7.json",
-        "layers": {"L2": ms_layer2, "L3": ms_layer3, "L4": ms_layer4},
-        "speedups": {
-            "L2 msi_violation scalar radius": ("L2", "msi_violation_scalar_radius_s"),
-            "L2 msi_violation per radius in a 12-radius batch": (
-                "L2", "msi_violation_per_radius_in_12_batch_s"),
-            "L3 critical_radius": ("L3", "critical_radius_s"),
-            "L3 h_lemma_check": ("L3", "h_lemma_check_s"),
-            "L3 gradient_bound_check": ("L3", "gradient_bound_check_s"),
-            "L4 moving-sphere --task lemmas handler": (
-                "L4", "moving_sphere_lemmas_handler_s"),
-            "L4 moving-sphere --task sweep --beta 4.0 handler": (
-                "L4", "moving_sphere_sweep_beta4_handler_s"),
-            "L4 criterion 5": ("L4", "criterion5_s"),
-        },
-    },
-    "radial": {
-        "out": "BENCH_8.json",
-        "layers": {"L1": radial_layer1, "L3": radial_layer3, "L4": radial_layer4},
-        "speedups": {
-            "L1 radial slope per call": ("L1", "slope_per_call_s"),
-            "L3 shoot per h=1e-4 shot": ("L3", "shoot_h1e-4_s"),
-            "L3 residual check per profile": ("L3", "residual_check_per_profile_s"),
-            "L4 radial-shoot --n 5 --k 2 --h 1e-3 handler": (
-                "L4", "radial_shoot_h1e-3_handler_s"),
-            "L4 radial-shoot --n 5 --k 2 --h 1e-4 handler": (
-                "L4", "radial_shoot_h1e-4_handler_s"),
-            "L4 criterion 4": ("L4", "criterion4_s"),
-        },
-    },
+    "cli": ("BENCH_20.json", {"L4": cli_layer4}),
+    "cones": ("BENCH_11.json", {
+        "L0": cones_layer0,
+        "L1": cones_layer1,
+        "criterion 8": functools.partial(acceptance, "test_criterion_08_homogenization"),
+    }),
+    "moving-sphere": ("BENCH_7.json", {
+        "L2": ms_layer2,
+        "L3": ms_layer3,
+        "criterion 5": functools.partial(acceptance, "test_criterion_05_moving_sphere_invariant"),
+    }),
+    "radial": ("BENCH_8.json", {
+        "L1": radial_layer1,
+        "L3": radial_layer3,
+        "criterion 4": functools.partial(acceptance, "test_criterion_04_radial_uniqueness"),
+    }),
 }
 
 
-def speedups(suite, parent, change):
+def medians(node, path=()):
+    """(path, median) of every timed entry, a dict with "median_s", in node."""
+    if "median_s" in node:
+        yield "/".join(path), node["median_s"]
+        return
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from medians(value, (*path, key))
+
+
+def parent_over_change(readings):
+    """The parent/change ratio of every timed entry both readings hold, by
+    path; with a rerun of either side, the entry's largest same-side ratio
+    and whether the parent/change ratio lies outside it."""
+    parent, change = (dict(medians(readings[label])) for label in ("parent", "change"))
+    sides = [(side, dict(medians(readings[f"{label}-rerun"])))
+             for label, side in (("parent", parent), ("change", change))
+             if f"{label}-rerun" in readings]
     out = {}
-    for name, path in SUITES[suite]["speedups"].items():
-        out[name] = (functools.reduce(operator.getitem, path, parent)["median_s"]
-                     / functools.reduce(operator.getitem, path, change)["median_s"])
-    out["L4 tier-1 wall"] = parent["L4"]["tier1"]["wall_s"] / change["L4"]["tier1"]["wall_s"]
-    for one, rows, name in [
-        ("sigma_all_per_row_s", "sigma_rows_per_row_s", "sigma_all per row over sigma_rows"),
-        ("grad_f_per_row_s", "grad_f_rows_per_row_s", "grad_f one row per call over rows"),
-    ]:
-        if rows in change.get("L0", {}):
-            out[f"L0 {name} per row (change)"] = (
-                change["L0"][one]["median_s"] / change["L0"][rows]["median_s"]
-            )
+    for path, x in parent.items():
+        if path not in change:
+            continue
+        ratio = x / change[path]
+        entry = out[path] = {"ratio": ratio}
+        spreads = [max(side[path] / rerun[path], rerun[path] / side[path])
+                   for side, rerun in sides if path in rerun]
+        if spreads:
+            entry["same_side_spread"] = max(spreads)
+            entry["resolved"] = max(ratio, 1.0 / ratio) > max(spreads)
     return out
 
 
@@ -488,21 +416,23 @@ def main_cli():
     ap.add_argument("--out", default=None, help="default: the suite's BENCH_*.json at the root")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
-    suite = SUITES[args.suite]
+    out, layers = SUITES[args.suite]
 
     reading = {"machine": machine()}
-    for layer, run in suite["layers"].items():
+    for layer, run in layers.items():
         reading[layer] = run(args.repeats)
-    path = Path(args.out or ROOT / suite["out"])
+    path = Path(args.out or ROOT / out)
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc.setdefault("readings", {})[args.label] = reading
     if {"parent", "change"} <= doc["readings"].keys():
-        doc["speedup_parent_over_change"] = speedups(
-            args.suite, doc["readings"]["parent"], doc["readings"]["change"]
-        )
+        doc["parent_over_change"] = parent_over_change(doc["readings"])
     path.write_text(json.dumps(doc, indent=2) + "\n")
-    for name, value in doc.get("speedup_parent_over_change", {}).items():
-        print(f"{name:52s} {value:6.2f}x")
+    for name, entry in doc.get("parent_over_change", {}).items():
+        note = ""
+        if "same_side_spread" in entry:
+            note = f"  same side {entry['same_side_spread']:5.2f}x"
+            note += "" if entry["resolved"] else "  unresolved"
+        print(f"{name:64s} {entry['ratio']:6.2f}x{note}")
 
 
 if __name__ == "__main__":

@@ -92,6 +92,12 @@ class Residuals:
     samples_used: int
 
 
+def _residuals(res: np.ndarray, r2: float) -> Residuals:
+    """r1 is the worst point residual; only finite ones count as samples used."""
+    return Residuals(r1=float(np.max(res, initial=0.0)), r2=r2,
+                     samples_used=int(np.count_nonzero(np.isfinite(res))))
+
+
 def verify_fullspace(op, p: BubbleParams, sample_count: int = 100, seed: int = 0) -> Residuals:
     """Full-space check: A^u is the constant matrix 2*beta*a^-2*I, and the
     operator normalization f(2*beta*a^-2*e) = 1 for correctly scaled beta.
@@ -107,16 +113,14 @@ def verify_fullspace(op, p: BubbleParams, sample_count: int = 100, seed: int = 0
     rng = make_rng(seed)
     pts = p.center + rng.normal(size=(sample_count, p.n)) / np.sqrt(p.beta)
     target = 2.0 * p.beta / p.a**2 * np.eye(p.n)
-    A = a_matrix_flat(BubbleField(p), pts)
-    r1 = float(np.max(np.abs(A - target), initial=0.0))
+    res = np.max(np.abs(a_matrix_flat(BubbleField(p), pts) - target), axis=(1, 2))
 
     level = 2.0 * p.beta / p.a**2 * np.ones(p.n)
     if not op.cone.contains(level):
         raise ConeError(
             "2*beta*a^-2*e is outside the operator's cone", witness=list(level)
         )
-    r2 = abs(op.f(level) - 1.0)
-    return Residuals(r1=r1, r2=r2, samples_used=sample_count)
+    return _residuals(res, abs(op.f(level) - 1.0))
 
 
 def halfspace_residual(p: BubbleParams, c: float, sample_count: int = 100, seed: int = 0) -> Residuals:
@@ -140,9 +144,8 @@ def halfspace_residual(p: BubbleParams, c: float, sample_count: int = 100, seed:
     X[:, :-1] = p.center[:-1] + scale * rng.normal(size=(sample_count, n - 1))
     du_n = bubble_grads(p, X)[:, -1]
     u = bubble_values(p, X)
-    r1 = float(np.max(np.abs(du_n - c * u ** (n / (n - 2.0))), initial=0.0))
-    r2 = abs((n - 2.0) / p.a * p.beta * xbar_n - c)
-    return Residuals(r1=r1, r2=r2, samples_used=sample_count)
+    res = np.abs(du_n - c * u ** (n / (n - 2.0)))
+    return _residuals(res, abs((n - 2.0) / p.a * p.beta * xbar_n - c))
 
 
 def ball_robin_residual(p: BubbleParams, c: float, sample_count: int = 100, seed: int = 0) -> Residuals:
@@ -164,6 +167,5 @@ def ball_robin_residual(p: BubbleParams, c: float, sample_count: int = 100, seed
     X /= np.sqrt(np.vecdot(X, X))[:, None]
     u = bubble_values(p, X)
     du_nu = np.vecdot(bubble_grads(p, X), X)
-    r1 = float(np.max(np.abs(du_nu + 0.5 * (n - 2.0) * u + c * u ** (n / (n - 2.0))), initial=0.0))
-    r2 = abs(0.5 * (n - 2.0) * (1.0 - p.beta) + c * p.a)
-    return Residuals(r1=r1, r2=r2, samples_used=sample_count)
+    res = np.abs(du_nu + 0.5 * (n - 2.0) * u + c * u ** (n / (n - 2.0)))
+    return _residuals(res, abs(0.5 * (n - 2.0) * (1.0 - p.beta) + c * p.a))

@@ -506,7 +506,6 @@ def _validate_operator_flags(p):
     p.add_argument("--n", type=_count(MAX_DIMENSION), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=_count(MAX_SAMPLES), default=500)
-    p.set_defaults(handler=_cmd_validate_operator)
 
 
 def _verify_liouville_flags(p):
@@ -519,7 +518,6 @@ def _verify_liouville_flags(p):
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--xn", type=float, default=0.7)
     p.add_argument("--samples", type=_count(MAX_SAMPLES), default=100)
-    p.set_defaults(handler=_cmd_verify_liouville)
 
 
 def _radial_shoot_flags(p):
@@ -529,7 +527,6 @@ def _radial_shoot_flags(p):
     p.add_argument("--h", type=float, default=1e-4)
     p.add_argument("--r-max", type=float, default=0.9)
     p.add_argument("--sup-tol", type=float, default=SUP_TOL_RADIAL)
-    p.set_defaults(handler=_cmd_radial_shoot)
 
 
 def _moving_sphere_flags(p):
@@ -547,7 +544,6 @@ def _moving_sphere_flags(p):
     p.add_argument("--emit-sweep-csv", action="store_true")
     p.add_argument("--h-count", type=_count(MAX_H_COUNT), default=50, help="lemmas task: catalog size")
     p.add_argument("--density", type=int, default=64, help="lemmas task: grid density")
-    p.set_defaults(handler=_cmd_moving_sphere)
 
 
 def _harnack_flags(p):
@@ -556,7 +552,6 @@ def _harnack_flags(p):
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--samples", type=_count(MAX_SAMPLES), default=4096)
-    p.set_defaults(handler=_cmd_harnack)
 
 
 def _homogenize_flags(p):
@@ -564,7 +559,6 @@ def _homogenize_flags(p):
     p.add_argument("--n", type=_count(MAX_DIMENSION), default=3)
     p.add_argument("--samples", type=_count(MAX_SAMPLES), default=100)
     p.add_argument("--triples", type=_count(), default=500)
-    p.set_defaults(handler=_cmd_homogenize)
 
 
 def _solve_yamabe_flags(p):
@@ -575,7 +569,6 @@ def _solve_yamabe_flags(p):
     p.add_argument("--t-steps", type=int, default=11)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--scheme", choices=("spectral", "fd4"), default="spectral")
-    p.set_defaults(handler=_cmd_solve_yamabe)
 
 
 def _conjugation_test_flags(p):
@@ -586,19 +579,26 @@ def _conjugation_test_flags(p):
     p.add_argument("--mode", choices=("analytic", "fd"), default="analytic")
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--samples", type=_count(MAX_SAMPLES), default=20)
-    p.set_defaults(handler=_cmd_conjugation_test)
 
 
-# the subcommands in help order: name -> (help, adder of its own flags)
+# the subcommands in help order: name -> (help, adder of its own flags, handler)
 COMMANDS = {
-    "validate-operator": ("structural checks on (f, cone)", _validate_operator_flags),
-    "verify-liouville": ("bubble residuals for the rigidity families", _verify_liouville_flags),
-    "radial-shoot": ("integrate the radial profile, compare to the bubble", _radial_shoot_flags),
-    "moving-sphere": ("critical-radius sweeps or interval-lemma suite", _moving_sphere_flags),
-    "harnack": ("sup-inf product against the explicit constant", _harnack_flags),
-    "homogenize": ("degree-1 normalization checks", _homogenize_flags),
-    "solve-yamabe": ("homotopy continuation on the product manifold", _solve_yamabe_flags),
-    "conjugation-test": ("eigenvalue conjugation under a Mobius word", _conjugation_test_flags),
+    "validate-operator": ("structural checks on (f, cone)",
+                          _validate_operator_flags, _cmd_validate_operator),
+    "verify-liouville": ("bubble residuals for the rigidity families",
+                         _verify_liouville_flags, _cmd_verify_liouville),
+    "radial-shoot": ("integrate the radial profile, compare to the bubble",
+                     _radial_shoot_flags, _cmd_radial_shoot),
+    "moving-sphere": ("critical-radius sweeps or interval-lemma suite",
+                      _moving_sphere_flags, _cmd_moving_sphere),
+    "harnack": ("sup-inf product against the explicit constant",
+                _harnack_flags, _cmd_harnack),
+    "homogenize": ("degree-1 normalization checks",
+                   _homogenize_flags, _cmd_homogenize),
+    "solve-yamabe": ("homotopy continuation on the product manifold",
+                     _solve_yamabe_flags, _cmd_solve_yamabe),
+    "conjugation-test": ("eigenvalue conjugation under a Mobius word",
+                         _conjugation_test_flags, _cmd_conjugation_test),
 }
 
 
@@ -617,12 +617,13 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in COMMANDS if command is None else (command,):
-        help_text, add_flags = COMMANDS[name]
+        help_text, add_flags, handler = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--output-dir", default=".", help="artifact directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv", "both"), default="json")
         add_flags(p)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -136,6 +136,8 @@ def slope_kernel(op: CurvatureOperator):
     e1, e2, c, c_rad, c_tang = _coefficients(n)
     comb_k = float(math.comb(m, k))
     comb_k1 = float(math.comb(m, k - 1))
+    # sigma_j stays inline, not cones.two_cluster_sigmas: checking through it
+    # made h = 1e-4 shots 2-3x slower (98-156 ms against 38-69 ms, alternated)
     lower = [(float(math.comb(m, j)), j, float(math.comb(m, j - 1))) for j in range(1, k)]
 
     def slope(v: float, vp: float, r: float) -> float:

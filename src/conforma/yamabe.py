@@ -462,21 +462,33 @@ def newton_solve(
         restoration = {"blend": s, "off_cone_nodes": len(exc.witness), "cone_margin": margin}
     floor = 0.1 * float(np.min(g.values))
     norms = [_norm(r)]
+    r_inf = float(np.max(np.abs(r)))
     if records is not None:
         records.append(
             NewtonRecord(
                 t=t,
                 iter=0,
-                residual_inf=float(np.max(np.abs(r))),
+                residual_inf=r_inf,
                 step_norm=0.0,
                 min_cone_margin=margin,
                 restoration=restoration,
             )
         )
 
-    for it in range(1, MAX_NEWTON_ITERS + 1):
-        if float(np.max(np.abs(r))) <= tol:
-            return g
+    while not r_inf <= tol:
+        it = len(norms)  # norms holds one entry per iterate: this is step it
+        if it > STAGNATION_WINDOW and norms[-1] > norms[-1 - STAGNATION_WINDOW] * (1 - STAGNATION_DROP):
+            raise ConvergenceError(
+                f"residual stagnated near {norms[-1]:.3e} "
+                f"over {STAGNATION_WINDOW} iterations",
+                iterate=g,
+            )
+        if it > MAX_NEWTON_ITERS:
+            raise ConvergenceError(
+                f"no convergence in {MAX_NEWTON_ITERS} iterations "
+                f"(residual {r_inf:.3e})",
+                iterate=g,
+            )
         mu = J.circulant_symbol()
         ratio, negative, mode = _symbol_report(mu)
         if not ratio >= DEGENERATE_SYMBOL_RATIO:
@@ -492,7 +504,6 @@ def newton_solve(
             raise ConvergenceError(f"{exc} at Newton iteration {it}", iterate=g) from exc
 
         alpha = 1.0
-        accepted = False
         while alpha >= MIN_STEP:
             cand = np.maximum(g.values + alpha * step, floor)
             try:
@@ -501,24 +512,25 @@ def newton_solve(
             except (ConeError, PositivityError):
                 alpha *= 0.5
                 continue
-            if _norm(ev[0]) < norms[-1]:
-                accepted = True
+            norm_new = _norm(ev[0])
+            if norm_new < norms[-1]:
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             raise ConvergenceError(
                 f"line search failed at iteration {it} "
                 f"(residual {norms[-1]:.3e})",
                 iterate=g,
             )
         g, (r, margin, J) = g_new, ev
-        norms.append(_norm(r))
+        norms.append(norm_new)
+        r_inf = float(np.max(np.abs(r)))
         if records is not None:
             records.append(
                 NewtonRecord(
                     t=t,
                     iter=it,
-                    residual_inf=float(np.max(np.abs(r))),
+                    residual_inf=r_inf,
                     step_norm=_norm(alpha * step),
                     min_cone_margin=margin,
                     krylov_iters=krylov,
@@ -526,22 +538,7 @@ def newton_solve(
                     negative_modes=negative,
                 )
             )
-        if float(np.max(np.abs(r))) > tol and len(norms) > STAGNATION_WINDOW:
-            old = norms[-1 - STAGNATION_WINDOW]
-            if norms[-1] > old * (1.0 - STAGNATION_DROP):
-                raise ConvergenceError(
-                    f"residual stagnated near {norms[-1]:.3e} "
-                    f"over {STAGNATION_WINDOW} iterations",
-                    iterate=g,
-                )
-
-    if float(np.max(np.abs(r))) <= tol:
-        return g
-    raise ConvergenceError(
-        f"no convergence in {MAX_NEWTON_ITERS} iterations "
-        f"(residual {float(np.max(np.abs(r))):.3e})",
-        iterate=g,
-    )
+    return g
 
 
 def c_star(op: CurvatureOperator) -> float:

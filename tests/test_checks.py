@@ -140,7 +140,8 @@ def test_record_without_evidence_fails():
 
 
 def test_command_without_records_fails(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_cmd_harnack", lambda args: ({}, {}, []))
+    help_text, add_flags, _ = cli.COMMANDS["harnack"]
+    monkeypatch.setitem(cli.COMMANDS, "harnack", (help_text, add_flags, lambda args: ({}, {}, [])))
     assert cli.main(["harnack", "--output-dir", str(tmp_path)]) == 1
     assert json.loads((tmp_path / "result.json").read_text())["pass"] is False
 

@@ -49,6 +49,18 @@ def test_verify_liouville_families(tmp_path, family):
     assert read_result(tmp_path)["pass"] is True
 
 
+@pytest.mark.parametrize("family", ["halfspace", "ball"])
+def test_verify_liouville_counts_only_finite_residuals(tmp_path, family):
+    # at a = 1e200 the boundary residuals overflow (inf, or nan on the ball):
+    # no sample was evaluated, so none counts as evidence
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = run(tmp_path, "verify-liouville", "--family", family, "--n", "4",
+                 "--a", "1e200", "--samples", "100")
+    assert rc == 1
+    assert read_result(tmp_path)["result"]["samples_used"] < 100
+
+
 def test_radial_shoot_csv_gating(tmp_path):
     args = ("radial-shoot", "--n", "3", "--k", "1", "--h", "1e-3", "--r-max", "0.5")
     rc = run(tmp_path / "a", *args)
@@ -162,7 +174,8 @@ def test_homogenize_command(tmp_path):
 def test_homogenize_batched_matches_per_ray_oracle(tmp_path, monkeypatch, argv, seed):
     # every ray in one batched solve writes the bytes of one solve per ray
     assert run(tmp_path / "batched", *argv, "--seed", seed) == 0
-    monkeypatch.setattr(cli, "_cmd_homogenize", homogenize_handler_loop)
+    help_text, add_flags, _ = cli.COMMANDS["homogenize"]
+    monkeypatch.setitem(cli.COMMANDS, "homogenize", (help_text, add_flags, homogenize_handler_loop))
     assert run(tmp_path / "oracle", *argv, "--seed", seed) == 0
     got = (tmp_path / "batched" / "result.json").read_bytes()
     assert got == (tmp_path / "oracle" / "result.json").read_bytes()

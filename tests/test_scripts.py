@@ -1,10 +1,13 @@
 """What imports the library from outside src/ runs: the scripts under
 scripts/, and the benchmark's tracer over every layer module."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import conforma
 
@@ -44,6 +47,42 @@ def test_bench_layers_script_help():
     proc = run_script("bench_layers.py", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "{cli,cones,moving-sphere,radial}" in proc.stdout
+
+
+def test_bench_layers_derives_parent_over_change():
+    # one ratio per timed entry that both parent and change hold, keyed by its
+    # path, and the largest same-side rerun ratio next to it
+    readings = {
+        "parent": {
+            "machine": {"cpu": "x"},
+            "L1": {"a_s": {"median_s": 2.0, "samples": [2.0]},
+                   "parent_only_s": {"median_s": 1.0}, "rays": 5},
+            "L4": {"cmd": {"wall_s": {"median_s": 3.0}},
+                   "tier1": {"median_s": 40.0, "samples": [40.0], "returncode": 0}},
+        },
+        "change": {
+            "L0": {"change_only_s": {"median_s": 1.0}},
+            "L1": {"a_s": {"median_s": 1.0}},
+            "L4": {"cmd": {"wall_s": {"median_s": 2.9}}, "tier1": {"median_s": 50.0}},
+        },
+        "parent-rerun": {"L1": {"a_s": {"median_s": 2.2}}, "L4": {"cmd": {"wall_s": {"median_s": 3.3}}}},
+        "change-rerun": {"L4": {"tier1": {"median_s": 60.0}}},
+    }
+    code = "\n".join([
+        "import json, sys, bench_layers",
+        "json.dump(bench_layers.parent_over_change(json.loads(sys.argv[1])), sys.stdout)",
+    ])
+    proc = run_python("-c", code, json.dumps(readings), path=[str(ROOT / "scripts")])
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads(proc.stdout)
+    assert sorted(table) == ["L1/a_s", "L4/cmd/wall_s", "L4/tier1"]
+    assert table["L1/a_s"] == {"ratio": 2.0, "same_side_spread": pytest.approx(1.1),
+                               "resolved": True}
+    # 3.0 / 2.9 lies inside the parent's 3.3 / 3.0 spread: noise, not speed
+    assert table["L4/cmd/wall_s"] == {"ratio": pytest.approx(3.0 / 2.9),
+                                      "same_side_spread": pytest.approx(1.1),
+                                      "resolved": False}
+    assert table["L4/tier1"] == {"ratio": 0.8, "same_side_spread": 1.2, "resolved": True}
 
 
 def test_radial_convergence_script():
