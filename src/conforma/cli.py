@@ -2,9 +2,13 @@
 
 Eight subcommands, each a single deterministic experiment that writes
 result.json (byte-stable for fixed command, params, and seed), manifest.json
-(version, seed, timing — the only place timing lives), and optional CSV/JSONL
-artifacts. Exit status: 0 every check record passes, 1 a record failed or
-the command returned none, 2 usage or parameter error (nothing written).
+(version, seed, timing — the only place timing lives), and the files its
+handler returns: profile.csv and grid.csv under --format csv|both, sweep.csv
+under --emit-sweep-csv, solve-yamabe's trace.jsonl always. Handlers return
+data, not writers; main hands every file to reporting.write_files, which
+picks the format from the suffix. Exit status: 0 every check record passes,
+1 a record failed or the command returned none, 2 usage or parameter error
+(nothing written).
 One table, COMMANDS, holds the subcommands; main builds the parser of the
 command it runs, and the full parser only for help, --version and an argv
 that names no command first.
@@ -133,11 +137,12 @@ def _parse_word(text: str, n: int) -> MoebiusMap:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (result_dict, checks, artifacts)
+# command handlers: each returns (result_dict, checks, files)
 # checks: {name: Check}, the records main takes the run's pass from; a result
 # with a "checks" key holds the same records there
-# artifacts: list of (filename, kind, payload); kind "csv" carries a writer
-# called with the path only when the CSV is written, kind "jsonl" the records
+# files: {filename: data}, only the files this run asked for; a .csv entry is
+# (header, rows), a .jsonl entry the list of records. The handler owns the
+# file's schema; reporting.write_files renders it
 
 
 def _cmd_validate_operator(args):
@@ -150,7 +155,7 @@ def _cmd_validate_operator(args):
         "samples": args.samples,
         "checks": checks,
     }
-    return result, checks, []
+    return result, checks, {}
 
 
 def _cmd_verify_liouville(args):
@@ -184,7 +189,7 @@ def _cmd_verify_liouville(args):
         "samples_used": res.samples_used,
         "checks": checks,
     }
-    return result, checks, []
+    return result, checks, {}
 
 
 def _cmd_radial_shoot(args):
@@ -209,7 +214,12 @@ def _cmd_radial_shoot(args):
         "max_unit_residual": unit_res,
         "pass": check.passed,
     }
-    return result, {"sup_error": check}, [("profile.csv", "csv", profile.write_csv)]
+    files = {}
+    if args.format != "json":
+        rows = zip(profile.r.tolist(), profile.v.tolist(), profile.vp.tolist(),
+                   profile.vpp.tolist())
+        files["profile.csv"] = (("r", "v", "vp", "vpp"), rows)
+    return result, {"sup_error": check}, files
 
 
 def _ring_centers(n: int, radius: float, count: int) -> np.ndarray:
@@ -264,17 +274,15 @@ def _cmd_moving_sphere(args):
         "alpha": alpha,
         "checks": checks,
     }
-    artifacts = []
+    files = {}
     if args.emit_sweep_csv:
         header = tuple(f"x{i}" for i in range(n)) + ("lambda_bar", "alpha")
         rows = [
             tuple(x.tolist()) + (lam, val)
             for x, lam, val in zip(centers, alpha.lambda_bars, alpha.values)
         ]
-        artifacts.append(
-            ("sweep.csv", "csv", lambda path: reporting.write_csv(path, header, rows))
-        )
-    return result, checks, artifacts
+        files["sweep.csv"] = (header, rows)
+    return result, checks, files
 
 
 def _h_catalog(rng, count: int):
@@ -378,7 +386,7 @@ def _cmd_appendix_suite(args):
         ),
     }
     result = {"task": "lemmas", "checks": checks}
-    return result, checks, []
+    return result, checks, {}
 
 
 def _cmd_harnack(args):
@@ -405,7 +413,7 @@ def _cmd_harnack(args):
         "report": rep,
         "checks": checks,
     }
-    return result, checks, []
+    return result, checks, {}
 
 
 def _cmd_homogenize(args):
@@ -447,7 +455,7 @@ def _cmd_homogenize(args):
     }
     result = {"operator": op.name, "n": n, "k": k, "samples": args.samples,
               "checks": checks}
-    return result, checks, []
+    return result, checks, {}
 
 
 def _cmd_solve_yamabe(args):
@@ -463,16 +471,11 @@ def _cmd_solve_yamabe(args):
         dev = float(np.max(np.abs(res.final.values - cs)))
         result["c_star"] = cs
         result["constant_branch_deviation"] = dev
-    artifacts = [
-        (
-            "trace.jsonl",
-            "jsonl",
-            [r.to_json_dict() for r in res.records],
-        )
-    ]
-    if res.final is not None:
-        artifacts.append(("grid.csv", "csv", res.final.write_csv))
-    return result, checks, artifacts
+    files = {"trace.jsonl": res.records}
+    if res.final is not None and args.format != "json":
+        grid = res.final
+        files["grid.csv"] = (("t_node", "u"), zip(grid.nodes().tolist(), grid.values.tolist()))
+    return result, checks, files
 
 
 def _cmd_conjugation_test(args):
@@ -495,7 +498,7 @@ def _cmd_conjugation_test(args):
         "samples": args.samples,
         "checks": checks,
     }
-    return result, checks, []
+    return result, checks, {}
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +648,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        result, checks, artifacts = args.handler(args)
+        result, checks, files = args.handler(args)
     except ConformaError as exc:
         # parameter-shape problems are usage errors: nothing is written
         print(f"error: {exc}", file=sys.stderr)
@@ -659,32 +662,22 @@ def main(argv=None) -> int:
     passed = bool(checks) and all(c.passed for c in checks.values())
 
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    payload = {
-        "command": args.command,
-        "seed": args.seed,
-        "params": _args_digest(args),
-        "result": result,
-        "pass": passed,
-    }
-    reporting.write_json(out_dir / "result.json", payload)
-    reporting.write_json(
-        out_dir / "manifest.json",
-        {
+    reporting.write_files(out_dir, {
+        "result.json": {
+            "command": args.command,
+            "seed": args.seed,
+            "params": _args_digest(args),
+            "result": result,
+            "pass": passed,
+        },
+        "manifest.json": {
             "version": __version__,
             "command": args.command,
             "seed": args.seed,
             "timing_seconds": elapsed,
         },
-    )
-    for name, kind, payload_ in artifacts:
-        if kind == "csv" and (args.format in ("csv", "both") or name == "sweep.csv"):
-            payload_(out_dir / name)
-        elif kind == "jsonl":
-            with open(out_dir / name, "w", newline="") as fh:
-                for rec in payload_:
-                    fh.write(reporting.dumps_json(rec))
+        **files,
+    })
 
     if not passed:
         print(f"FAIL: {args.command} (see {out_dir / 'result.json'})", file=sys.stderr)

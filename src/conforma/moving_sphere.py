@@ -343,29 +343,21 @@ def gradient_bound_check(u: ScalarField, a: float, seed: int = 0) -> GradientBou
     hyp_worst = max(-math.inf, *violations.tolist())
     hyp_pass = hyp_worst <= GRADIENT_HYPOTHESIS_TOL
 
-    if not hyp_pass:
-        return GradientBoundReport(
-            hypothesis_pass=False,
-            hypothesis_worst=hyp_worst,
-            vacuous=True,
-            conclusion_pass=None,
-            conclusion_worst=None,
-            slack=None,
-            bound_coeff=(n - 2.0) / (2.0 * a),
-        )
-
     coeff = (n - 2.0) / (2.0 * a)
-    pts = ball_points(rng, n, GRADIENT_CONCLUSION_POINTS, radius=a)
-    g = u.grads(pts)
-    gn = np.sqrt(np.vecdot(g, g))
-    bound = coeff * u.values(pts)
-    worst = float(np.max((gn - bound) / bound))
-    slack = float(np.min((bound - gn) / bound))
+    # a failed hypothesis leaves the conclusion vacuous: nothing measured
+    worst = slack = None
+    if hyp_pass:
+        pts = ball_points(rng, n, GRADIENT_CONCLUSION_POINTS, radius=a)
+        g = u.grads(pts)
+        gn = np.sqrt(np.vecdot(g, g))
+        bound = coeff * u.values(pts)
+        worst = float(np.max((gn - bound) / bound))
+        slack = float(np.min((bound - gn) / bound))
     return GradientBoundReport(
-        hypothesis_pass=True,
+        hypothesis_pass=hyp_pass,
         hypothesis_worst=hyp_worst,
-        vacuous=False,
-        conclusion_pass=worst <= 1e-8,
+        vacuous=not hyp_pass,
+        conclusion_pass=None if worst is None else worst <= 1e-8,
         conclusion_worst=worst,
         slack=slack,
         bound_coeff=coeff,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import reporting
 from .bubbles import BubbleParams, bubble_values
 from .cones import CurvatureOperator, gamma_k_check, mu_star, sigma_k_order, sigma_rows
 from .errors import ConeError, DomainError, PositivityError
@@ -189,12 +188,6 @@ class RadialProfile:
             "nodes": len(self.r),
             "r_last": float(self.r[-1]),
         }
-
-    def write_csv(self, path):
-        rows = zip(
-            self.r.tolist(), self.v.tolist(), self.vp.tolist(), self.vpp.tolist()
-        )
-        reporting.write_csv(path, ("r", "v", "vp", "vpp"), rows)
 
 
 def _rk4_step(slope, r, v, vp, w_node, h):

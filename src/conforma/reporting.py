@@ -1,8 +1,9 @@
 """Deterministic serialization for results.
 
-Every run artifact that participates in byte-identical reruns goes through
-these writers: floats are rendered with %.17g (lossless for doubles), dict
-fields keep insertion order, and no timing or host information is included.
+Every file a run writes goes through write_files, which picks the writer
+from the file's suffix: floats are rendered with %.17g (lossless for
+doubles), dict fields keep insertion order, and no timing or host
+information is included (manifest.json, the one file with timing, aside).
 A dataclass renders through its to_json_dict when it has one, else as its
 fields in declaration order. Check is the record every command returns per
 check; a run passes when every one of its records does.
@@ -96,3 +97,19 @@ def write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(csv_cell(x) for x in row) + "\n")
+
+
+def write_files(out_dir, files) -> None:
+    """Write each {filename: data} entry of a run into out_dir (a Path, made
+    if missing) in the format its suffix names: .csv a (header, rows) pair,
+    .jsonl a list of records one per line, .json one object."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        path = out_dir / name
+        if name.endswith(".csv"):
+            write_csv(path, *data)
+        elif name.endswith(".jsonl"):
+            with open(path, "w", newline="") as fh:
+                fh.writelines(map(dumps_json, data))
+        else:
+            write_json(path, data)

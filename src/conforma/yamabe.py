@@ -134,12 +134,6 @@ class PeriodicGrid:
         g.values = values
         return g
 
-    def write_csv(self, path):
-        from . import reporting
-
-        rows = zip(self.nodes().tolist(), self.values.tolist())
-        reporting.write_csv(path, ("t_node", "u"), rows)
-
 
 def product_background_eigenvalues(n: int) -> np.ndarray:
     """Schouten eigenvalues of the circle-sphere product metric:

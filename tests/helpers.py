@@ -1020,7 +1020,7 @@ def homogenize_handler_loop(args):
     }
     result = {"operator": op.name, "n": n, "k": k, "samples": args.samples,
               "checks": checks}
-    return result, checks, []
+    return result, checks, {}
 
 
 def boundary_point_loop(op, rng, lam):

@@ -1,13 +1,15 @@
 """Check records: every run's pass is the conjunction of its records, and a
-record with no evidence fails. Also the pinned result.json digests that
-guard refactors byte for byte, and the known defects as strict xfails on
-inputs where the math holds.
+record with no evidence fails. Also the pinned result.json and artifact
+digests that guard refactors byte for byte, and the known defects as strict
+xfails on inputs where the math holds.
 
-The pinned table holds the SHA-256 of result.json and the exit code of each
-argv at --seed 0 under OMP_NUM_THREADS=1 (one process, OpenBLAS at one
-thread). A change that moves bits on purpose prints the new table with
-`python tests/test_checks.py`, replaces PINNED with it and lists the moved
-argvs in CHANGES.md.
+PINNED holds the SHA-256 of result.json and the exit code of each argv at
+--seed 0 under OMP_NUM_THREADS=1 (one process, OpenBLAS at one thread);
+PINNED_ARTIFACTS the SHA-256 of every other file but manifest.json of the
+argvs that write CSV or JSONL artifacts, from the same run. A change that
+moves bits on purpose prints the new tables with
+`PYTHONPATH=src python tests/test_checks.py` from the repository root,
+replaces them and lists the moved argvs in CHANGES.md.
 """
 
 import json
@@ -81,6 +83,32 @@ PINNED = {
     "conjugation-test --word 'translate:0.1,0,-0.2;scale:1.3;invert'": (0, "b662df760a3ff3768541d0237fa540b872b17459b64a0de11c2bdbf19d395cf5"),
 }
 
+# the argvs that write every kind of CSV and JSONL artifact: profile.csv,
+# grid.csv and trace.jsonl of both schemes, and sweep.csv
+ARTIFACT_ARGVS = [
+    "radial-shoot --n 5 --k 2 --h 1e-3 --format both",
+    "solve-yamabe --n 5 --k 2 --N 64 --scheme spectral --format both",
+    "solve-yamabe --n 5 --k 2 --N 64 --scheme fd4 --format both",
+    "moving-sphere --task sweep --beta 4.0 --emit-sweep-csv",
+]
+
+PINNED_ARTIFACTS = {
+    "radial-shoot --n 5 --k 2 --h 1e-3 --format both": {
+        "profile.csv": "b48405635e5434790cca86909a3f311a1c98209c1cb11a914ec27e37bc74e28e",
+    },
+    "solve-yamabe --n 5 --k 2 --N 64 --scheme spectral --format both": {
+        "grid.csv": "375f63feb525f17f50ed8ae8b36fc386075848a28a09559cc8540f4c8fa08290",
+        "trace.jsonl": "64e5cf2d1d927dc11911ef0505f4e057469b8b88510dd3d5e13ab56f92c21dec",
+    },
+    "solve-yamabe --n 5 --k 2 --N 64 --scheme fd4 --format both": {
+        "grid.csv": "375f63feb525f17f50ed8ae8b36fc386075848a28a09559cc8540f4c8fa08290",
+        "trace.jsonl": "fa88271c2b5c4d096bec2d6ae9c4bf3407853b342bc47e7005e59312f0ab811e",
+    },
+    "moving-sphere --task sweep --beta 4.0 --emit-sweep-csv": {
+        "sweep.csv": "7c984aff69a4da9025e61749e96f31aa87ca5c5ffaa4e2b7bd5faaeb328b7c36",
+    },
+}
+
 _DIGESTS = """
 import contextlib, hashlib, io, json, shlex, sys
 from pathlib import Path
@@ -90,14 +118,16 @@ for i, line in enumerate(json.load(sys.stdin)):
     d = Path(sys.argv[1]) / str(i)
     with contextlib.redirect_stderr(io.StringIO()):
         rc = main([*shlex.split(line), "--seed", "0", "--output-dir", str(d)])
-    out[line] = [rc, hashlib.sha256((d / "result.json").read_bytes()).hexdigest()]
+    out[line] = [rc, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in sorted(d.iterdir()) if p.name != "manifest.json"}]
 print(json.dumps(out))
 """
 
 
-def result_digests(argvs, out_dir):
-    """{argv: [rc, sha256 of result.json]} of every argv at --seed 0, run in
-    one fresh process at one OpenMP thread."""
+def file_digests(argvs, out_dir):
+    """{argv: [rc, {filename: sha256}]} of every argv at --seed 0 (every file
+    it writes but manifest.json), run in one fresh process at one OpenMP
+    thread."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {key: v for key, v in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     env["OMP_NUM_THREADS"] = "1"
@@ -108,10 +138,24 @@ def result_digests(argvs, out_dir):
     return json.loads(proc.stdout)
 
 
-def test_result_json_matches_pinned_digests(tmp_path):
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    argvs = list(dict.fromkeys(WORKLOAD_ARGVS + README_ARGVS + ARTIFACT_ARGVS))
+    return file_digests(argvs, tmp_path_factory.mktemp("digests"))
+
+
+def test_result_json_matches_pinned_digests(digests):
     assert list(PINNED) == WORKLOAD_ARGVS + README_ARGVS
-    got = result_digests(list(PINNED), tmp_path)
-    moved = {argv: got[argv] for argv, want in PINNED.items() if got[argv] != list(want)}
+    got = {argv: (digests[argv][0], digests[argv][1]["result.json"]) for argv in PINNED}
+    moved = {argv: got[argv] for argv, want in PINNED.items() if got[argv] != want}
+    assert not moved, moved
+
+
+def test_artifacts_match_pinned_digests(digests):
+    assert list(PINNED_ARTIFACTS) == ARTIFACT_ARGVS
+    got = {argv: {name: sha for name, sha in digests[argv][1].items() if name != "result.json"}
+           for argv in PINNED_ARTIFACTS}
+    moved = {argv: got[argv] for argv, want in PINNED_ARTIFACTS.items() if got[argv] != want}
     assert not moved, moved
 
 
@@ -141,7 +185,7 @@ def test_record_without_evidence_fails():
 
 def test_command_without_records_fails(tmp_path, monkeypatch):
     help_text, add_flags, _ = cli.COMMANDS["harnack"]
-    monkeypatch.setitem(cli.COMMANDS, "harnack", (help_text, add_flags, lambda args: ({}, {}, [])))
+    monkeypatch.setitem(cli.COMMANDS, "harnack", (help_text, add_flags, lambda args: ({}, {}, {})))
     assert cli.main(["harnack", "--output-dir", str(tmp_path)]) == 1
     assert json.loads((tmp_path / "result.json").read_text())["pass"] is False
 
@@ -166,8 +210,17 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        table = result_digests(WORKLOAD_ARGVS + README_ARGVS, tmp)
+        table = file_digests(list(dict.fromkeys(WORKLOAD_ARGVS + README_ARGVS + ARTIFACT_ARGVS)), tmp)
     print("PINNED = {")
-    for argv, (rc, digest) in table.items():
-        print(f"    {json.dumps(argv)}: ({rc}, {json.dumps(digest)}),")
+    for argv in WORKLOAD_ARGVS + README_ARGVS:
+        rc, files = table[argv]
+        print(f"    {json.dumps(argv)}: ({rc}, {json.dumps(files['result.json'])}),")
+    print("}")
+    print("PINNED_ARTIFACTS = {")
+    for argv in ARTIFACT_ARGVS:
+        files = {name: sha for name, sha in table[argv][1].items() if name != "result.json"}
+        print(f"    {json.dumps(argv)}: {{")
+        for name, sha in files.items():
+            print(f"        {json.dumps(name)}: {json.dumps(sha)},")
+        print("    },")
     print("}")

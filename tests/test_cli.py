@@ -218,7 +218,9 @@ def test_solve_yamabe_artifacts(tmp_path):
     )
     assert rc == 0
     assert (tmp_path / "trace.jsonl").exists()
-    assert (tmp_path / "grid.csv").exists()
+    grid = (tmp_path / "grid.csv").read_text().splitlines()
+    # the header, then one row per node
+    assert grid[0] == "t_node,u" and len(grid) == 33
     trace = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
     assert trace[0]["t"] == 0.0
     assert trace[-1]["t"] == 1.0
@@ -232,6 +234,23 @@ def test_solve_yamabe_trace_always_written(tmp_path):
     assert rc == 0
     assert (tmp_path / "trace.jsonl").exists()
     assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("radial-shoot", "--n", "3", "--k", "1", "--h", "1e-3", "--r-max", "0.5"),
+    ("solve-yamabe", "--N", "16", "--t-steps", "2"),
+])
+def test_format_csv_and_both_write_the_same_files(tmp_path, argv):
+    # JSON is always written: csv and both differ in name only, and json
+    # writes no CSV
+    written = {}
+    for fmt in ("json", "csv", "both"):
+        assert run(tmp_path / fmt, *argv, "--format", fmt) == 0
+        written[fmt] = {p.name: p.read_bytes() for p in (tmp_path / fmt).iterdir()
+                        if p.name != "manifest.json"}
+    assert written["csv"] == written["both"]
+    assert any(name.endswith(".csv") for name in written["both"])
+    assert not any(name.endswith(".csv") for name in written["json"])
 
 
 def _result_bytes_at_threads(out, argv, threads):

@@ -76,13 +76,11 @@ def test_bench_layers_derives_parent_over_change():
     assert proc.returncode == 0, proc.stderr
     table = json.loads(proc.stdout)
     assert sorted(table) == ["L1/a_s", "L4/cmd/wall_s", "L4/tier1"]
-    assert table["L1/a_s"] == {"ratio": 2.0, "same_side_spread": pytest.approx(1.1),
-                               "resolved": True}
-    # 3.0 / 2.9 lies inside the parent's 3.3 / 3.0 spread: noise, not speed
+    assert table["L1/a_s"] == {"ratio": 2.0, "same_side_spread": pytest.approx(1.1)}
+    # no verdict: block readings cannot tell a small change from host drift
     assert table["L4/cmd/wall_s"] == {"ratio": pytest.approx(3.0 / 2.9),
-                                      "same_side_spread": pytest.approx(1.1),
-                                      "resolved": False}
-    assert table["L4/tier1"] == {"ratio": 0.8, "same_side_spread": 1.2, "resolved": True}
+                                      "same_side_spread": pytest.approx(1.1)}
+    assert table["L4/tier1"] == {"ratio": 0.8, "same_side_spread": 1.2}
 
 
 def test_radial_convergence_script():

@@ -660,12 +660,3 @@ def test_periodic_grid_validation():
 
     with pytest.raises(PositivityError):
         PeriodicGrid(L=1.0, values=-np.ones(16))
-
-
-def test_periodic_grid_csv(tmp_path):
-    g = constant_grid(CS, 16)
-    path = tmp_path / "grid.csv"
-    g.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t_node,u"
-    assert len(lines) == 17
