@@ -40,10 +40,11 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites.
 
 Each number is the median of --repeats runs; every run is kept under
 "samples". The reading is stored under --label in --out, next to readings
-of other labels already there. Once the file holds a "parent" and a
-"change" reading, "parent_over_change" gets the ratio of the two medians
-of every timed entry (a dict with "median_s") that both readings hold,
-keyed by its path. If the file also holds a "parent-rerun" or a
+of other labels already there; a suite run under a label that is already
+there joins that reading, so one file can hold several suites' layers.
+Once the file holds a "parent" and a "change" reading, "parent_over_change"
+gets the ratio of the two medians of every timed entry (a dict with
+"median_s") that both readings hold, keyed by its path. If the file also holds a "parent-rerun" or a
 "change-rerun" reading, each ratio gets the largest same-side ratio
 max(x/x', x'/x) of its entry over the sides with a rerun. The readings are
 blocks taken minutes apart, and the host drifts between blocks by more than
@@ -424,7 +425,7 @@ def main_cli():
         reading[layer] = run(args.repeats)
     path = Path(args.out or ROOT / out)
     doc = json.loads(path.read_text()) if path.exists() else {}
-    doc.setdefault("readings", {})[args.label] = reading
+    doc.setdefault("readings", {}).setdefault(args.label, {}).update(reading)
     if {"parent", "change"} <= doc["readings"].keys():
         doc["parent_over_change"] = parent_over_change(doc["readings"])
     path.write_text(json.dumps(doc, indent=2) + "\n")
