@@ -1,18 +1,22 @@
 """Per-layer timings of one path of the code, written to a BENCH_*.json.
 
-Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites.
+Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites. What
+it times comes from the checkout's own bench/workloads.py: the checks pass's
+argvs, the radial workload's (n, k) pairs and the checks workload's
+homogenize pairs.
 
---suite cli (written to BENCH_20.json by default):
+--suite cli:
 
-- L4 for one argv per command (the 14 argvs of the checks workload,
-  `radial-shoot --n 5 --k 2` at h=1e-3 and h=1e-4, `moving-sphere --task
-  sweep --beta 4.0` and `solve-yamabe --n 5 --k 2 --N 64`, each at --seed
-  0): the wall time of one `cli.main` call, its handler time
-  (`timing_seconds` of `manifest.json`) and their difference, the CLI's own
-  cost (parser, argument digest, writing result.json and manifest.json);
-  and the wall time of the tier-1 suite. Only this suite times commands.
+- L4 for one argv per command (the distinct argvs of the checks pass, in
+  definition order, then `moving-sphere --task sweep --beta 4.0`,
+  `radial-shoot --n 5 --k 2` at h=1e-3 and h=1e-4 and `solve-yamabe --n 5
+  --k 2 --N 64`, each at --seed 0): the wall time of one `cli.main` call,
+  its handler time (`timing_seconds` of `manifest.json`) and their
+  difference, the CLI's own cost (parser, argument digest, writing
+  result.json and manifest.json); and the wall time of the tier-1 suite.
+  Only this suite times commands.
 
---suite cones (written to BENCH_11.json by default):
+--suite cones:
 
 - L0 the sigma_1..sigma_k kernel per row on the 499 rays of each
   `homogenize` workload argv: `sigma_all` one row per call, and
@@ -22,7 +26,7 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites.
   `solve_unit_level` call on all the rows;
 - the criterion-8 (homogenization) acceptance test.
 
---suite radial (written to BENCH_8.json by default):
+--suite radial:
 
 - L1 the radial slope per call on the (v, v', r) nodes of an h=1e-3 shot
   of every workload (n, k): the callable `shoot` uses (`slope_kernel(op)`);
@@ -30,7 +34,7 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites.
   `profile_max_unit_residual` per profile of those shots;
 - the criterion-4 acceptance test.
 
---suite moving-sphere (written to BENCH_7.json by default):
+--suite moving-sphere:
 
 - L2 `msi_violation` per radius: one scalar-radius call, and one call on a
   12-radius array divided by 12;
@@ -41,20 +45,17 @@ Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites.
 Each number is the median of --repeats runs; every run is kept under
 "samples". The reading is stored under --label in --out, next to readings
 of other labels already there; a suite run under a label that is already
-there joins that reading, so one file can hold several suites' layers.
-Once the file holds a "parent" and a "change" reading, "parent_over_change"
-gets the ratio of the two medians of every timed entry (a dict with
-"median_s") that both readings hold, keyed by its path. If the file also holds a "parent-rerun" or a
-"change-rerun" reading, each ratio gets the largest same-side ratio
-max(x/x', x'/x) of its entry over the sides with a rerun. The readings are
-blocks taken minutes apart, and the host drifts between blocks by more than
-a small change moves a timing: a ratio outside the same-side spread can
-still be drift, so no ratio here resolves a change. A speed claim rests on
-bench/compare.py, whose runs of the two trees alternate.
+there joins that reading entry by entry, so one file can hold several
+suites' layers.
+A reading describes one block of runs; the host drifts between blocks by
+more than a small change moves a timing, so two readings do not resolve a
+change. A speed claim rests on bench/compare.py, whose runs of the two
+trees alternate.
 
-Run from a checkout (it imports that checkout's src/ and tests/):
+Run from a checkout (it imports that checkout's src/, tests/ and
+bench/workloads.py):
 
-    python scripts/bench_layers.py --suite cones --label change
+    python scripts/bench_layers.py --suite cones --label change --out readings.json
 
 To read an older commit, copy this script into its checkout and run it
 there with --out naming this file.
@@ -80,7 +81,7 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
 
@@ -99,6 +100,16 @@ from conforma.moving_sphere import (  # noqa: E402
     msi_violation,
 )
 from conforma.sampling import ball_points, make_rng, sphere_points  # noqa: E402
+import workloads  # noqa: E402
+
+
+def pass_argvs(workload):
+    """The distinct argvs of a workload's seed-0 pass, in definition order."""
+    return list(dict(sorted((it.key, it.argv) for it in workloads.build(workload, 0))).values())
+
+
+def flag(argv, name):
+    return argv[argv.index(name) + 1]
 
 
 def timed(fn, repeats):
@@ -215,7 +226,8 @@ def tier1():
             "summary": lines[-1] if lines else ""}
 
 
-RADIAL_PAIRS = [(3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (5, 3)]
+RADIAL_PAIRS = list(dict.fromkeys((int(flag(a, "--n")), int(flag(a, "--k")))
+                                  for a in pass_argvs("radial")))
 
 
 def radial_layer1(repeats):
@@ -254,7 +266,8 @@ def radial_layer3(repeats):
     }
 
 
-HOMOGENIZE_PAIRS = [(3, 2), (4, 3)]
+HOMOGENIZE_PAIRS = [(int(flag(a, "--n")), int(flag(a, "--op").removeprefix("sigma")))
+                    for a in pass_argvs("checks") if a[0] == "homogenize"]
 
 
 def homogenize_rays(n, k):
@@ -311,22 +324,7 @@ def cones_layer1(repeats):
     return {"ray_solve_per_ray_s": per_item(timed(solves, repeats), count), "rays": count}
 
 
-CLI_ARGVS = [
-    ["validate-operator", "--n", "3", "--k", "2"],
-    ["validate-operator", "--n", "5", "--k", "3"],
-    ["validate-operator", "--n", "6", "--k", "4"],
-    ["verify-liouville", "--family", "fullspace", "--n", "4", "--k", "2"],
-    ["verify-liouville", "--family", "halfspace", "--n", "4"],
-    ["verify-liouville", "--family", "ball", "--n", "4"],
-    ["harnack", "--n", "3"],
-    ["harnack", "--n", "5"],
-    ["homogenize", "--op", "sigma2", "--n", "3"],
-    ["homogenize", "--op", "sigma3", "--n", "4"],
-    ["conjugation-test", "--mode", "analytic", "--n", "3"],
-    ["conjugation-test", "--mode", "analytic", "--n", "4",
-     "--word", "translate:0.3,-0.1,0.2,0.1;scale:1.7;invert"],
-    ["conjugation-test", "--mode", "fd", "--n", "3"],
-    ["moving-sphere", "--task", "lemmas"],
+CLI_ARGVS = [list(a) for a in pass_argvs("checks")] + [
     ["moving-sphere", "--task", "sweep", "--beta", "4.0"],
     ["radial-shoot", "--n", "5", "--k", "2", "--h", "1e-3"],
     ["radial-shoot", "--n", "5", "--k", "2", "--h", "1e-4"],
@@ -360,80 +358,44 @@ def machine():
     }
 
 
-# suite -> (default output file, {reading key: runner of repeats})
+# suite -> {reading key: runner of repeats}
 SUITES = {
-    "cli": ("BENCH_20.json", {"L4": cli_layer4}),
-    "cones": ("BENCH_11.json", {
+    "cli": {"L4": cli_layer4},
+    "cones": {
         "L0": cones_layer0,
         "L1": cones_layer1,
         "criterion 8": functools.partial(acceptance, "test_criterion_08_homogenization"),
-    }),
-    "moving-sphere": ("BENCH_7.json", {
+    },
+    "moving-sphere": {
         "L2": ms_layer2,
         "L3": ms_layer3,
         "criterion 5": functools.partial(acceptance, "test_criterion_05_moving_sphere_invariant"),
-    }),
-    "radial": ("BENCH_8.json", {
+    },
+    "radial": {
         "L1": radial_layer1,
         "L3": radial_layer3,
         "criterion 4": functools.partial(acceptance, "test_criterion_04_radial_uniqueness"),
-    }),
+    },
 }
-
-
-def medians(node, path=()):
-    """(path, median) of every timed entry, a dict with "median_s", in node."""
-    if "median_s" in node:
-        yield "/".join(path), node["median_s"]
-        return
-    for key, value in node.items():
-        if isinstance(value, dict):
-            yield from medians(value, (*path, key))
-
-
-def parent_over_change(readings):
-    """The parent/change ratio of every timed entry both readings hold, by
-    path; with a rerun of either side, the entry's largest same-side ratio."""
-    parent, change = (dict(medians(readings[label])) for label in ("parent", "change"))
-    sides = [(side, dict(medians(readings[f"{label}-rerun"])))
-             for label, side in (("parent", parent), ("change", change))
-             if f"{label}-rerun" in readings]
-    out = {}
-    for path, x in parent.items():
-        if path not in change:
-            continue
-        ratio = x / change[path]
-        entry = out[path] = {"ratio": ratio}
-        spreads = [max(side[path] / rerun[path], rerun[path] / side[path])
-                   for side, rerun in sides if path in rerun]
-        if spreads:
-            entry["same_side_spread"] = max(spreads)
-    return out
 
 
 def main_cli():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--suite", choices=sorted(SUITES), default="radial")
     ap.add_argument("--label", required=True, help="reading name, e.g. parent or change")
-    ap.add_argument("--out", default=None, help="default: the suite's BENCH_*.json at the root")
+    ap.add_argument("--out", required=True, help="the BENCH_*.json to write the reading into")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
-    out, layers = SUITES[args.suite]
 
-    reading = {"machine": machine()}
-    for layer, run in layers.items():
-        reading[layer] = run(args.repeats)
-    path = Path(args.out or ROOT / out)
+    path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
-    doc.setdefault("readings", {}).setdefault(args.label, {}).update(reading)
-    if {"parent", "change"} <= doc["readings"].keys():
-        doc["parent_over_change"] = parent_over_change(doc["readings"])
+    reading = doc.setdefault("readings", {}).setdefault(args.label, {})
+    reading["machine"] = machine()
+    for layer, run in SUITES[args.suite].items():
+        # suites share layer keys (radial and cones L1, radial and
+        # moving-sphere L3) but not entry names
+        reading.setdefault(layer, {}).update(run(args.repeats))
     path.write_text(json.dumps(doc, indent=2) + "\n")
-    for name, entry in doc.get("parent_over_change", {}).items():
-        note = ""
-        if "same_side_spread" in entry:
-            note = f"  same side {entry['same_side_spread']:5.2f}x"
-        print(f"{name:64s} {entry['ratio']:6.2f}x{note}")
 
 
 if __name__ == "__main__":

@@ -253,8 +253,10 @@ def h_lemma_check(
         (lam/|s-tau|)^alpha h(tau + lam^2/(s-tau)) <= h(s).
 
     Conclusion: |h'(s)| <= (alpha/2a) h(s) for |s| <= a. Both are sampled on
-    a density^3 grid, one (s, lam) slab per tau; kept mapped points land in
-    (-3a, 3a). The kernel is factored as lam^alpha |s-tau|^(-alpha), so a slab
+    a density^3 grid, one (s, lam) slab per tau. The hypothesis grid spans
+    the closed box |tau| <= 2a, a/d <= lam <= a, where a continuous h meets
+    the hypothesis if it does on the open one; kept mapped points land in
+    [-3a, 3a]. The kernel is factored as lam^alpha |s-tau|^(-alpha), so a slab
     takes no power outside h; dropped cells may overflow but never reach the
     max. Oracle: h_lemma_check_cube in tests/helpers.py, unfactored, h(s) at
     every cell. h and h_prime must accept numpy arrays.
@@ -269,10 +271,9 @@ def h_lemma_check(
     if d > MAX_DENSITY:
         raise DomainError(f"sample_density {d} is above the cap {MAX_DENSITY}")
 
-    shrink = 1.0 - 1.0 / d
-    taus = np.linspace(-2.0 * a * shrink, 2.0 * a * shrink, d)
+    taus = np.linspace(-2.0 * a, 2.0 * a, d)
     s = np.linspace(-4.0 * a, 4.0 * a, d)[:, None]
-    lam = np.linspace(a / d, a * shrink, d)[None, :]
+    lam = np.linspace(a / d, a, d)[None, :]
     lam_sq = lam * lam
     lam_alpha = lam**alpha
     rhs = h(s)

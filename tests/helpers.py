@@ -17,12 +17,16 @@ built on it, the one-sample-at-a-time operator validation, the lemmas
 catalog with one closure pair per kind, the one-vector sigma_k
 gradient, the one-point bubble value, gradient and Hessian, the per-point
 field protocol that the rows protocol replaced, the per-point
-upper-triangle assembly of A^u, and the hand-written parser of all eight
-subcommands that the CLI's command table replaced."""
+upper-triangle assembly of A^u, the hand-written parser of all eight
+subcommands that the CLI's command table replaced, and the benchmark's
+workload definitions loaded by path."""
 
 import argparse
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -884,10 +888,9 @@ def h_lemma_check_cube(h, h_prime, alpha, a, sample_density=64):
     if d < 8:
         raise DomainError("sample_density must be at least 8")
 
-    shrink = 1.0 - 1.0 / d
-    tau = np.linspace(-2.0 * a * shrink, 2.0 * a * shrink, d)[:, None, None]
+    tau = np.linspace(-2.0 * a, 2.0 * a, d)[:, None, None]
     s = np.linspace(-4.0 * a, 4.0 * a, d)[None, :, None]
-    lam = np.linspace(a / d, a * shrink, d)[None, None, :]
+    lam = np.linspace(a / d, a, d)[None, None, :]
 
     row_worst = []
     for row in tau:
@@ -1406,3 +1409,20 @@ def build_parser_all() -> argparse.ArgumentParser:
     p.set_defaults(handler=cli._cmd_conjugation_test)
 
     return parser
+
+
+def load_workloads():
+    """bench/workloads.py, the benchmark's workload definitions, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def pass_argvs(workload):
+    """The distinct argvs of a workload's seed-0 pass, in definition order."""
+    items = load_workloads().build(workload, 0)
+    return list(dict(sorted((it.key, it.argv) for it in items)).values())

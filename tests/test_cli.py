@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -18,7 +17,12 @@ from hypothesis import given, settings, strategies as st
 import conforma
 from conforma import cli, yamabe
 from conforma.cli import main
-from helpers import build_parser_all, homogenize_handler_loop, validate_operator_loop
+from helpers import (
+    build_parser_all,
+    homogenize_handler_loop,
+    load_workloads,
+    validate_operator_loop,
+)
 
 
 def run(tmp_path, *argv):
@@ -580,12 +584,7 @@ def _workload_argvs():
     """The distinct argvs of the benchmark's workloads, at the cheap end of
     the radial and yamabe grids (a command's parser does not depend on its
     values)."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclass looks itself up there
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads()
     argvs = {it.argv for w in workloads.WORKLOADS for seed in range(6)
              for it in workloads.build(w, seed)}
     return sorted(a for a in argvs if "1e-4" not in a

@@ -326,10 +326,18 @@ def test_h_lemma_check_matches_cube_oracle(seed, item, density):
     assert abs(got.hypothesis_worst - want.hypothesis_worst) <= 16 * eps * max(1.0, scale)
 
 
-# the four items whose sampled hypothesis passes but whose conclusion fails
-# (βa² just above 1), and every kind-2 item, whose βa² straddles 1
+# four items whose sampled hypothesis passed on the half-open box while the
+# conclusion failed (βa² just above 1; 635597269 item 42 still does), and
+# every kind-2 item, whose βa² straddles 1
 KNOWN_LEMMA_FAILURES = [(52, 42), (156, 47), (635597269, 42), (1880108470, 27)]
 KIND2_ITEMS = [(seed, item) for seed in range(10) for item in range(2, 50, 5)]
+# the item of each seed that the closed box fixed: the half-open box
+# lam < a, |tau| < 2a passed its hypothesis with βa² above 1
+CLOSED_BOX_ITEMS = [
+    (52, 42), (156, 47), (260, 22), (280, 42), (286, 7), (290, 12), (330, 17), (351, 2),
+    (373, 12), (379, 2), (382, 37), (465, 22), (479, 27), (504, 32), (510, 2), (590, 12),
+    (667, 7), (686, 42), (754, 2), (768, 22), (852, 2), (869, 37), (1880108470, 27),
+]
 
 
 @pytest.mark.parametrize("items", [KNOWN_LEMMA_FAILURES, KIND2_ITEMS], ids=["known", "kind2"])
@@ -342,6 +350,19 @@ def test_h_lemma_check_verdicts_match_cube_oracle_at_the_threshold(items):
             want.hypothesis_pass,
             want.conclusion_pass,
         ), (seed, item)
+
+
+@pytest.mark.parametrize("items", [CLOSED_BOX_ITEMS, KIND2_ITEMS], ids=["fixed", "kind2"])
+def test_h_lemma_check_kind2_verdicts_follow_beta_a_squared(items):
+    # kind 2 is the trace (1 + beta s^2)^(-alpha/2): the lemma's hypothesis and
+    # its conclusion hold on [-a, a] iff beta a^2 <= 1. beta comes from
+    # h(1) = (1 + beta)^(-alpha/2), not from the closure
+    for seed, item in items:
+        h, hp, alpha, a = _h_catalog(make_rng(seed), item + 1)[item]
+        beta_a2 = (float(h(1.0)) ** (-2.0 / alpha) - 1.0) * a * a
+        rep = h_lemma_check(h, hp, alpha, a)
+        holds = beta_a2 <= 1.0
+        assert (rep.hypothesis_pass, rep.conclusion_pass) == (holds, holds), (seed, item, beta_a2)
 
 
 @pytest.mark.parametrize("density", [8, 17, 64])
@@ -376,8 +397,9 @@ def test_h_catalog_matches_per_kind_oracle(seed):
 
 @pytest.mark.parametrize("seed", [0, 635597269, 1880108470])
 def test_lemmas_result_json_matches_oracle_path(tmp_path, monkeypatch, seed):
-    # 635597269 and 1880108470 exit 1 (a sampled h meets the hypothesis but
-    # not the conclusion); the oracle path must reproduce that too
+    # 635597269 exits 1 (a sampled h with βa² just above 1 meets the
+    # hypothesis but not the conclusion) and 1880108470 exits 0 since the
+    # grid includes the box's faces; the oracle path must reproduce both
     argv = ["moving-sphere", "--task", "lemmas", "--seed", str(seed)]
     rc = main(argv + ["--output-dir", str(tmp_path / "kernel")])
     monkeypatch.setattr(conforma.moving_sphere, "msi_violation", msi_violation_loop)

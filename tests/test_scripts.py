@@ -7,9 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import conforma
+from conforma import cli
+from helpers import pass_argvs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,38 +49,41 @@ def test_bench_layers_script_help():
     assert "{cli,cones,moving-sphere,radial}" in proc.stdout
 
 
-def test_bench_layers_derives_parent_over_change():
-    # one ratio per timed entry that both parent and change hold, keyed by its
-    # path, and the largest same-side rerun ratio next to it
-    readings = {
-        "parent": {
-            "machine": {"cpu": "x"},
-            "L1": {"a_s": {"median_s": 2.0, "samples": [2.0]},
-                   "parent_only_s": {"median_s": 1.0}, "rays": 5},
-            "L4": {"cmd": {"wall_s": {"median_s": 3.0}},
-                   "tier1": {"median_s": 40.0, "samples": [40.0], "returncode": 0}},
-        },
-        "change": {
-            "L0": {"change_only_s": {"median_s": 1.0}},
-            "L1": {"a_s": {"median_s": 1.0}},
-            "L4": {"cmd": {"wall_s": {"median_s": 2.9}}, "tier1": {"median_s": 50.0}},
-        },
-        "parent-rerun": {"L1": {"a_s": {"median_s": 2.2}}, "L4": {"cmd": {"wall_s": {"median_s": 3.3}}}},
-        "change-rerun": {"L4": {"tier1": {"median_s": 60.0}}},
-    }
-    code = "\n".join([
-        "import json, sys, bench_layers",
-        "json.dump(bench_layers.parent_over_change(json.loads(sys.argv[1])), sys.stdout)",
-    ])
-    proc = run_python("-c", code, json.dumps(readings), path=[str(ROOT / "scripts")])
+def test_bench_layers_times_the_checks_workload():
+    # L4 runs every argv of the checks workload and one of each command
+    code = "import json, sys, bench_layers; json.dump(bench_layers.CLI_ARGVS, sys.stdout)"
+    proc = run_python("-c", code, path=[str(ROOT / "scripts")])
     assert proc.returncode == 0, proc.stderr
-    table = json.loads(proc.stdout)
-    assert sorted(table) == ["L1/a_s", "L4/cmd/wall_s", "L4/tier1"]
-    assert table["L1/a_s"] == {"ratio": 2.0, "same_side_spread": pytest.approx(1.1)}
-    # no verdict: block readings cannot tell a small change from host drift
-    assert table["L4/cmd/wall_s"] == {"ratio": pytest.approx(3.0 / 2.9),
-                                      "same_side_spread": pytest.approx(1.1)}
-    assert table["L4/tier1"] == {"ratio": 0.8, "same_side_spread": 1.2}
+    argvs = [tuple(argv) for argv in json.loads(proc.stdout)]
+    assert set(pass_argvs("checks")) <= set(argvs)
+    assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+
+
+def test_bench_layers_requires_out():
+    # no default file: a run never merges into a historical BENCH_*.json
+    proc = run_script("bench_layers.py", "--suite", "radial", "--label", "change")
+    assert proc.returncode == 2
+    assert "--out" in proc.stderr
+
+
+def test_bench_layers_suites_join_one_reading(tmp_path):
+    # radial and moving-sphere both write L3: a second suite under the same
+    # label adds its entries and keeps the first suite's
+    code = "\n".join([
+        "import sys, bench_layers",
+        "out = sys.argv[1]",
+        "bench_layers.SUITES = {'a': {'L3': lambda r: {'x_s': 1}}, 'b': {'L3': lambda r: {'y_s': r}}}",
+        "for suite in 'ab':",
+        "    sys.argv = ['bench_layers.py', '--suite', suite, '--label', 'change', '--out', out,",
+        "                '--repeats', '2']",
+        "    bench_layers.main_cli()",
+    ])
+    out = tmp_path / "readings.json"
+    proc = run_python("-c", code, str(out), path=[str(ROOT / "scripts")])
+    assert proc.returncode == 0, proc.stderr
+    reading = json.loads(out.read_text())["readings"]["change"]
+    assert reading["L3"] == {"x_s": 1, "y_s": 2}
+    assert "machine" in reading
 
 
 def test_radial_convergence_script():
