@@ -49,16 +49,30 @@ there joins that reading entry by entry, so one file can hold several
 suites' layers.
 A reading describes one block of runs; the host drifts between blocks by
 more than a small change moves a timing, so two readings do not resolve a
-change. A speed claim rests on bench/compare.py, whose runs of the two
-trees alternate.
+change.
+
+--against DIR makes a paired reading of this checkout (the change) against
+the checkout DIR (the parent). Each repeat runs the suite once in each
+checkout, one process per side with that checkout's src/ on PYTHONPATH (and
+its tests/ and bench/ on the import path) and one thread, and the side that
+runs first alternates between repeats, so
+the host's drift reaches both sides of a pair alike. Every timed entry
+becomes the two sides' per-repeat values, the paired change/parent ratios,
+their median and the change's win count, and a verdict on
+bench/compare.py's rule: "improved" (or "worse") when the change wins (or
+loses) at least 9 pairs in 10 and the medians differ by more than the
+parent's interquartile range, "unresolved" otherwise. A layer speed claim
+rests on such a reading; an end-to-end claim on bench/compare.py.
 
 Run from a checkout (it imports that checkout's src/, tests/ and
 bench/workloads.py):
 
     python scripts/bench_layers.py --suite cones --label change --out readings.json
+    python scripts/bench_layers.py --suite moving-sphere --against ../parent \
+        --repeats 10 --label change_vs_parent --out readings.json
 
-To read an older commit, copy this script into its checkout and run it
-there with --out naming this file.
+Both sides run this script, so the parent checkout needs the functions a
+suite calls, not this script.
 """
 from __future__ import annotations
 
@@ -72,6 +86,7 @@ import contextlib  # noqa: E402
 import functools  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -80,7 +95,9 @@ import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-ROOT = Path(__file__).resolve().parents[1]
+# the checkout whose code is timed: this script's own, or the side of an
+# --against reading that BENCH_LAYERS_CHECKOUT names
+ROOT = Path(os.environ.get("BENCH_LAYERS_CHECKOUT") or Path(__file__).resolve().parents[1])
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
@@ -379,22 +396,107 @@ SUITES = {
 }
 
 
+def run_suite(suite, repeats):
+    reading = {}
+    for layer, run in SUITES[suite].items():
+        # suites share layer keys (radial and cones L1, radial and
+        # moving-sphere L3) but not entry names
+        reading.setdefault(layer, {}).update(run(repeats))
+    return reading
+
+
+def side_run(checkout, suite):
+    """One run of the suite on checkout, in a process of its own."""
+    path = os.pathsep.join([str(checkout / "src"), str(Path(__file__).resolve().parent)])
+    env = dict(os.environ, BENCH_LAYERS_CHECKOUT=str(checkout), PYTHONPATH=path,
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    code = f"import json, bench_layers; print(json.dumps(bench_layers.run_suite({suite!r}, 1)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{suite} suite in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def timed_entries(reading, path=()):
+    """(path, median_s) of every timed entry of a reading."""
+    for key, value in reading.items():
+        if isinstance(value, dict):
+            if "median_s" in value:
+                yield path + (key,), value["median_s"]
+            else:
+                yield from timed_entries(value, path + (key,))
+
+
+def paired(parent, change):
+    """One timed entry of a paired reading; parent[i] and change[i] come from
+    repeat i. The verdict takes bench/compare.py's rule for a lower-is-better
+    metric."""
+    from compare import WIN_SHARE
+
+    ratios = [c / p for p, c in zip(parent, change)]
+    wins = sum(c < p for p, c in zip(parent, change))
+    losses = sum(c > p for p, c in zip(parent, change))
+    need = math.ceil(WIN_SHARE * len(ratios))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gain = statistics.median(parent) - statistics.median(change)
+    if wins >= need and gain > q3 - q1:
+        verdict = "improved"
+    elif losses >= need and -gain > q3 - q1:
+        verdict = "worse"
+    else:
+        verdict = "unresolved"
+    return {"parent_s": parent, "change_s": change, "ratios": ratios,
+            "median_ratio": statistics.median(ratios), "wins": wins, "pairs": len(ratios),
+            "verdict": verdict}
+
+
+def pair_runs(runs):
+    """The paired reading of runs = {"parent": [...], "change": [...]}, one
+    side reading per repeat each, nested as the side readings are."""
+    values = {side: [dict(timed_entries(r)) for r in rs] for side, rs in runs.items()}
+    reading = {}
+    for path in values["change"][0]:
+        *parents, name = path
+        node = reading
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[name] = paired([v[path] for v in values["parent"]], [v[path] for v in values["change"]])
+    return reading
+
+
+def against(suite, parent, repeats):
+    """The paired reading of this checkout against parent; the side that runs
+    first alternates between repeats."""
+    sides = {"parent": parent, "change": ROOT}
+    runs = {"parent": [], "change": []}
+    for i in range(repeats):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(side_run(sides[side], suite))
+    return pair_runs(runs)
+
+
 def main_cli():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--suite", choices=sorted(SUITES), default="radial")
     ap.add_argument("--label", required=True, help="reading name, e.g. parent or change")
     ap.add_argument("--out", required=True, help="the BENCH_*.json to write the reading into")
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--against", type=Path, metavar="DIR",
+                    help="parent checkout: make a paired reading of this checkout against it")
     args = ap.parse_args()
+    if args.against and args.repeats < 2:
+        ap.error("--against needs --repeats of at least 2")
 
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
     reading = doc.setdefault("readings", {}).setdefault(args.label, {})
     reading["machine"] = machine()
-    for layer, run in SUITES[args.suite].items():
-        # suites share layer keys (radial and cones L1, radial and
-        # moving-sphere L3) but not entry names
-        reading.setdefault(layer, {}).update(run(args.repeats))
+    if args.against:
+        layers = against(args.suite, args.against.resolve(), args.repeats)
+    else:
+        layers = run_suite(args.suite, args.repeats)
+    for layer, entries in layers.items():
+        reading.setdefault(layer, {}).update(entries)
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 

@@ -84,8 +84,8 @@ MAX_CHECK_COUNT = 2**18
 # --center-count: a centre's critical radius takes about 50 ms at the default
 # 4096 check points, 3.5 min at the cap.
 MAX_CENTER_COUNT = 4096
-# --h-count: a catalog function's interval-lemma check takes about 5 ms at the
-# default density 64, 50 s at the cap (and about 3 s each at MAX_DENSITY).
+# --h-count: a catalog function's interval-lemma check takes about 2 ms at the
+# default density 64, 20 s at the cap (and about 1.3 s each at MAX_DENSITY).
 MAX_H_COUNT = 10_000
 # --n: verify-liouville --family fullspace holds (samples, n, n) matrices, a
 # peak of about 250 MiB at n = 9 and 680 MiB (2 s) at n = 16 at the --samples

@@ -11,7 +11,8 @@ loop oracles for the periodic solver's closed-form residual, Jacobian
 coefficients and margin at a stage t, built on the n-wide product
 eigenvalue rows and the separate eigenvalue partials that yamabe's one
 spectrum kernel replaced, one-radius-at-a-time oracles for the
-batched moving-sphere kernels, the whole-profile bubble deviation, and the
+batched moving-sphere kernels, the tau-slab walk of the interval-lemma
+check, the whole-profile bubble deviation, and the
 one-ray-at-a-time unit-level solve with the per-sample homogenize handler
 built on it, the one-sample-at-a-time operator validation, the lemmas
 catalog with one closure pair per kind, the one-vector sigma_k
@@ -904,6 +905,49 @@ def h_lemma_check_cube(h, h_prime, alpha, a, sample_density=64):
         row_worst.append(np.max(np.where(mask, lhs - rhs, -np.inf)))
     hyp_worst = float(np.max(row_worst))
     scale = float(np.max(np.abs(h(np.linspace(-4.0 * a, 4.0 * a, d)))))
+    hyp_pass = hyp_worst <= HYPOTHESIS_TOL * max(1.0, scale)
+
+    sc = np.linspace(-a, a, d)
+    concl_gap = np.abs(h_prime(sc)) - (alpha / (2.0 * a)) * h(sc)
+    concl_worst = float(np.max(concl_gap))
+    return HLemmaReport(
+        hypothesis_pass=hyp_pass,
+        hypothesis_worst=hyp_worst,
+        conclusion_pass=concl_worst <= CONCLUSION_TOL,
+        conclusion_worst=concl_worst,
+        alpha=alpha,
+        a=a,
+    )
+
+
+def h_lemma_check_slabs(h, h_prime, alpha, a, sample_density=64):
+    """The interval-lemma check walked one (s, lam) slab per tau, with h
+    evaluated at every cell of the slab and the dropped ones masked to -inf:
+    the bit-exact reference for the radius-major walk of
+    moving_sphere.h_lemma_check, which evaluates only the kept cells."""
+    if not a > 0:
+        raise DomainError("interval half-width a must be positive")
+    if alpha < 0:
+        raise DomainError("decay exponent alpha must be nonnegative")
+    d = int(sample_density)
+    if d < 8:
+        raise DomainError("sample_density must be at least 8")
+
+    taus = np.linspace(-2.0 * a, 2.0 * a, d)
+    s = np.linspace(-4.0 * a, 4.0 * a, d)[:, None]
+    lam = np.linspace(a / d, a, d)[None, :]
+    lam_sq = lam * lam
+    lam_alpha = lam**alpha
+    rhs = h(s)
+    slab_worst = np.empty(d)
+    with np.errstate(all="ignore"):
+        for i, tau in enumerate(taus):
+            diff = s - tau
+            dist = np.abs(diff)
+            lhs = h(tau + lam_sq * (1.0 / diff)) * (lam_alpha * dist**-alpha)
+            slab_worst[i] = np.max(np.where(lam < dist, lhs - rhs, -np.inf))
+    hyp_worst = float(np.max(slab_worst))
+    scale = float(np.max(np.abs(rhs)))
     hyp_pass = hyp_worst <= HYPOTHESIS_TOL * max(1.0, scale)
 
     sc = np.linspace(-a, a, d)

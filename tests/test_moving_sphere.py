@@ -13,6 +13,7 @@ from helpers import (
     critical_radius_loop,
     h_catalog_by_kind,
     h_lemma_check_cube,
+    h_lemma_check_slabs,
     msi_violation_loop,
     msi_violation_one,
 )
@@ -153,6 +154,13 @@ def test_h_lemma_exponential_contrapositive():
     assert not rep.hypothesis_pass
     assert not rep.conclusion_pass
     assert rep.implication_holds()
+
+
+def test_h_lemma_check_takes_a_scalar_valued_h():
+    # a constant h may return one number for an array; it satisfies both sides
+    rep = h_lemma_check(lambda s: 2.0, lambda s: 0.0, 0.0, 0.5, 8)
+    assert rep.hypothesis_pass and rep.conclusion_pass
+    assert rep.hypothesis_worst == 0.0
 
 
 def test_h_lemma_catalog_has_no_counterexample():
@@ -367,8 +375,8 @@ def test_h_lemma_check_kind2_verdicts_follow_beta_a_squared(items):
 
 @pytest.mark.parametrize("density", [8, 17, 64])
 def test_h_lemma_check_leaks_no_floating_point_state(density):
-    # masked cells divide by zero at s = tau and overflow kind 4's exp; none
-    # of it may warn, and the caller's error state must come back unchanged
+    # a dropped cell would divide by zero at s = tau or overflow kind 4's exp;
+    # nothing may warn, and the caller's error state must come back unchanged
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         before = np.geterr()
@@ -376,6 +384,75 @@ def test_h_lemma_check_leaks_no_floating_point_state(density):
             for h, hp, alpha, a in _h_catalog(make_rng(seed), 50):
                 h_lemma_check(h, hp, alpha, a, density)
         assert np.geterr() == before
+
+
+@pytest.mark.parametrize("density", [8, 17, 64])
+def test_h_lemma_check_matches_slab_walk_bit_for_bit(density):
+    # the radius-major walk puts every kept cell through the slab walk's
+    # elementwise operations and takes the max over the same values: the
+    # whole report keeps its bits (repr tells -0.0 from 0.0), worst included
+    for seed in range(20):
+        for h, hp, alpha, a in _h_catalog(make_rng(seed), 50):
+            got = h_lemma_check(h, hp, alpha, a, density)
+            assert repr(got) == repr(h_lemma_check_slabs(h, hp, alpha, a, density)), seed
+
+
+@pytest.mark.parametrize("items", [KNOWN_LEMMA_FAILURES, CLOSED_BOX_ITEMS], ids=["known", "fixed"])
+def test_h_lemma_check_matches_slab_walk_at_the_threshold(items):
+    for seed, item in items:
+        h, hp, alpha, a = _h_catalog(make_rng(seed), item + 1)[item]
+        got = h_lemma_check(h, hp, alpha, a)
+        assert repr(got) == repr(h_lemma_check_slabs(h, hp, alpha, a)), (seed, item)
+
+
+@pytest.mark.parametrize("density", [8, 17])
+def test_h_lemma_check_evaluates_h_on_kept_cells_only(density):
+    # h's first call is the right-hand side on the s grid; every later
+    # argument is a kept cell's mapped point or a conclusion point, all
+    # finite and in [-3a, 3a] up to rounding: no s = tau, no dropped cell
+    for h, hp, alpha, a in _h_catalog(make_rng(0), 10):
+        calls = []
+
+        def recording(x, h=h):
+            calls.append(np.array(x, dtype=float))
+            return h(x)
+
+        h_lemma_check(recording, hp, alpha, a, density)
+        rhs, *others = calls
+        s = np.linspace(-4.0 * a, 4.0 * a, density)
+        assert rhs.tobytes() == s.tobytes()
+        args = np.concatenate([x.ravel() for x in others])
+        assert np.all(np.isfinite(args))
+        assert np.max(np.abs(args)) <= 3.0 * a + 4 * np.spacing(3.0 * a)
+        taus = np.linspace(-2.0 * a, 2.0 * a, density)
+        lam = np.linspace(a / density, a, density)
+        kept = np.count_nonzero(lam < np.abs(s[:, None, None] - taus[:, None]))
+        assert len(args) == kept + density
+
+
+@pytest.mark.parametrize("a", [np.inf, np.nan, 1e308])
+def test_h_lemma_check_refuses_a_non_finite_interval(a):
+    # a = inf kept no cell and passed the hypothesis with worst -inf; so did
+    # a = 1e308, whose grid overflows
+    h, hp, alpha, _ = _h_catalog(make_rng(0), 1)[0]
+    with pytest.raises(DomainError, match="half-width"), np.errstate(all="ignore"):
+        h_lemma_check(h, hp, alpha, a)
+
+
+@pytest.mark.parametrize("alpha", [np.inf, np.nan])
+def test_h_lemma_check_refuses_a_non_finite_decay_exponent(alpha):
+    # alpha = inf passed the conclusion with worst -inf
+    h, hp, _, a = _h_catalog(make_rng(0), 1)[0]
+    with pytest.raises(DomainError, match="decay exponent"):
+        h_lemma_check(h, hp, alpha, a)
+
+
+@pytest.mark.parametrize("a", [np.inf, np.nan])
+def test_gradient_bound_check_refuses_a_non_finite_radius(a):
+    # a = inf passed the hypothesis with worst -inf and bound coefficient 0
+    u = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0))
+    with pytest.raises(DomainError, match="radius"):
+        gradient_bound_check(u, a)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 635597269, 1880108470])

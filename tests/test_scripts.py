@@ -1,6 +1,7 @@
 """What imports the library from outside src/ runs: the scripts under
 scripts/, and the benchmark's tracer over every layer module."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -84,6 +85,58 @@ def test_bench_layers_suites_join_one_reading(tmp_path):
     reading = json.loads(out.read_text())["readings"]["change"]
     assert reading["L3"] == {"x_s": 1, "y_s": 2}
     assert "machine" in reading
+
+
+def load_bench_layers(monkeypatch):
+    """scripts/bench_layers.py as a module; the thread settings and import
+    path it sets are undone after the test."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("BENCH_LAYERS_CHECKOUT", raising=False)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "scripts" / "bench_layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_layers_pairs_side_readings(monkeypatch):
+    # canned side readings, no side runs: each timed entry, nested or not,
+    # becomes per-repeat values, change/parent ratios, their median and the
+    # change's wins; untimed entries and the machine are left out
+    bench_layers = load_bench_layers(monkeypatch)
+    parent = [1.0, 1.1, 0.9, 1.0, 1.2, 1.0, 0.95, 1.05, 1.0, 1.1]
+
+    def side(x, y):
+        return {"machine": {"cpu": "any"}, "L3": {"x_s": {"median_s": x, "samples": [x]}, "points": 7},
+                "L4": {"argv": {"wall_s": {"median_s": y, "samples": [y]}}}}
+
+    runs = {"parent": [side(p, p) for p in parent],
+            "change": [side(0.5 * p, 2.0 * p) for p in parent]}
+    reading = bench_layers.pair_runs(runs)
+    assert set(reading) == {"L3", "L4"} and set(reading["L3"]) == {"x_s"}
+    x = reading["L3"]["x_s"]
+    assert x["parent_s"] == parent and x["change_s"] == [0.5 * p for p in parent]
+    assert x["ratios"] == [0.5] * 10 and x["median_ratio"] == 0.5
+    assert (x["wins"], x["pairs"], x["verdict"]) == (10, 10, "improved")
+    wall = reading["L4"]["argv"]["wall_s"]
+    assert (wall["median_ratio"], wall["wins"], wall["verdict"]) == (2.0, 0, "worse")
+
+
+def test_bench_layers_verdict_follows_the_compare_rule(monkeypatch):
+    # improved needs 9 wins in 10 and medians apart by more than the
+    # parent's interquartile range; ties win for neither side
+    paired = load_bench_layers(monkeypatch).paired
+    parent = [1.0, 1.1, 0.9, 1.0, 1.2, 1.0, 0.95, 1.05, 1.0, 1.1]  # IQR 0.1125
+    nine = [0.7 * p for p in parent[:9]] + [1.3]
+    assert paired(parent, nine)["verdict"] == "improved"
+    eight = [0.7 * p for p in parent[:8]] + [1.3, 1.3]
+    assert (paired(parent, eight)["wins"], paired(parent, eight)["verdict"]) == (8, "unresolved")
+    close = [p - 0.01 for p in parent]  # wins all 10, gap 0.01 inside the IQR
+    assert (paired(parent, close)["wins"], paired(parent, close)["verdict"]) == (10, "unresolved")
+    same = paired(parent, list(parent))
+    assert (same["wins"], same["median_ratio"], same["verdict"]) == (0, 1.0, "unresolved")
+    assert paired(parent, [1.3 * p for p in parent])["verdict"] == "worse"
 
 
 def test_radial_convergence_script():
