@@ -56,7 +56,11 @@ the checkout DIR (the parent). Each repeat runs the suite once in each
 checkout, one process per side with that checkout's src/ on PYTHONPATH (and
 its tests/ and bench/ on the import path) and one thread, and the side that
 runs first alternates between repeats, so
-the host's drift reaches both sides of a pair alike. Every timed entry
+the host's drift reaches both sides of a pair alike. Each of those processes
+gets an environment pad of random length (from a fixed seed), which moves
+its stack and heap layout from run to run: a layout that favours one
+directory over another then spreads over both sides instead of staying
+with one of them. Every timed entry
 becomes the two sides' per-repeat values, the paired change/parent ratios,
 their median and the change's win count, and a verdict on
 bench/compare.py's rule: "improved" (or "worse") when the change wins (or
@@ -88,6 +92,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
+import random  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -405,11 +410,12 @@ def run_suite(suite, repeats):
     return reading
 
 
-def side_run(checkout, suite):
-    """One run of the suite on checkout, in a process of its own."""
+def side_run(checkout, suite, pad):
+    """One run of the suite on checkout, in a process of its own whose
+    environment holds the string pad."""
     path = os.pathsep.join([str(checkout / "src"), str(Path(__file__).resolve().parent)])
     env = dict(os.environ, BENCH_LAYERS_CHECKOUT=str(checkout), PYTHONPATH=path,
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", BENCH_LAYERS_PAD=pad)
     code = f"import json, bench_layers; print(json.dumps(bench_layers.run_suite({suite!r}, 1)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -466,12 +472,13 @@ def pair_runs(runs):
 
 def against(suite, parent, repeats):
     """The paired reading of this checkout against parent; the side that runs
-    first alternates between repeats."""
+    first alternates between repeats, and every run draws its pad length."""
     sides = {"parent": parent, "change": ROOT}
     runs = {"parent": [], "change": []}
+    rng = random.Random(0)
     for i in range(repeats):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs[side].append(side_run(sides[side], suite))
+            runs[side].append(side_run(sides[side], suite, "x" * rng.randrange(4096)))
     return pair_runs(runs)
 
 

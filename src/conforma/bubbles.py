@@ -19,8 +19,7 @@ from .sampling import make_rng
 __all__ = [
     "BubbleParams",
     "bubble_values",
-    "bubble_grads",
-    "bubble_hessians",
+    "bubble_jet",
     "Residuals",
     "verify_fullspace",
     "halfspace_residual",
@@ -66,23 +65,18 @@ def bubble_values(p: BubbleParams, X: np.ndarray) -> np.ndarray:
     return (p.a / d) ** (0.5 * (p.n - 2))
 
 
-def bubble_grads(p: BubbleParams, X: np.ndarray) -> np.ndarray:
-    """The gradient at each row of X, shape (m, n)."""
-    Z, d = _offsets(p, X)
-    m = 0.5 * (p.n - 2)
-    return ((-2.0 * m * p.beta * p.a**m) * d ** (-m - 1.0))[:, None] * Z
-
-
-def bubble_hessians(p: BubbleParams, X: np.ndarray) -> np.ndarray:
-    """The Hessian at each row of X, shape (m, n, n)."""
+def bubble_jet(p: BubbleParams, X: np.ndarray) -> tuple:
+    """The values, gradients (m, n) and Hessians (m, n, n) at the rows of X,
+    from one pass over the offsets."""
     Z, d = _offsets(p, X)
     m = 0.5 * (p.n - 2)
     am = p.a**m
-    h = ((-2.0 * m * p.beta * am) * d ** (-m - 1.0))[:, None, None] * np.eye(p.n)
+    g1 = (-2.0 * m * p.beta * am) * d ** (-m - 1.0)
+    h = g1[:, None, None] * np.eye(p.n)
     h += ((4.0 * m * (m + 1.0) * p.beta**2 * am) * d ** (-m - 2.0))[:, None, None] * (
         Z[:, :, None] * Z[:, None, :]
     )
-    return h
+    return (p.a / d) ** m, g1[:, None] * Z, h
 
 
 @dataclass(frozen=True)
@@ -142,8 +136,8 @@ def halfspace_residual(p: BubbleParams, c: float, sample_count: int = 100, seed:
     scale = 1.0 / np.sqrt(abs(p.beta)) if p.beta != 0 else 1.0
     X = np.zeros((sample_count, n))
     X[:, :-1] = p.center[:-1] + scale * rng.normal(size=(sample_count, n - 1))
-    du_n = bubble_grads(p, X)[:, -1]
-    u = bubble_values(p, X)
+    u, g, _ = bubble_jet(p, X)
+    du_n = g[:, -1]
     res = np.abs(du_n - c * u ** (n / (n - 2.0)))
     return _residuals(res, abs((n - 2.0) / p.a * p.beta * xbar_n - c))
 
@@ -165,7 +159,7 @@ def ball_robin_residual(p: BubbleParams, c: float, sample_count: int = 100, seed
     rng = make_rng(seed)
     X = rng.normal(size=(sample_count, n))
     X /= np.sqrt(np.vecdot(X, X))[:, None]
-    u = bubble_values(p, X)
-    du_nu = np.vecdot(bubble_grads(p, X), X)
+    u, g, _ = bubble_jet(p, X)
+    du_nu = np.vecdot(g, X)
     res = np.abs(du_nu + 0.5 * (n - 2.0) * u + c * u ** (n / (n - 2.0)))
     return _residuals(res, abs(0.5 * (n - 2.0) * (1.0 - p.beta) + c * p.a))

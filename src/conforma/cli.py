@@ -108,7 +108,8 @@ def _count(cap=math.inf, low=1):
 
 
 def _parse_word(text: str, n: int) -> MoebiusMap:
-    """Parse 'translate:0.3,0,-0.1;scale:2;invert' into a Mobius word on R^n."""
+    """Parse 'translate:0.3,0,-0.1;scale:2;invert' into a Mobius word on R^n;
+    every component must be a finite number."""
     gens = []
     for part in text.split(";"):
         part = part.strip()
@@ -120,17 +121,18 @@ def _parse_word(text: str, n: int) -> MoebiusMap:
         if ":" not in part:
             raise DomainError(f"bad generator {part!r}")
         head, payload = part.split(":", 1)
-        if head == "translate":
-            vec = tuple(float(c) for c in payload.split(","))
-            if len(vec) != n:
-                raise DomainError(
-                    f"translate:{payload} has {len(vec)} components, expected n={n}"
-                )
-            gens.append(Translate(vec))
-        elif head == "scale":
-            gens.append(Scale(float(payload)))
-        else:
+        if head not in ("translate", "scale"):
             raise DomainError(f"unknown generator {head!r}")
+        try:
+            vec = tuple(float(c) for c in payload.split(","))
+        except ValueError:
+            raise DomainError(f"generator {part!r} has a component that is not a number") from None
+        if not all(math.isfinite(c) for c in vec):
+            raise DomainError(f"generator {part!r} has a non-finite component")
+        size = n if head == "translate" else 1
+        if len(vec) != size:
+            raise DomainError(f"{part!r} has {len(vec)} components, expected {size}")
+        gens.append(Translate(vec) if head == "translate" else Scale(vec[0]))
     if not gens:
         raise DomainError("empty Mobius word")
     return MoebiusMap(tuple(gens))

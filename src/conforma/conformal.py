@@ -101,11 +101,9 @@ class _AffinePullback(ScalarField):
     def values(self, X):
         return self.pref * self.inner.values(self.c * X + self.v)
 
-    def _grads(self, X):
-        return self.pref * self.c * self.inner.grads(self.c * X + self.v)
-
-    def _hessians(self, X):
-        return self.pref * self.c**2 * self.inner.hessians(self.c * X + self.v)
+    def _jet(self, X):
+        v, g, H = self.inner.jet(self.c * X + self.v)
+        return self.pref * v, self.pref * self.c * g, self.pref * self.c**2 * H
 
 
 class _KelvinPullback(ScalarField):
@@ -127,27 +125,21 @@ class _KelvinPullback(ScalarField):
         X, Y, r2, _ = self._points(X)
         return _libm_pow(r2, 0.5 * (2.0 - self.n)) * self.inner.values(Y)
 
-    def _grads(self, X):
-        return self._chain(X, hessian=False)
-
-    def _hessians(self, X):
-        return self._chain(X, hessian=True)
-
-    def _chain(self, X, hessian: bool):
-        """Gradient or Hessian of p (u o y), p = |x|^{2-n}, y = x/|x|^2."""
+    def _jet(self, X):
+        """Values, and the chain-rule gradient and Hessian of p (u o y),
+        p = |x|^{2-n}, y = x/|x|^2, from one inner jet."""
         n = self.n
         X, Y, r2, r = self._points(X)
+        u, gu, hu = self.inner.jet(Y)
+        values = _libm_pow(r2, 0.5 * (2.0 - n)) * u
+        u = u[:, None]
         p = _libm_pow(r, 2.0 - n)[:, None]
         rn = _libm_pow(r, -n)
         dp = ((2.0 - n) * rn)[:, None] * X
         outer = X[:, :, None] * X[:, None, :]
         eye = np.eye(n)
         dyT = ((eye - 2.0 * outer / r2[:, None, None]) / r2[:, None, None]).transpose(0, 2, 1)
-        u = self.inner.values(Y)[:, None]
-        gu = self.inner.grads(Y)
         grad_comp = (dyT @ gu[:, :, None])[:, :, 0]  # gradient of u o y
-        if not hessian:
-            return dp * u + p * grad_comp
         hp = (2.0 - n) * (
             rn[:, None, None] * eye - (n * _libm_pow(r, -n - 2.0))[:, None, None] * outer
         )
@@ -158,9 +150,9 @@ class _KelvinPullback(ScalarField):
             / _libm_pow(r2, 2.0)[:, None, None, None]
             + 8.0 * xi * xj * xk / _libm_pow(r2, 3.0)[:, None, None, None]
         )
-        hess_comp = dyT @ self.inner.hessians(Y) @ dyT.transpose(0, 2, 1)
+        hess_comp = dyT @ hu @ dyT.transpose(0, 2, 1)
         hess_comp += np.einsum("mk,mkij->mij", gu, d2y)
-        return (
+        return values, dp * u + p * grad_comp, (
             hp * u[:, :, None]
             + dp[:, :, None] * grad_comp[:, None, :]
             + grad_comp[:, :, None] * dp[:, None, :]
@@ -224,9 +216,7 @@ def a_matrix_flat(u: ScalarField, x) -> np.ndarray:
     if n < 3:
         raise DomainError("conformal matrix needs n >= 3")
     X = np.atleast_2d(x)
-    H = u.hessians(X)
-    g = u.grads(X)
-    val = u.values(X)
+    val, g, H = u.jet(X)
     if not np.all(val > 0):
         raise PositivityError(f"u(x) = {val[np.argmin(val > 0)]:.6g} is not positive")
     c1 = -2.0 / (n - 2)

@@ -1,10 +1,11 @@
 """Positive scalar fields on sampled domains with derivative access.
 
 Fields are evaluated on rows: every field implements values(X), and for
-analytic derivatives _grads(X) and _hessians(X), on an (m, n) array X of
-points. grads/hessians check the domain; values does not (the moving-sphere
-kernel bounds its own points). value, grad and hess of one point are
-one-row calls of the same kernels, so a point gets the bits of its row.
+analytic derivatives _jet(X), on an (m, n) array X of points. jet(X) returns
+the values, gradients (m, n) and Hessians (m, n, n) from one pass of the
+field's kernel, and its values are the bits of values(X). jet checks the
+domain; values does not (the moving-sphere kernel bounds its own points).
+One point is a one-row call, so it gets the bits of its row.
 finite_difference(h) wraps any field and differentiates its values with
 second-order central stencils, one inner values call per stencil table. FD
 queries must keep a 2h margin to the domain boundary.
@@ -47,15 +48,12 @@ class ScalarField:
         self.n = n
         self.domain = domain
 
-    # subclasses implement values (and _grads/_hessians for analytic mode)
+    # subclasses implement values (and _jet for analytic mode)
     def values(self, X) -> np.ndarray:
         raise NotImplementedError
 
-    def _grads(self, X) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no analytic gradient")
-
-    def _hessians(self, X) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no analytic Hessian")
+    def _jet(self, X) -> tuple:
+        raise NotImplementedError(f"{type(self).__name__} has no analytic derivatives")
 
     def _check(self, X, margin: float = 0.0):
         if self.domain is None:
@@ -67,26 +65,16 @@ class ScalarField:
                 f"(margin {margin:g})"
             )
 
-    def grads(self, X) -> np.ndarray:
+    def jet(self, X) -> tuple:
+        """(values, gradients, Hessians) at the rows of X."""
         X = _rows(X)
         self._check(X)
-        return self._grads(X)
-
-    def hessians(self, X) -> np.ndarray:
-        X = _rows(X)
-        self._check(X)
-        return self._hessians(X)
+        return self._jet(X)
 
     def value(self, x) -> float:
         X = _rows(x)
         self._check(X)
         return float(self.values(X)[0])
-
-    def grad(self, x) -> np.ndarray:
-        return self.grads(x)[0]
-
-    def hess(self, x) -> np.ndarray:
-        return self.hessians(x)[0]
 
 
 class FDField(ScalarField):
@@ -111,23 +99,17 @@ class FDField(ScalarField):
             pts = pts + second
         return self.inner.values(pts.reshape(-1, self.n)).reshape(len(X), -1)
 
-    def grads(self, X):
-        X = _rows(X)
-        self._check(X, margin=2.0 * self.h)
-        E = self.h * np.eye(self.n)
-        u = self._stencil(X, np.concatenate([E, -E]))
-        up, um = u[:, : self.n], u[:, self.n :]
-        return (0.5 * up + -0.5 * um) / self.h
-
-    def hessians(self, X):
+    def jet(self, X):
         X = _rows(X)
         self._check(X, margin=2.0 * self.h)
         n, h2 = self.n, self.h**2
         E = self.h * np.eye(n)
-        H = np.empty((len(X), n, n))
         u0 = self.inner.values(X)
         u = self._stencil(X, np.concatenate([E, -E]))
-        H[:, range(n), range(n)] = (u[:, :n] - 2.0 * u0[:, None] + u[:, n:]) / h2
+        up, um = u[:, :n], u[:, n:]
+        G = (0.5 * up + -0.5 * um) / self.h
+        H = np.empty((len(X), n, n))
+        H[:, range(n), range(n)] = (up - 2.0 * u0[:, None] + um) / h2
         # cross stencils x + k e_i + l e_j for (k, l) = (1,1), (1,-1), (-1,1), (-1,-1)
         iu, ju = np.triu_indices(n, 1)
         first = np.concatenate([k * E[iu] for k in (1, 1, -1, -1)])
@@ -136,7 +118,7 @@ class FDField(ScalarField):
         cross = (0.25 * a + -0.25 * b + -0.25 * c + 0.25 * d) / h2
         H[:, iu, ju] = cross
         H[:, ju, iu] = cross
-        return H
+        return u0, G, H
 
 
 def finite_difference(field: ScalarField, h: float = 1e-3) -> FDField:
@@ -159,11 +141,8 @@ class ConstantField(ScalarField):
     def values(self, X):
         return np.full(len(_rows(X)), self.c)
 
-    def _grads(self, X):
-        return np.zeros((len(X), self.n))
-
-    def _hessians(self, X):
-        return np.zeros((len(X), self.n, self.n))
+    def _jet(self, X):
+        return self.values(X), np.zeros((len(X), self.n)), np.zeros((len(X), self.n, self.n))
 
 
 class BubbleField(ScalarField):
@@ -174,8 +153,5 @@ class BubbleField(ScalarField):
     def values(self, X):
         return bubbles.bubble_values(self.params, _rows(X))
 
-    def _grads(self, X):
-        return bubbles.bubble_grads(self.params, X)
-
-    def _hessians(self, X):
-        return bubbles.bubble_hessians(self.params, X)
+    def _jet(self, X):
+        return bubbles.bubble_jet(self.params, X)

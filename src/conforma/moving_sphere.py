@@ -355,9 +355,9 @@ def gradient_bound_check(u: ScalarField, a: float, seed: int = 0) -> GradientBou
     worst = slack = None
     if hyp_pass:
         pts = ball_points(rng, n, GRADIENT_CONCLUSION_POINTS, radius=a)
-        g = u.grads(pts)
+        val, g, _ = u.jet(pts)
         gn = np.sqrt(np.vecdot(g, g))
-        bound = coeff * u.values(pts)
+        bound = coeff * val
         worst = float(np.max((gn - bound) / bound))
         slack = float(np.min((bound - gn) / bound))
     return GradientBoundReport(

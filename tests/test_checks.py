@@ -46,9 +46,9 @@ README_ARGVS = [
 ]
 
 PINNED = {
-    "validate-operator --n 3 --k 2": (0, "d27b403e0defddb3415a1ee3ffd6e81db9b343c8ef7dfe37f8212be26370668f"),
-    "validate-operator --n 5 --k 3": (0, "30e0f51d761be5435f9fc72ac5793e8c3c6f5ebb4514837cda67154679717d8b"),
-    "validate-operator --n 6 --k 4": (0, "c51f893391afb7cf470d2909b6d2355878fe02916736b6b8346b4a0e360e0cc8"),
+    "validate-operator --n 3 --k 2": (0, "c5c4e5ea74ab6f454fcb5314e2ffb0875ea98d0c19d910ecd4baec4c8c48fcce"),
+    "validate-operator --n 5 --k 3": (0, "5f2e6e964c60215b7e1cca4f42dac806b35edf9228bf673ba6a03e7fe31032a3"),
+    "validate-operator --n 6 --k 4": (0, "5a460ded0c476cabedc0728a331c324b08e7f777683234ce9cd301937274ffac"),
     "verify-liouville --family fullspace --n 4 --k 2": (0, "196af0fd151558d7afbf00cd6cf86f9a520b505994030d0d46a07909e2080f1d"),
     "verify-liouville --family halfspace --n 4": (0, "a9c864aa3be962dddd34306c8bb39a7815a5aac6f8870b534716291157e3d4ad"),
     "verify-liouville --family ball --n 4": (0, "a2b882e408b8d2c1d6b1b3cdcf2c27f5cb9c4db9c3fdcae80af292bcc5042906"),
@@ -181,9 +181,6 @@ def test_command_without_records_fails(tmp_path, monkeypatch):
 @pytest.mark.parametrize("line", [
     pytest.param("moving-sphere --task lemmas --seed 635", marks=pytest.mark.xfail(
         strict=True, reason="βa² within about 1e-3 of 1 (ROADMAP item 1)")),
-    pytest.param("validate-operator --n 5 --k 5 --seed 0", marks=pytest.mark.xfail(
-        strict=True, reason="boundary_vanishing's 1e-3 gate at eps = 1e-12 misses "
-        "sigma_k^{1/k} for k >= 5 (ROADMAP item 10)")),
     pytest.param("conjugation-test --mode fd --n 7 --word 'scale:1.7;invert' --seed 2",
                  marks=pytest.mark.xfail(strict=True, reason="the default FD step's O(h^2) "
                  "error exceeds the 1e-4 gate from n = 7 (ROADMAP, carried over)")),
@@ -191,6 +188,13 @@ def test_command_without_records_fails(tmp_path, monkeypatch):
 def test_known_defect(tmp_path, line):
     # the math holds on each input; the fix of its defect flips the xfail
     assert cli.main([*shlex.split(line), "--output-dir", str(tmp_path)]) == 0
+
+
+def test_validate_operator_passes_sigma_k_for_k_5(tmp_path):
+    # a known defect until boundary_vanishing fitted the decay eps^{1/k}: its
+    # former level 1e-3 at eps = 1e-12 missed sigma_k^{1/k} for every k >= 5
+    argv = ["validate-operator", "--n", "5", "--k", "5", "--seed", "0"]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0
 
 
 if __name__ == "__main__":

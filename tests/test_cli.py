@@ -378,6 +378,14 @@ def test_conjugation_test_result_independent_of_blas_threads(tmp_path, n, word):
          "--samples", "8"),
         # argparse choices refuse a family the handler does not know
         ("verify-liouville", "--family", "cone", "--n", "4"),
+        # malformed or non-finite Mobius word components
+        ("conjugation-test", "--word", "scale:abc"),
+        ("conjugation-test", "--word", "scale:"),
+        ("conjugation-test", "--word", "translate:1,x,2"),
+        ("conjugation-test", "--word", "scale:1,2"),
+        ("conjugation-test", "--word", "scale:nan"),
+        ("conjugation-test", "--word", "scale:inf;invert"),
+        ("conjugation-test", "--word", "translate:0,inf,0"),
     ],
     ids=["word-dim", "n9", "v0-overflow", "validate-0", "homogenize-0",
          "conjugation-0", "harnack-neg", "lemmas-0", "r-max-inf", "L-inf",
@@ -394,7 +402,9 @@ def test_conjugation_test_result_independent_of_blas_threads(tmp_path, n, word):
          "sweep-center-count-cap", "lemmas-h-count-cap", "yamabe-N-cap",
          "conjugation-samples-cap", "sweep-check-count-cap", "fullspace-n-cap",
          "harnack-n-cap", "sweep-center-count-1", "harnack-n-0", "harnack-n-neg",
-         "conjugation-weights-underflow", "fd-weights-underflow", "family-unknown"],
+         "conjugation-weights-underflow", "fd-weights-underflow", "family-unknown",
+         "word-scale-text", "word-scale-empty", "word-translate-text", "word-scale-two",
+         "word-scale-nan", "word-scale-inf", "word-translate-inf"],
 )
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     # a domain error returns 2, an argument rejected by the parser exits 2;

@@ -301,8 +301,9 @@ def test_validate_operator_drops_off_cone_rows_alone():
 
 
 def test_boundary_vanishing_witness_holds_the_worst():
-    # f = 10 wherever it evaluates: an on-cone segment reads 10, an off-cone
-    # one 1.0, so the witness is the end of a segment f evaluates
+    # f = 10 wherever it evaluates: an on-cone segment has exponent 0 up to
+    # rounding, an off-cone one reads -inf, so the witness is the end of a
+    # segment f refuses
     def f(lam):
         if lam[1] < lam[2]:
             raise ConeError("refused", witness=list(lam))
@@ -310,9 +311,10 @@ def test_boundary_vanishing_witness_holds_the_worst():
 
     op = CurvatureOperator("ten", f, lambda lam: np.ones(3), GammaKCone(3, 1))
     for seed in range(5):
-        check = validate_operator(op, 200, seed)["boundary_vanishing"].fields
-        assert check["worst_violation"] == 10.0
-        assert f(np.array(check["witness"])) == 10.0
+        check = validate_operator(op, 200, seed)["boundary_vanishing"]
+        assert not check.passed and check.fields["worst_exponent"] == -np.inf
+        with pytest.raises(ConeError):
+            f(np.array(check.fields["witness"]))
         _same_report(validate_operator(op, 200, seed), validate_operator_loop(op, 200, seed))
 
 
@@ -328,7 +330,7 @@ def test_boundary_vanishing_fails_an_operator_positive_on_the_boundary(n, k):
         assert {name for name, c in report.items() if not c.passed} == {"boundary_vanishing"}
         check = report["boundary_vanishing"]
         assert check.evidence > 0
-        assert check.fields["worst_violation"] >= 1.0
+        assert abs(check.fields["worst_exponent"]) <= 1e-6
 
 
 def test_validate_operator_maxima_skip_nan():

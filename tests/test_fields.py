@@ -12,11 +12,13 @@ from helpers import (
     HarmonicPowerField,
     a_matrix_flat_loop,
     bubble_value,
+    point_jet,
     random_word,
 )
 
+from conforma import bubbles
 from conforma.bubbles import BubbleParams, bubble_values
-from conforma.conformal import a_matrix_flat, pullback_u
+from conforma.conformal import Invert, MoebiusMap, Scale, Translate, a_matrix_flat, pullback_u
 from conforma.errors import DomainError, GeometryError, PositivityError
 from conforma.fields import BubbleField, ConstantField, FDField, ball, finite_difference
 from conforma.radial import order_estimate
@@ -60,7 +62,7 @@ def test_fd_field_orders():
     devs = []
     for h in hs:
         fd = FDField(base, h=h)
-        devs.append(np.max(np.abs(fd.grad(x) - base.grad(x))))
+        devs.append(np.max(np.abs(point_jet(fd, x)[1] - point_jet(base, x)[1])))
     slope = order_estimate(hs, devs)
     assert abs(slope - 2.0) <= 0.3, (devs, slope)
 
@@ -69,7 +71,7 @@ def test_fd_field_hessian_accuracy():
     base = GaussianBumpField(3, base=1.0, amp=0.4, width=0.8)
     fd = FDField(base, h=1e-3)
     x = np.array([0.3, -0.1, 0.2])
-    assert np.max(np.abs(fd.hess(x) - base.hess(x))) <= 1e-5
+    assert np.max(np.abs(point_jet(fd, x)[2] - point_jet(base, x)[2])) <= 1e-5
 
 
 def test_fd_field_respects_domain_margin():
@@ -77,7 +79,7 @@ def test_fd_field_respects_domain_margin():
     fd = FDField(base, h=1e-2)
     # stencil would poke outside: the margin check fires before evaluation
     with pytest.raises(GeometryError):
-        fd.grad(np.array([0.995, 0.0, 0.0]))
+        fd.jet(np.array([0.995, 0.0, 0.0]))
 
 
 def test_finite_difference_unwraps():
@@ -127,15 +129,21 @@ rows_cases = given(
 @rows_cases
 @settings(max_examples=40, deadline=None)
 def test_point_calls_are_row_calls(n, seed, count):
-    # value/grad/hess of a point are its row of values/grads/hessians, bit for bit
+    # the jet's values are values(X), and the value and one-row jet of a
+    # point are its row of the batch, bit for bit
     rng = make_rng(seed)
     X = shell_points(rng, n, count, 0.7, 1.3)
-    for u in _rows_fields(n, rng):
-        vals, grads, hessians = u.values(X), u.grads(X), u.hessians(X)
+    fields = _rows_fields(n, rng)
+    # every generator alone, besides the random words
+    gens = (Translate(0.2 * rng.uniform(-1, 1, size=n)), Scale(-1.3), Invert())
+    fields += [pullback_u(fields[0], MoebiusMap((g,))) for g in gens]
+    for u in fields:
+        vals, grads, hessians = u.jet(X)
+        assert _bits(vals) == _bits(u.values(X))
         for i, x in enumerate(X):
             assert _bits(u.value(x)) == _bits(vals[i])
-            assert _bits(u.grad(x)) == _bits(grads[i])
-            assert _bits(u.hess(x)) == _bits(hessians[i])
+            for got, want in zip(point_jet(u, x), (vals[i], grads[i], hessians[i])):
+                assert _bits(got) == _bits(want)
 
 
 @rows_cases
@@ -145,7 +153,7 @@ def test_fd_rows_match_per_point_stencils(n, seed, count):
     X = shell_points(rng, n, count, 0.7, 1.3)
     for inner in _rows_fields(n, rng):
         rows, loop = FDField(inner, h=1e-3), FDFieldOrder2(inner, h=1e-3)
-        grads, hessians = rows.grads(X), rows.hessians(X)
+        _, grads, hessians = rows.jet(X)
         for i, x in enumerate(X):
             assert _bits(grads[i]) == _bits(loop.grad(x))
             assert _bits(hessians[i]) == _bits(loop.hess(x))
@@ -162,3 +170,20 @@ def test_a_matrix_rows_match_upper_triangle_loop(n, seed, count):
         for i, x in enumerate(X):
             assert _bits(A[i]) == _bits(a_matrix_flat_loop(u, x))
             assert _bits(a_matrix_flat(u, x)) == _bits(A[i])
+
+
+def test_a_matrix_takes_one_kernel_pass(monkeypatch):
+    # each layer takes one jet of the layer below: the bubble kernel runs once
+    # under a three-generator word, and the FD view evaluates its inner field
+    # at 1 + 2n + 2n(n - 1) points per point, 33 at n = 4
+    rows = []
+    offsets = bubbles._offsets
+    monkeypatch.setattr(bubbles, "_offsets", lambda p, X: rows.append(len(X)) or offsets(p, X))
+    u = BubbleField(BubbleParams(n=4, a=1.0, beta=1.0))
+    psi = MoebiusMap((Translate((0.3, -0.1, 0.2, 0.1)), Scale(1.7), Invert()))
+    X = shell_points(make_rng(0), 4, 20, 0.6, 1.4)
+    a_matrix_flat(pullback_u(u, psi), X)
+    assert rows == [20]
+    rows.clear()
+    a_matrix_flat(FDField(u, h=1e-3), X)
+    assert sum(rows) == 33 * 20

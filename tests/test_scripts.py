@@ -123,6 +123,28 @@ def test_bench_layers_pairs_side_readings(monkeypatch):
     assert (wall["median_ratio"], wall["wins"], wall["verdict"]) == (2.0, 0, "worse")
 
 
+def test_bench_layers_pads_every_side_run(monkeypatch):
+    # each run's environment pad has its own length, drawn from a fixed seed,
+    # so a layout effect does not stay with one side of the pairs
+    bench_layers = load_bench_layers(monkeypatch)
+    calls = []
+
+    def side_run(checkout, suite, pad):
+        calls.append((checkout, len(pad)))
+        return {"L3": {"x_s": {"median_s": 1.0, "samples": [1.0]}}}
+
+    monkeypatch.setattr(bench_layers, "side_run", side_run)
+    parent = Path("parent")
+    bench_layers.against("radial", parent, 4)
+    first, calls[:] = list(calls), []
+    bench_layers.against("radial", parent, 4)
+    assert calls == first
+    sides = [checkout == parent for checkout, _ in first]
+    assert sides == [True, False, False, True, True, False, False, True]
+    lengths = [length for _, length in first]
+    assert len(set(lengths)) == len(lengths)
+
+
 def test_bench_layers_verdict_follows_the_compare_rule(monkeypatch):
     # improved needs 9 wins in 10 and medians apart by more than the
     # parent's interquartile range; ties win for neither side
