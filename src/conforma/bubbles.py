@@ -18,6 +18,7 @@ from .sampling import make_rng
 
 __all__ = [
     "BubbleParams",
+    "bubble_profile",
     "bubble_values",
     "bubble_jet",
     "Residuals",
@@ -51,24 +52,29 @@ class BubbleParams:
 
 
 def _offsets(p: BubbleParams, X) -> tuple:
-    """Rows x - center and the denominators 1 + beta*|x - center|^2."""
+    """Rows x - center and the squared distances |x - center|^2."""
     Z = np.asarray(X, dtype=float) - p.center
-    d = 1.0 + p.beta * np.einsum("ij,ij->i", Z, Z)
+    return Z, np.einsum("ij,ij->i", Z, Z)
+
+
+def bubble_profile(p: BubbleParams, r2) -> np.ndarray:
+    """The bubble at squared distances r2 = |x - center|^2."""
+    d = 1.0 + p.beta * r2
     if np.any(d <= 0.0):
         raise DomainError("bubble denominator <= 0 at a sample point")
-    return Z, d
+    return (p.a / d) ** (0.5 * (p.n - 2))
 
 
 def bubble_values(p: BubbleParams, X: np.ndarray) -> np.ndarray:
-    """The bubble at each row of X."""
-    _, d = _offsets(p, X)
-    return (p.a / d) ** (0.5 * (p.n - 2))
+    """The bubble at each row of X, through its profile."""
+    return bubble_profile(p, _offsets(p, X)[1])
 
 
 def bubble_jet(p: BubbleParams, X: np.ndarray) -> tuple:
     """The values, gradients (m, n) and Hessians (m, n, n) at the rows of X,
     from one pass over the offsets."""
-    Z, d = _offsets(p, X)
+    Z, r2 = _offsets(p, X)
+    values, d = bubble_profile(p, r2), 1.0 + p.beta * r2
     m = 0.5 * (p.n - 2)
     am = p.a**m
     g1 = (-2.0 * m * p.beta * am) * d ** (-m - 1.0)
@@ -76,7 +82,7 @@ def bubble_jet(p: BubbleParams, X: np.ndarray) -> tuple:
     h += ((4.0 * m * (m + 1.0) * p.beta**2 * am) * d ** (-m - 2.0))[:, None, None] * (
         Z[:, :, None] * Z[:, None, :]
     )
-    return (p.a / d) ** m, g1[:, None] * Z, h
+    return values, g1[:, None] * Z, h
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,11 @@ R2_TOL = 1e-12
 # matrices at a time. harnack --n 8 holds about 0.4 KiB a sample (a peak near
 # 75 MiB at the cap).
 MAX_SAMPLES = 100_000
-# --check-count: a default sweep (10 centres, 256 lambda steps) takes about
-# 0.12 ms a check point, 31 s at the cap.
+# --check-count: a default sweep (9 centres, 256 lambda steps) takes about
+# 0.018 ms a check point, 5 s at the cap.
 MAX_CHECK_COUNT = 2**18
-# --center-count: a centre's critical radius takes about 50 ms at the default
-# 4096 check points, 3.5 min at the cap.
+# --center-count: a centre's critical radius takes about 12 ms at the default
+# 4096 check points, 51 s at the cap.
 MAX_CENTER_COUNT = 4096
 # --h-count: a catalog function's interval-lemma check takes about 2 ms at the
 # default density 64, 20 s at the cap (and about 1.3 s each at MAX_DENSITY).

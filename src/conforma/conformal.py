@@ -186,24 +186,6 @@ def pullback_u(u: ScalarField, psi: MoebiusMap) -> ScalarField:
     return out
 
 
-def sphere_inversion_at_offsets(
-    u: ScalarField, x, lam: float, DT: np.ndarray, d2: np.ndarray
-) -> np.ndarray:
-    """u_{x,lam}(y) = (lam/|y-x|)^{n-2} u(x + lam^2 (y-x)/|y-x|^2) in closed
-    form at y = x + d, for offsets d given by coordinate, DT = [d_1 ... d_P]
-    of shape (n, P), with d2 = |d|^2 off the pole (the caller refuses it).
-
-    The offsets and their squared norms do not depend on lam, so a caller
-    that evaluates many radii at one centre computes them once. The mapped
-    points are formed one coordinate row at a time, so each operation runs
-    over P contiguous values instead of P rows of n.
-    """
-    lam2 = lam * lam
-    kernel = (lam2 / d2) ** (0.5 * (u.n - 2))
-    mapped = x[:, None] + lam2 * DT / d2
-    return kernel * u.values(np.ascontiguousarray(mapped.T))
-
-
 # ---------------------------------------------------------------------------
 # Conformal matrices and eigenvalues
 

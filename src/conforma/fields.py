@@ -5,7 +5,10 @@ analytic derivatives _jet(X), on an (m, n) array X of points. jet(X) returns
 the values, gradients (m, n) and Hessians (m, n, n) from one pass of the
 field's kernel, and its values are the bits of values(X). jet checks the
 domain; values does not (the moving-sphere kernel bounds its own points).
-One point is a one-row call, so it gets the bits of its row.
+One point is a one-row call, so it gets the bits of its row. A field radial
+about points gives radial_parts(), [(centre, profile)] with u(y) the sum of
+profile(|y - centre|^2) over an array of squared distances; the
+moving-sphere kernel runs on these only.
 finite_difference(h) wraps any field and differentiates its values with
 second-order central stencils, one inner values call per stencil table. FD
 queries must keep a 2h margin to the domain boundary.
@@ -55,6 +58,9 @@ class ScalarField:
     def _jet(self, X) -> tuple:
         raise NotImplementedError(f"{type(self).__name__} has no analytic derivatives")
 
+    def radial_parts(self) -> list:
+        raise DomainError(f"{type(self).__name__} is not a sum of radial profiles")
+
     def _check(self, X, margin: float = 0.0):
         if self.domain is None:
             return
@@ -90,6 +96,9 @@ class FDField(ScalarField):
 
     def values(self, X):
         return self.inner.values(X)
+
+    def radial_parts(self):
+        return self.inner.radial_parts()
 
     def _stencil(self, X, first, second=None):
         """inner values at X + first[t] (+ second[t]) for every stencil row
@@ -141,6 +150,9 @@ class ConstantField(ScalarField):
     def values(self, X):
         return np.full(len(_rows(X)), self.c)
 
+    def radial_parts(self):
+        return [(np.zeros(self.n), lambda r2: np.full(np.shape(r2), self.c))]
+
     def _jet(self, X):
         return self.values(X), np.zeros((len(X), self.n)), np.zeros((len(X), self.n, self.n))
 
@@ -152,6 +164,9 @@ class BubbleField(ScalarField):
 
     def values(self, X):
         return bubbles.bubble_values(self.params, _rows(X))
+
+    def radial_parts(self):
+        return [(self.params.center, lambda r2: bubbles.bubble_profile(self.params, r2))]
 
     def _jet(self, X):
         return bubbles.bubble_jet(self.params, X)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import POLE_GUARD_ANALYTIC, sphere_inversion_at_offsets
+from .conformal import POLE_GUARD_ANALYTIC
 from .errors import ConvergenceError, DomainError, GeometryError, SingularityError
 from .fields import ScalarField
 from .sampling import ball_points, make_rng
@@ -27,9 +27,9 @@ BISECT_ITERS = 40
 DEFAULT_GUARD = 1e-6
 # A radius violates the MSI when its sampled violation exceeds this.
 VIOLATION_TOL = 0.0
-# Largest lambda grid of a sweep. The scan costs about 1.5 ms a step at the
-# default 4096 check points and 10 centres on a 2-core Xeon VM, so 65 536
-# steps take about 100 s there; 1e8 steps would take two days.
+# Largest lambda grid of a sweep. The scan costs about 0.35 ms a step at the
+# default 4096 check points and 9 centres on a 2-core Xeon VM, so 65 536
+# steps take about 23 s there; 1e8 steps would take ten hours.
 MAX_LAMBDA_STEPS = 65536
 
 
@@ -66,51 +66,52 @@ class SweepConfig:
 
 class _CentreMSI:
     """The MSI at one centre x over a fixed set of check points, for any
-    number of radii.
+    number of radii, on a field given by its radial parts (centre c,
+    profile of squared distances).
 
-    Only the excluded band and the inversion depend on lam: the offsets
-    y - x, their squared norms, the distances |y-x| and the values u(y) are
-    computed once per centre. The points are sorted by distance, so the
-    points a radius keeps (|y-x| >= lam(1+guard)) are a suffix of that order
-    and each radius works on contiguous slices. Each radius keeps exactly
-    the points a fresh evaluation keeps, through the same elementwise
-    operations, so it gets the same bits.
+    With d = y - x and q = lam^2/|d|^2, the mapped point x + q d lies at
+    squared distance |x-c|^2 + q (2(x-c).d + lam^2) from c, so
+    u_{x,lam}(y) = q^m sum of profile(that distance), m = (n-2)/2, and no
+    n-D point is formed. The distances, each part's dot products and u(y)
+    are computed once per centre. The points are sorted by distance, so the
+    points a radius keeps (|y-x| >= lam(1+guard)) are a suffix of that order,
+    each radius works on contiguous slices, and only the nearest kept point
+    can meet the pole guard.
     """
 
     def __init__(self, u: ScalarField, x, points, guard: float):
-        self.u = u
+        self.domain, self.guard, self.m = u.domain, guard, 0.5 * (u.n - 2)
         self.x = np.asarray(x, dtype=float)
         self.reach = float(np.linalg.norm(self.x))
-        self.guard = guard
+        parts = u.radial_parts()
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dist = np.linalg.norm(pts - self.x, axis=1)
-        # a NaN distance is never kept; argsort puts NaN last
-        order = np.argsort(dist, kind="stable")[: np.count_nonzero(~np.isnan(dist))]
-        pts = pts[order]
-        self.dist = dist[order]
         D = pts - self.x
-        self.d2 = np.einsum("ij,ij->i", D, D)
-        self.DT = np.ascontiguousarray(D.T)
-        self.direct = u.values(pts)
+        d2 = np.einsum("ij,ij->i", D, D)
+        # a NaN distance is never kept; argsort puts NaN last
+        order = np.argsort(d2)[: np.count_nonzero(~np.isnan(d2))]
+        self.d2, self.dist, self.direct = d2[order], np.sqrt(d2[order]), u.values(pts)[order]
+        # per part: |x-c|^2, 2(x-c).d at every point, and the profile
+        self.parts = [(float(np.dot(self.x - c, self.x - c)), (D @ (2.0 * (self.x - c)))[order], f)
+                      for c, f in parts]
 
     def violation(self, lam: float) -> float:
         """max over kept points of u_{x,lam}(y) - u(y)."""
         if not lam > 0:
             raise DomainError(f"inversion radius lam = {lam:g} must be positive")
-        domain = self.u.domain
         # the inverted sphere B_lam(x) must sit inside the field's domain
-        if domain is not None and not self.reach + lam <= domain.outer:
+        if self.domain is not None and not self.reach + lam <= self.domain.outer:
             raise GeometryError(
                 f"inversion ball of radius {lam:g} at {self.x.tolist()} leaves the domain"
             )
         first = int(np.searchsorted(self.dist, lam * (1.0 + self.guard)))
         if first == len(self.dist):
             raise DomainError("no check points outside the guarded sphere")
-        d2 = self.d2[first:]
-        if np.any(d2 <= POLE_GUARD_ANALYTIC**2):
+        if self.d2[first] <= POLE_GUARD_ANALYTIC**2:
             raise SingularityError("u_{x,lam} evaluated at its pole y = x")
-        inverted = sphere_inversion_at_offsets(self.u, self.x, lam, self.DT[:, first:], d2)
-        return float(np.max(inverted - self.direct[first:]))
+        lam2 = lam * lam
+        q = lam2 / self.d2[first:]
+        terms = [f(x2 + q * (dot[first:] + lam2)) for x2, dot, f in self.parts]
+        return float(np.max(q**self.m * sum(terms[1:], terms[0]) - self.direct[first:]))
 
 
 def msi_violation(

@@ -167,6 +167,9 @@ class GaussianBumpField(ScalarField):
         b, _ = self._bumps(X)
         return self.base + b
 
+    def radial_parts(self):
+        return [(self.center, lambda r2: self.base + self.amp * np.exp(-r2 / self.width**2))]
+
     def _jet(self, X):
         b, Z = self._bumps(X)
         w2 = self.width**2
@@ -219,8 +222,22 @@ def sphere_inversion_map(x, lam):
 def sphere_inversion_u(u, x, lam):
     """u_{x,lam} as the pullback of u by the generator chain of
     sphere_inversion_map: an oracle for the closed-form
-    conformal.sphere_inversion_at_offsets."""
+    sphere_inversion_at_offsets."""
     return pullback_u(u, sphere_inversion_map(x, lam))
+
+
+def sphere_inversion_at_offsets(u, x, lam, DT, d2):
+    """u_{x,lam}(y) = (lam/|y-x|)^{n-2} u(x + lam^2 (y-x)/|y-x|^2) in closed
+    form at y = x + d, for offsets d given by coordinate, DT = [d_1 ... d_P]
+    of shape (n, P), with d2 = |d|^2 off the pole (the caller refuses it).
+
+    The mapped n-D points go through u.values, so this works for any field:
+    the oracle for the moving-sphere kernel, which runs on radial profiles.
+    """
+    lam2 = lam * lam
+    kernel = (lam2 / d2) ** (0.5 * (u.n - 2))
+    mapped = x[:, None] + lam2 * DT / d2
+    return kernel * u.values(np.ascontiguousarray(mapped.T))
 
 
 class TranslatePullback(PointField):
@@ -813,10 +830,10 @@ def min_cone_margin_loop(op, g):
     return min(float(cone_margin(op.cone, lam[i])) for i in range(g.N))
 
 
-def msi_violation_one(u, x, lam, points, guard=DEFAULT_GUARD):
-    """The moving-sphere violation at one radius, with the offsets,
-    distances and u(y) recomputed on every call: the reference for the
-    batched moving_sphere.msi_violation."""
+def msi_terms_one(u, x, lam, points, guard=DEFAULT_GUARD):
+    """u_{x,lam}(y) and u(y) at the points y that one radius keeps, with the
+    offsets, distances and u(y) recomputed on every call and the mapped n-D
+    points formed: msi_violation_one's terms, with its refusals."""
     if not lam > 0:
         raise DomainError(f"inversion radius lam = {lam:g} must be positive")
     x = np.asarray(x, dtype=float)
@@ -825,18 +842,22 @@ def msi_violation_one(u, x, lam, points, guard=DEFAULT_GUARD):
             f"inversion ball of radius {lam:g} at {x.tolist()} leaves the domain"
         )
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = np.linalg.norm(pts - x, axis=1)
-    keep = dist >= lam * (1.0 + guard)
-    if not np.any(keep):
-        raise DomainError("no check points outside the guarded sphere")
-    pts = pts[keep]
     D = pts - x
     d2 = np.einsum("ij,ij->i", D, D)
+    keep = np.sqrt(d2) >= lam * (1.0 + guard)
+    if not np.any(keep):
+        raise DomainError("no check points outside the guarded sphere")
+    pts, D, d2 = pts[keep], D[keep], d2[keep]
     if np.any(d2 <= POLE_GUARD_ANALYTIC**2):
         raise SingularityError("u_{x,lam} evaluated at its pole y = x")
-    kernel = (lam * lam / d2) ** (0.5 * (u.n - 2))
-    inverted = kernel * u.values(x + lam * lam * D / d2[:, None])
-    direct = u.values(pts)
+    return sphere_inversion_at_offsets(u, x, lam, D.T, d2), u.values(pts)
+
+
+def msi_violation_one(u, x, lam, points, guard=DEFAULT_GUARD):
+    """The moving-sphere violation at one radius through the n-D inversion:
+    the reference for moving_sphere.msi_violation, which runs on the field's
+    radial profiles."""
+    inverted, direct = msi_terms_one(u, x, lam, points, guard)
     return float(np.max(inverted - direct))
 
 

@@ -12,6 +12,7 @@ from helpers import (
     catalog_fields,
     pullback_u_generators,
     random_word,
+    sphere_inversion_at_offsets,
     sphere_inversion_map,
     sphere_inversion_u,
 )
@@ -26,7 +27,6 @@ from conforma.conformal import (
     conjugation_residual,
     pullback_u,
     schouten_eigen_flat,
-    sphere_inversion_at_offsets,
 )
 from conforma.errors import ConformaError, DomainError, SingularityError
 from conforma.fields import BubbleField, ConstantField, finite_difference

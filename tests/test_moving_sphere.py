@@ -1,6 +1,7 @@
 """Moving-sphere sweep, the derived invariant, the two appendix lemmas,
 and the explicit Harnack product."""
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from helpers import (
     h_catalog_by_kind,
     h_lemma_check_cube,
     h_lemma_check_slabs,
+    msi_terms_one,
     msi_violation_loop,
     msi_violation_one,
 )
@@ -22,8 +24,9 @@ import conforma.cli
 import conforma.moving_sphere
 from conforma.bubbles import BubbleParams
 from conforma.cli import _h_catalog, main
+from conforma.conformal import Invert, MoebiusMap, pullback_u
 from conforma.errors import ConformaError, ConvergenceError, DomainError, GeometryError
-from conforma.fields import BubbleField, ConstantField, ScalarField, ball
+from conforma.fields import BubbleField, ConstantField, ScalarField, ball, finite_difference
 from conforma.moving_sphere import (
     AlphaReport,
     SweepConfig,
@@ -59,6 +62,9 @@ class _LumpedBubble(ScalarField):
 
     def values(self, X):
         return sum(p.values(X) for p in self.parts)
+
+    def radial_parts(self):
+        return [part for p in self.parts for part in p.radial_parts()]
 
 
 @pytest.mark.parametrize("beta", [0.25, 1.0, 4.0])
@@ -124,7 +130,58 @@ def test_alpha_invariant_detects_local_lump():
     centers = np.vstack([np.zeros(3), 0.3 * sphere_points(make_rng(1), 3, 8)])
     rep = alpha_invariant(u, centers, sweep_cfg())
     alpha = float(np.mean(rep.values))
-    assert rep.spread > 1e-2 * alpha  # measured spread ~ 0.13
+    assert rep.spread > 1e-2 * alpha  # measured spread 0.054 alpha, on the oracle path too
+
+
+@pytest.mark.parametrize(
+    "center, beta", [((0.5, 0.0, 0.0), 1.0), ((1.0, 0.0, 0.0), 1.0), ((2.0, 0.0, 0.0), 4.0)]
+)
+def test_alpha_invariant_fails_on_a_sum_of_two_bubbles(center, beta):
+    # a second bubble is a second radial part: the sum solves no conformally
+    # invariant equation, and the sweep's gate (spread <= 1e-2 alpha) must
+    # refuse it. Measured spread: 0.016 to 0.021 alpha
+    first = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0))
+    second = BubbleField(BubbleParams(n=3, a=1.0, beta=beta, center=np.array(center)))
+    u = _LumpedBubble(first, second)
+    assert len(u.radial_parts()) == 2
+    centers = np.vstack([np.zeros(3), 0.3 * sphere_points(make_rng(1), 3, 8)])
+    rep = alpha_invariant(u, centers, sweep_cfg())
+    assert rep.spread > 1e-2 * float(np.mean(rep.values))
+
+
+def test_a_field_without_radial_parts_is_refused():
+    # the kernel runs on radial profiles only: a Kelvin pullback has none,
+    # and is refused as a domain error before any radius is tried
+    bubble = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0, center=np.array([0.5, 0.0, 0.0])))
+    u = pullback_u(bubble, MoebiusMap((Invert(),)))
+    pts = ball_points(make_rng(0), 3, 64, radius=4.0)
+    x = np.array([2.0, 0.0, 0.0])
+    with pytest.raises(DomainError, match="radial"):
+        msi_violation(u, x, 0.5, pts)
+    with pytest.raises(DomainError, match="radial"):
+        critical_radius(u, x, sweep_cfg())
+    # a finite-difference view runs on its inner field's parts
+    lams = np.array([0.5, 1.0, 2.0])
+    got = msi_violation(finite_difference(bubble), x, lams, pts)
+    assert got.tolist() == msi_violation(bubble, x, lams, pts).tolist()
+
+
+def test_gradient_bound_hypothesis_fails_at_the_centre():
+    # ROADMAP item 14: at a = 0.6 the hypothesis asks for MSI at every centre
+    # of B_{4a} and every lam < 2a, but at x = 0 the bubble's critical radius
+    # is 1 and MSI fails just above it (measured +2.7e-3 at lam = 1.01)
+    u = BubbleField(BubbleParams(3, 1.0, 1.0), ball(9.0))
+    pts = ball_points(make_rng(0), 3, 200_000, radius=4.8)
+    assert msi_violation(u, np.zeros(3), 1.01, pts) > 1e-3
+
+
+@pytest.mark.xfail(strict=True, reason="the 24 sampled centres miss x = 0 (ROADMAP item 14)")
+def test_gradient_bound_check_refutes_its_hypothesis_at_a_06():
+    # seed 0 reports hypothesis_pass with worst -7.3e-5 (seeds 2 and 3 pass
+    # too; seed 1 catches the failure): a sampled hypothesis certifies a
+    # false one. The fix of item 14 flips this xfail
+    u = BubbleField(BubbleParams(3, 1.0, 1.0), ball(9.0))
+    assert not gradient_bound_check(u, 0.6, seed=0).hypothesis_pass
 
 
 def test_h_lemma_bubble_trace_passes():
@@ -230,8 +287,19 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+# The kernel evaluates u_{x,lam} through the field's radial profiles and the
+# oracle through the mapped n-D points: the two round differently. Measured:
+# at most 19 eps of the largest kept term over 12 000 draws at n = 3...8.
+MSI_ORACLE_EPS = 64 * np.finfo(float).eps
+
+
+def _largest_term(u, x, lam, pts, guard):
+    """max |u_{x,lam}(y)| and |u(y)| over the points one radius keeps."""
+    return float(np.max(np.abs(np.concatenate(msi_terms_one(u, x, lam, pts, guard)))))
+
+
 @given(
-    n=st.integers(min_value=3, max_value=5),
+    n=st.integers(min_value=3, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     count=st.integers(min_value=1, max_value=300),
     constant=st.booleans(),
@@ -267,27 +335,41 @@ def test_msi_violation_matches_per_radius_oracle(
         pts[0] = x + 1e-13 * sphere_points(rng, n, 1)[0]
 
     expected = [_outcome(msi_violation_one, u, x, lam, pts, guard) for lam in lams]
-    for lam, want in zip(lams, expected):
-        assert _outcome(msi_violation, u, x, lam, pts, guard) == want
-    got = _outcome(msi_violation, u, x, np.array(lams), pts, guard)
+    got = [_outcome(msi_violation, u, x, lam, pts, guard) for lam in lams]
+    for lam, value, want in zip(lams, got, expected):
+        if isinstance(want, type):
+            # the refusals come in the oracle's order, with its exception types
+            assert value is want
+        else:
+            scale = _largest_term(u, x, lam, pts, guard)
+            assert abs(value - want) <= MSI_ORACLE_EPS * scale, (lam, value, want)
+    batch = _outcome(msi_violation, u, x, np.array(lams), pts, guard)
     failures = [e for e in expected if isinstance(e, type)]
     if failures:
         # a batch raises what the first radius that cannot be evaluated raises
-        assert got is failures[0]
+        assert batch is failures[0]
     else:
-        assert got.tolist() == expected
+        # a batch keeps the bits of one call per radius
+        assert batch.tolist() == got
+
+
+def _assert_same_radius(got, want):
+    # the scan takes the oracle's steps; only the last bisections may turn on
+    # a violation of rounding size
+    assert got.flag == want.flag
+    assert abs(got.lambda_bar - want.lambda_bar) <= 1e-12 * want.lambda_bar
 
 
 def test_critical_radius_matches_per_radius_scan():
     cfg = sweep_cfg(count=512)
     bubble = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0), ball(9.0))
     for x in np.vstack([np.zeros(3), 0.3 * sphere_points(make_rng(1), 3, 2)]):
-        assert critical_radius(bubble, x, cfg) == critical_radius_loop(bubble, x, cfg)
+        _assert_same_radius(critical_radius(bubble, x, cfg), critical_radius_loop(bubble, x, cfg))
     # lambda_max = 4 passes the domain edge at 3: the bubble's scan stops at
     # its first violation (lam ~ 1) before reaching it, the constant's does not
     small = BubbleField(BubbleParams(n=3, a=1.0, beta=1.0), ball(3.0))
-    assert critical_radius(small, np.zeros(3), cfg) == critical_radius_loop(
-        small, np.zeros(3), cfg
+    _assert_same_radius(
+        critical_radius(small, np.zeros(3), cfg), critical_radius_loop(small, np.zeros(3), cfg)
     )
     flat = ConstantField(3, 2.0, ball(3.0))
     for fn in (critical_radius, critical_radius_loop):
@@ -472,15 +554,30 @@ def test_h_catalog_matches_per_kind_oracle(seed):
             assert np.asarray(hp(s)).tobytes() == np.asarray(hp0(s)).tobytes()
 
 
+# sup u of the lemmas task's fields: no kept term of theirs is larger
+LEMMA_FIELD_SUPS = {"bubble_beta1": 1.0, "bubble_beta4": 1.0, "constant": 2.0}
+
+
 @pytest.mark.parametrize("seed", [0, 635597269, 1880108470])
 def test_lemmas_result_json_matches_oracle_path(tmp_path, monkeypatch, seed):
     # 635597269 exits 1 (a sampled h with βa² just above 1 meets the
     # hypothesis but not the conclusion) and 1880108470 exits 0 since the
-    # grid includes the box's faces; the oracle path must reproduce both
+    # grid includes the box's faces; the oracle path must reproduce both.
+    # The gradient-bound worsts come through the radial profiles on one path
+    # and the n-D inversion on the other: they may differ at rounding level,
+    # and every verdict, count and other value keeps its bits
     argv = ["moving-sphere", "--task", "lemmas", "--seed", str(seed)]
     rc = main(argv + ["--output-dir", str(tmp_path / "kernel")])
     monkeypatch.setattr(conforma.moving_sphere, "msi_violation", msi_violation_loop)
     monkeypatch.setattr(conforma.cli, "h_lemma_check", h_lemma_check_cube)
     assert main(argv + ["--output-dir", str(tmp_path / "oracle")]) == rc
-    kernel = (tmp_path / "kernel" / "result.json").read_bytes()
-    assert kernel == (tmp_path / "oracle" / "result.json").read_bytes()
+    kernel, oracle = (
+        json.loads((tmp_path / side / "result.json").read_text()) for side in ("kernel", "oracle")
+    )
+    worsts = []
+    for doc in (kernel, oracle):
+        reports = doc["result"]["checks"]["gradient_bound_on_catalog"]["reports"]
+        worsts.append([(r["field"], r.pop("hypothesis_worst")) for r in reports])
+    assert kernel == oracle
+    for (field, got), (_, want) in zip(*worsts):
+        assert abs(got - want) <= MSI_ORACLE_EPS * LEMMA_FIELD_SUPS[field], (field, got, want)
