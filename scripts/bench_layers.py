@@ -1,9 +1,9 @@
 """Per-layer timings of one path of the code, written to a BENCH_*.json.
 
-Times, with fixed seeds and one BLAS/OpenMP thread, one of four suites. What
+Times, with fixed seeds and one BLAS/OpenMP thread, one of five suites. What
 it times comes from the checkout's own bench/workloads.py: the checks pass's
-argvs, the radial workload's (n, k) pairs and the checks workload's
-homogenize pairs.
+argvs, the radial workload's (n, k) pairs, the checks workload's
+homogenize pairs and the yamabe pass's argvs.
 
 --suite cli:
 
@@ -41,6 +41,17 @@ homogenize pairs.
 - L3 `critical_radius` per call on the criterion-5 inputs, `h_lemma_check`
   per call on the lemmas catalog, `gradient_bound_check` per bubble field;
 - the criterion-5 acceptance test.
+
+--suite yamabe:
+
+- L2 `evaluate` per grid (residual, cone margin and Jacobian coefficients
+  of one iterate of (n, k) = (5, 2) at t = 1) at N = 64, 256 and 1024,
+  both schemes;
+- L3 on the (n, k, N, scheme, L, t-steps, tol) of every argv of the yamabe
+  workload's seed-0 pass: `newton_solve` per solve at t = 1 from
+  c*(1 + 0.005 sin(2 pi t/L)), a start no continuation choice touches, and
+  `continuation` per path;
+- the criterion-9 acceptance test.
 
 Each number is the median of --repeats runs; every run is kept under
 "samples". The reading is stored under --label in --out, next to readings
@@ -122,6 +133,7 @@ from conforma.moving_sphere import (  # noqa: E402
     msi_violation,
 )
 from conforma.sampling import ball_points, make_rng, sphere_points  # noqa: E402
+from conforma.yamabe import PeriodicGrid, c_star, continuation, evaluate, newton_solve  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -360,6 +372,54 @@ def cli_layer4(repeats):
     return out
 
 
+YAMABE_CASES = [
+    (int(flag(a, "--n")), int(flag(a, "--k")), int(flag(a, "--N")), flag(a, "--scheme"),
+     float(flag(a, "--L")), int(flag(a, "--t-steps")), float(flag(a, "--tol")))
+    for a in pass_argvs("yamabe")
+]
+
+
+def sinusoid_start(op, N, scheme, L=1.0):
+    """c*(1 + 0.005 sin(2 pi t/L)) on the N-node grid, inside the cone for
+    every workload (n, k)."""
+    g = PeriodicGrid(L=L, values=np.ones(N), scheme=scheme)
+    return g.with_values(c_star(op) * (1.0 + 0.005 * np.sin(2.0 * np.pi * g.nodes() / L)))
+
+
+def yamabe_layer2(repeats):
+    op = make_sigma_k_operator(5, 2)
+    out = {}
+    for N in (64, 256, 1024):
+        for scheme in ("spectral", "fd4"):
+            g = sinusoid_start(op, N, scheme)
+
+            def batch(g=g):
+                for _ in range(20):
+                    evaluate(op, g)
+
+            out[f"evaluate_N{N}_{scheme}_s"] = per_item(timed(batch, repeats * 5), 20)
+    return out
+
+
+def yamabe_layer3(repeats):
+    cases = [(make_sigma_k_operator(n, k), N, scheme, L, t_steps, tol)
+             for n, k, N, scheme, L, t_steps, tol in YAMABE_CASES]
+    starts = [sinusoid_start(op, N, scheme, L) for op, N, scheme, L, _, _ in cases]
+
+    def solves():
+        for (op, _, _, _, _, tol), g in zip(cases, starts):
+            newton_solve(op, g, tol=tol)
+
+    def paths():
+        for op, N, scheme, L, t_steps, tol in cases:
+            continuation(op, L, N, t_steps=t_steps, tol=tol, scheme=scheme)
+
+    return {
+        "newton_solve_s": per_item(timed(solves, repeats * 3), len(cases)),
+        "continuation_s": per_item(timed(paths, repeats * 3), len(cases)),
+    }
+
+
 def machine():
     cpu = platform.processor()
     try:
@@ -398,14 +458,19 @@ SUITES = {
         "L3": radial_layer3,
         "criterion 4": functools.partial(acceptance, "test_criterion_04_radial_uniqueness"),
     },
+    "yamabe": {
+        "L2": yamabe_layer2,
+        "L3": yamabe_layer3,
+        "criterion 9": functools.partial(acceptance, "test_criterion_09_yamabe_continuation"),
+    },
 }
 
 
 def run_suite(suite, repeats):
     reading = {}
     for layer, run in SUITES[suite].items():
-        # suites share layer keys (radial and cones L1, radial and
-        # moving-sphere L3) but not entry names
+        # suites share layer keys (radial and cones L1, moving-sphere and
+        # yamabe L2, radial, moving-sphere and yamabe L3) but not entry names
         reading.setdefault(layer, {}).update(run(repeats))
     return reading
 

@@ -10,8 +10,9 @@ one-vector homotopy operator f_t with its pullback cone and margin, per-node
 loop oracles for the periodic solver's closed-form residual, Jacobian
 coefficients and margin at a stage t, built on the n-wide product
 eigenvalue rows and the separate eigenvalue partials that yamabe's one
-spectrum kernel replaced, one-radius-at-a-time oracles for the
-batched moving-sphere kernels, the tau-slab walk of the interval-lemma
+spectrum kernel replaced, the homotopy path started at each stage from the
+previous solution that the predicted start replaced, one-radius-at-a-time
+oracles for the batched moving-sphere kernels, the tau-slab walk of the interval-lemma
 check, the whole-profile bubble deviation, and the
 one-ray-at-a-time unit-level solve with the per-sample homogenize handler
 built on it, the one-sample-at-a-time operator validation, the lemmas
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conforma import __version__, cli
+from conforma import __version__, cli, yamabe
 from conforma.bubbles import BubbleParams, bubble_values
 from conforma.cones import (
     BISECT_ITERS as RAY_BISECT_ITERS,
@@ -828,6 +829,41 @@ def jacobian_coefficients_loop(op, g):
 def min_cone_margin_loop(op, g):
     lam = product_eigenvalues(g.values, *g.derivatives(), op.n)
     return min(float(cone_margin(op.cone, lam[i])) for i in range(g.N))
+
+
+def continuation_previous_start(op, L, N, t_steps=11, tol=1e-10, scheme="spectral"):
+    """yamabe.continuation with each stage's Newton solve started from the
+    previous stage's solution (the constant c0 at t = 0): the start it took
+    before its predictor, and the degree-0 case of yamabe.predicted_start.
+    Takes valid arguments only."""
+    c0 = yamabe.constant_start(op)
+    grid = yamabe.PeriodicGrid(L=L, values=np.full(N, c0), scheme=scheme)
+    t_values = [i / (t_steps - 1) for i in range(t_steps)]
+    result = yamabe.ContinuationResult(status="ok", c0=c0, t_values=t_values)
+    for t in t_values:
+        recs = []
+        try:
+            grid = yamabe.newton_solve(op, grid, tol=tol, t=t, records=recs)
+        except (ConvergenceError, ConeError) as exc:
+            result.records.extend(recs)
+            result.status = f"failed_at_t={t:g}"
+            result.failure = str(exc)
+            if isinstance(getattr(exc, "iterate", None), yamabe.PeriodicGrid):
+                result.final = exc.iterate
+            return result
+        result.records.extend(recs)
+        last = recs[-1]
+        result.steps.append(yamabe.StepSummary(
+            t=t,
+            iterations=last.iter,
+            residual_inf=last.residual_inf,
+            min_cone_margin=last.min_cone_margin,
+            krylov_iters=sum(rec.krylov_iters for rec in recs),
+            symbol_ratio=last.symbol_ratio,
+            negative_modes=last.negative_modes,
+        ))
+    result.final = grid
+    return result
 
 
 def msi_terms_one(u, x, lam, points, guard=DEFAULT_GUARD):

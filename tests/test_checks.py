@@ -61,13 +61,13 @@ PINNED = {
     "conjugation-test --mode fd --n 3": (0, "05f77d49f8ab1f3c94b2ef1757728c57aca399a172051bfff4b036cce4fff184"),
     "moving-sphere --task lemmas": (0, "f3030328b1c666b886606c504306dc01145a29039a8668415fb2e8db3326ede3"),
     "radial-shoot --n 5 --k 2 --h 1e-3": (0, "00224f852f7e9db5a405470b11ee38916c28cfab2160a13e9d34a4d7f973675e"),
-    "solve-yamabe --n 5 --k 2 --N 64 --scheme spectral": (0, "a2d72fb9a6b2f7dc0d13923b8454bd2110304582b4e2eb833cde84ebe7240190"),
-    "solve-yamabe --n 5 --k 2 --N 64 --scheme fd4": (0, "636ff6abfdc0fc71bc684d87ae8009775839584ce50ba2937d26e46a1687cc58"),
+    "solve-yamabe --n 5 --k 2 --N 64 --scheme spectral": (0, "60d8d6718fce218616d3fb337a078cca344d5219580a20096d0e37e0feaa4ecf"),
+    "solve-yamabe --n 5 --k 2 --N 64 --scheme fd4": (0, "e3837193fc73e0da327926dc1684ebbf753b6b4fb2a759b03a5a63b28e555dd8"),
     "verify-liouville --family halfspace --n 4 --c 0.9 --xn 0.45": (0, "aeb6dd2a6d6969b614f1cf2af01c57f2bef817c3e93c6fac6da4f30d946280e9"),
     "radial-shoot --n 5 --k 2 --v0 1.0 --h 1e-4": (0, "d0abc42155901a4d7790a5b0b4c7134ea2814cd236b266790986db6e0fca4197"),
     "moving-sphere --task sweep --beta 4.0 --emit-sweep-csv": (0, "fab198534954afd34fab53a2f9d65892b45d058783bb1f1409af43276ddfbf4f"),
     "harnack --n 3 --R 1.0 --delta 1.0": (0, "b492d07f2772d518031157b657ff35678e6993368640a8f6219821eb2fe34ac8"),
-    "solve-yamabe --n 5 --k 2 --N 64 --t-steps 11": (0, "a2d72fb9a6b2f7dc0d13923b8454bd2110304582b4e2eb833cde84ebe7240190"),
+    "solve-yamabe --n 5 --k 2 --N 64 --t-steps 11": (0, "60d8d6718fce218616d3fb337a078cca344d5219580a20096d0e37e0feaa4ecf"),
     "conjugation-test --word 'translate:0.1,0,-0.2;scale:1.3;invert'": (0, "b662df760a3ff3768541d0237fa540b872b17459b64a0de11c2bdbf19d395cf5"),
 }
 
@@ -85,12 +85,12 @@ PINNED_ARTIFACTS = {
         "profile.csv": "b48405635e5434790cca86909a3f311a1c98209c1cb11a914ec27e37bc74e28e",
     },
     "solve-yamabe --n 5 --k 2 --N 64 --scheme spectral --format both": {
-        "grid.csv": "375f63feb525f17f50ed8ae8b36fc386075848a28a09559cc8540f4c8fa08290",
-        "trace.jsonl": "64e5cf2d1d927dc11911ef0505f4e057469b8b88510dd3d5e13ab56f92c21dec",
+        "grid.csv": "a8c32de0141545832e6e0282bdd58226a882453079b30f0e3b2bd0337b5b8c70",
+        "trace.jsonl": "8343855542356f56dac834dcccdc0682e6051b0a2a9570d2db95dc77deb290b3",
     },
     "solve-yamabe --n 5 --k 2 --N 64 --scheme fd4 --format both": {
-        "grid.csv": "375f63feb525f17f50ed8ae8b36fc386075848a28a09559cc8540f4c8fa08290",
-        "trace.jsonl": "fa88271c2b5c4d096bec2d6ae9c4bf3407853b342bc47e7005e59312f0ab811e",
+        "grid.csv": "a8c32de0141545832e6e0282bdd58226a882453079b30f0e3b2bd0337b5b8c70",
+        "trace.jsonl": "aedc7cc6055a80cb0c723126d958ff30d29ad7e7c97fb47ec3cedb3effa1b02f",
     },
     "moving-sphere --task sweep --beta 4.0 --emit-sweep-csv": {
         "sweep.csv": "7c984aff69a4da9025e61749e96f31aa87ca5c5ffaa4e2b7bd5faaeb328b7c36",

@@ -47,7 +47,7 @@ def test_bench_layers_script_help():
     # imports cli._h_catalog and the moving-sphere and cones APIs
     proc = run_script("bench_layers.py", "--help")
     assert proc.returncode == 0, proc.stderr
-    assert "{cli,cones,moving-sphere,radial}" in proc.stdout
+    assert "{cli,cones,moving-sphere,radial,yamabe}" in proc.stdout
 
 
 def test_bench_layers_times_the_checks_workload():
@@ -58,6 +58,22 @@ def test_bench_layers_times_the_checks_workload():
     argvs = [tuple(argv) for argv in json.loads(proc.stdout)]
     assert set(pass_argvs("checks")) <= set(argvs)
     assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+
+
+def test_bench_layers_yamabe_suite_times_the_yamabe_workload():
+    # L3 solves and continues on every argv of the yamabe pass, and reads
+    # every flag that argv sets
+    code = "import json, sys, bench_layers; json.dump(bench_layers.YAMABE_CASES, sys.stdout)"
+    proc = run_python("-c", code, path=[str(ROOT / "scripts")])
+    assert proc.returncode == 0, proc.stderr
+    want = []
+    for argv in pass_argvs("yamabe"):
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        assert argv[0] == "solve-yamabe"
+        assert set(opts) == {"--n", "--k", "--N", "--scheme", "--L", "--t-steps", "--tol"}
+        want.append([int(opts["--n"]), int(opts["--k"]), int(opts["--N"]), opts["--scheme"],
+                     float(opts["--L"]), int(opts["--t-steps"]), float(opts["--tol"])])
+    assert json.loads(proc.stdout) == want
 
 
 def test_bench_layers_requires_out():

@@ -12,7 +12,7 @@ import pytest
 
 import conforma
 from conforma import yamabe
-from conforma.cones import homogenize, make_sigma_k_operator
+from conforma.cones import homogenize, make_sigma_k_operator, two_cluster_kernel
 from conforma.errors import ConeError, ConvergenceError, DomainError
 from conforma.yamabe import (
     PeriodicGrid,
@@ -29,9 +29,11 @@ from conforma.yamabe import (
     residual,
 )
 from helpers import (
+    continuation_previous_start,
     eigen_partials,
     homotopy_operator,
     jacobian_coefficients_loop,
+    load_workloads,
     min_cone_margin_loop,
     product_eigenvalues,
     residual_loop,
@@ -458,8 +460,14 @@ def test_degenerate_linearisation_at_schoen_length(n):
     for scale, negative in ((0.97, 1), (1.03, 3)):
         res = continuation(op, L=scale * l_star, N=N, t_steps=11, tol=1e-10)
         assert res.status == "ok", res.failure
-        assert res.steps[-1].negative_modes == negative
-        assert res.steps[-1].symbol_ratio > 1e-6
+        # the endpoint's own linearisation: at n = 6 the stage constant c_t
+        # is affine in t, so from t = 0.2 on the predicted start meets tol
+        # and those stages take no Newton step and report no symbol
+        ratio, count, _ = yamabe._symbol_report(jacobian(op, res.final).circulant_symbol())
+        assert count == negative and ratio > 1e-6
+        linearised = [s for s in res.steps if s.iterations]
+        assert linearised and all(s.negative_modes == negative for s in linearised)
+        assert all(s.symbol_ratio > 1e-6 for s in linearised)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -630,6 +638,110 @@ def test_continuation_semilinear_iteration_counts():
     assert res.status == "ok"
     assert res.steps[0].iterations == 0  # exact start at t = 0
     assert all(s.iterations <= 6 for s in res.steps)
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+@pytest.mark.parametrize("n,k", [(5, 1), (5, 2), (7, 3)])
+def test_every_stage_solution_is_the_closed_form_constant(monkeypatch, n, k, scheme):
+    # on the constant branch the stage-t solution is the constant
+    # c_t = f_t(-1/2, 1/2^(n-1))^((n-2)/4), f_t homogeneous of degree 1:
+    # a predicted start that drifted off the branch would end elsewhere
+    op = make_sigma_k_operator(n, k)
+    stages = []
+    solve = yamabe.newton_solve
+
+    def recorded(op, g0, tol, t, records):
+        g = solve(op, g0, tol=tol, t=t, records=records)
+        stages.append((t, g.values))
+        return g
+
+    monkeypatch.setattr(yamabe, "newton_solve", recorded)
+    res = continuation(op, L=L, N=N, t_steps=11, tol=1e-10, scheme=scheme)
+    assert res.status == "ok", res.failure
+    assert [t for t, _ in stages] == res.t_values
+    for t, values in stages:
+        c_t = two_cluster_kernel(k, t, n - 1, -0.5, 0.5)[0] ** (0.25 * (n - 2))
+        assert np.max(np.abs(values - c_t)) <= 1e-9 * c_t, t
+
+
+def _sweep():
+    for n, k in WORKLOAD_NK:
+        yield make_sigma_k_operator(n, k), L
+    for n in (5, 6):
+        l_star = 2.0 * np.pi / np.sqrt(n - 2.0)
+        for scale in (0.97, 1.03):
+            yield make_sigma_k_operator(n, 1), scale * l_star
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+@pytest.mark.parametrize("t_steps", [2, 3, 6, 11])
+def test_predicted_path_ends_where_the_previous_start_does(t_steps, scheme):
+    # the start changes the Newton iterates, not where a stage ends
+    for op, length in _sweep():
+        res = continuation(op, L=length, N=N, t_steps=t_steps, tol=1e-10, scheme=scheme)
+        ref = continuation_previous_start(op, L=length, N=N, t_steps=t_steps, tol=1e-10,
+                                          scheme=scheme)
+        assert res.status == ref.status, (op.name, length)
+        assert np.max(np.abs(res.final.values - ref.final.values)) <= 1e-8
+
+
+def test_predicted_start_cuts_workload_newton_iterations():
+    # the distinct argvs of every yamabe workload subset: the predicted
+    # starts take at most 0.7 of the previous start's Newton iterations
+    workloads = load_workloads()
+    argvs = dict.fromkeys(it.argv for seed in range(len(workloads._yamabe()))
+                          for it in workloads.build("yamabe", seed))
+    ours = prior = 0
+    for argv in argvs:
+        def flag(name):
+            return argv[argv.index(name) + 1]
+
+        op = make_sigma_k_operator(int(flag("--n")), int(flag("--k")))
+        args = (op, float(flag("--L")), int(flag("--N")), int(flag("--t-steps")),
+                float(flag("--tol")), flag("--scheme"))
+        res, ref = continuation(*args), continuation_previous_start(*args)
+        assert res.status == ref.status == "ok", argv
+        assert np.max(np.abs(res.final.values - c_star(op))) <= 1e-12
+        ours += sum(s.iterations for s in res.steps)
+        prior += sum(s.iterations for s in ref.steps)
+    assert len(argvs) == 24
+    assert ours <= 0.7 * prior, (ours, prior)
+
+
+def test_predicted_start_extrapolates_the_last_three_stages():
+    g = constant_grid(1.0)
+    x = g.nodes()
+
+    def u(t):
+        return 2.0 + t * np.sin(2.0 * np.pi * x / L) + t * t
+
+    path = [(t, g.with_values(u(t))) for t in (0.0, 0.1, 0.2, 0.3)]
+    # one stage gives itself, two the secant, three the quadratic, which is
+    # exact on a path quadratic in t; older stages are not used
+    assert yamabe.predicted_start(path[:1], 0.1).values.tolist() == u(0.0).tolist()
+    secant = 2.0 + 0.2 * np.sin(2.0 * np.pi * x / L) + 0.02
+    assert np.max(np.abs(yamabe.predicted_start(path[:2], 0.2).values - secant)) <= 1e-14
+    assert np.max(np.abs(yamabe.predicted_start(path, 0.4).values - u(0.4))) <= 1e-13
+    assert yamabe.predicted_start(path, 0.4).L == L
+
+
+def test_non_positive_prediction_starts_from_the_last_solution():
+    # the secant through 1 at t = 0 and 0.5 at t = 0.1 is -0.5 at t = 0.3:
+    # no grid, so the stage starts from the last accepted solution
+    g = constant_grid(1.0)
+    path = [(0.0, g), (0.1, g.with_values(np.full(N, 0.5)))]
+    assert yamabe.predicted_start(path, 0.3) is path[-1][1]
+    # one node at zero is enough; at 0.2 the prediction is the start
+    for node, start in ((0.5, None), (0.6, 0.2)):
+        values = np.full(N, 0.75)
+        values[3] = node
+        path = [(0.0, g), (0.5, g.with_values(values))]
+        got = yamabe.predicted_start(path, 1.0)
+        if start is None:
+            assert got is path[-1][1]
+        else:
+            assert got.values[3] == pytest.approx(start, rel=1e-14)
+            assert np.all(got.values[np.arange(N) != 3] == 0.5)
 
 
 def test_solution_translation_equivariance():
