@@ -6,8 +6,9 @@ and prints one line per path step: the residual of the step's start (the
 extrapolated path, from its iteration-0 record), Newton and Krylov
 iterations, final residual, worst cone margin, and the smallest
 |mu_j|/max|mu_j| and negative mode count of the last Newton step's
-circulant preconditioner ("-" for a step that needed no Newton step). Then
-it prints the endpoint's deviation from the constant branch value c*.
+circulant preconditioner (of the start itself for a step that needed no
+Newton step; "-" for the t = 0 step from its exact start). Then it prints
+the endpoint's deviation from the constant branch value c*.
 
     PYTHONPATH=src python scripts/continuation_trace.py --n 5 --k 1 --L 3.5
 """

@@ -413,6 +413,22 @@ def _restore_admissibility(
     return g, evaluate(op, g, t), s
 
 
+def _checked_symbol(J: Linearisation, g: PeriodicGrid, it: int) -> tuple[np.ndarray, float, int]:
+    """(mu, ratio, negative modes) of the node-mean circulant of J at the
+    Newton iterate g; raises ConvergenceError naming the mode when the
+    linearisation is degenerate (ratio below DEGENERATE_SYMBOL_RATIO)."""
+    mu = J.circulant_symbol()
+    ratio, negative, mode = _symbol_report(mu)
+    if not ratio >= DEGENERATE_SYMBOL_RATIO:
+        raise ConvergenceError(
+            f"degenerate linearisation at iteration {it}: circulant mode "
+            f"j={mode} has |mu|/max|mu| = {ratio:.3e} "
+            f"< {DEGENERATE_SYMBOL_RATIO:g} (L = {g.L:g}, N = {g.N})",
+            iterate=g,
+        )
+    return mu, ratio, negative
+
+
 def newton_solve(
     op: CurvatureOperator,
     g0: PeriodicGrid,
@@ -437,7 +453,10 @@ def newton_solve(
     Krylov iteration count and _symbol_report of that circulant. When its
     symbol ratio is below DEGENERATE_SYMBOL_RATIO the linearisation is
     degenerate (e.g. at Schoen's length L* for k = 1) and a ConvergenceError
-    names the mode instead of dividing by it.
+    names the mode instead of dividing by it. A start at t > 0 that already
+    meets tol takes no step but gets the same check on its own linearisation,
+    reported on the iteration-0 record; at t = 0 (the semilinear problem
+    whose constant_start is exact) that record carries no symbol.
 
     Backtracking halves the step while the 2-norm of the residual does not
     decrease, down to step factor 1e-4; iterates are clipped to stay above
@@ -460,6 +479,11 @@ def newton_solve(
     floor = 0.1 * float(np.min(g.values))
     norms = [_norm(r)]
     r_inf = float(np.max(np.abs(r)))
+    ratio = negative = None
+    if r_inf <= tol and t > 0:
+        # a start that already solves stage t > 0 takes no step; its own
+        # linearisation is checked and reported in the step's place
+        _, ratio, negative = _checked_symbol(J, g, 0)
     if records is not None:
         records.append(
             NewtonRecord(
@@ -468,6 +492,8 @@ def newton_solve(
                 residual_inf=r_inf,
                 step_norm=0.0,
                 min_cone_margin=margin,
+                symbol_ratio=ratio,
+                negative_modes=negative,
                 restoration=restoration,
             )
         )
@@ -486,15 +512,7 @@ def newton_solve(
                 f"(residual {r_inf:.3e})",
                 iterate=g,
             )
-        mu = J.circulant_symbol()
-        ratio, negative, mode = _symbol_report(mu)
-        if not ratio >= DEGENERATE_SYMBOL_RATIO:
-            raise ConvergenceError(
-                f"degenerate linearisation at iteration {it}: circulant mode "
-                f"j={mode} has |mu|/max|mu| = {ratio:.3e} "
-                f"< {DEGENERATE_SYMBOL_RATIO:g} (L = {g.L:g}, N = {g.N})",
-                iterate=g,
-            )
+        mu, ratio, negative = _checked_symbol(J, g, it)
         try:
             step, krylov = gmres(J, -r, mu)
         except ConvergenceError as exc:
@@ -632,8 +650,9 @@ def continuation(
     record of a step is the residual of its predicted start. The trace
     carries every Newton iteration; a failed step truncates the path with
     diagnostics instead of guessing. Each step's summary comes from its
-    last Newton record; symbol_ratio and negative_modes are None for a step
-    whose start already met tol.
+    last Newton record, so a step whose predicted start already met tol
+    reports the symbol of that start's linearisation; symbol_ratio and
+    negative_modes are None only for a t = 0 step whose start met tol.
     """
     if t_steps < 2:
         raise DomainError("t_steps must be at least 2")

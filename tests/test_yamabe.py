@@ -460,14 +460,33 @@ def test_degenerate_linearisation_at_schoen_length(n):
     for scale, negative in ((0.97, 1), (1.03, 3)):
         res = continuation(op, L=scale * l_star, N=N, t_steps=11, tol=1e-10)
         assert res.status == "ok", res.failure
-        # the endpoint's own linearisation: at n = 6 the stage constant c_t
-        # is affine in t, so from t = 0.2 on the predicted start meets tol
-        # and those stages take no Newton step and report no symbol
-        ratio, count, _ = yamabe._symbol_report(jacobian(op, res.final).circulant_symbol())
-        assert count == negative and ratio > 1e-6
-        linearised = [s for s in res.steps if s.iterations]
-        assert linearised and all(s.negative_modes == negative for s in linearised)
-        assert all(s.symbol_ratio > 1e-6 for s in linearised)
+        assert res.steps[-1].negative_modes == negative
+        assert res.steps[-1].symbol_ratio > 1e-6
+
+
+def test_a_start_that_meets_tol_still_checks_its_linearisation():
+    # (6, 1): c_t is affine in t, so from t = 0.2 on the secant start meets
+    # tol; those stages take no step and report their start's symbol
+    op = make_sigma_k_operator(6, 1)
+    l_star = 2.0 * np.pi / np.sqrt(6 - 2.0)
+    res = continuation(op, L=0.97 * l_star, N=N, t_steps=11, tol=1e-10)
+    assert res.status == "ok", res.failure
+    exact = [s for s in res.steps[1:] if s.iterations == 0]
+    assert len(exact) >= 8
+    for step in exact:
+        [rec] = [rec for rec in res.records if rec.t == step.t]
+        assert step.symbol_ratio == rec.symbol_ratio > 1e-6
+        assert step.negative_modes == rec.negative_modes == 1
+    # the exact constant at L* itself is a degenerate solution: refused at
+    # iteration 0 rather than returned
+    g = PeriodicGrid(L=l_star, values=np.full(N, c_star(op)))
+    with pytest.raises(ConvergenceError, match="degenerate linearisation at iteration 0: circulant mode j=1 "):
+        newton_solve(op, g, tol=1e-10)
+    # at t = 0 the exact start reports no symbol
+    records = []
+    newton_solve(op, g.with_values(np.full(N, constant_start(op))), tol=1e-10, t=0.0,
+                 records=records)
+    assert [rec.symbol_ratio for rec in records] == [None]
 
 
 @pytest.mark.parametrize("n", [5, 6])
