@@ -13,8 +13,8 @@ homogenize pairs and the yamabe pass's argvs.
   --k 2 --N 64`, each at --seed 0): the wall time of one `cli.main` call,
   its handler time (`timing_seconds` of `manifest.json`) and their
   difference, the CLI's own cost (parser, argument digest, writing
-  result.json and manifest.json); and the wall time of the tier-1 suite.
-  Only this suite times commands.
+  result.json and manifest.json), with the argvs called round-robin; and
+  the wall time of the tier-1 suite. Only this suite times commands.
 
 --suite cones:
 
@@ -217,24 +217,13 @@ def ms_layer3(repeats):
     }
 
 
-def cli_times(argv, repeats):
-    """The wall time of main(argv), its handler time and their difference."""
-    walls, handlers = [], []
-    with tempfile.TemporaryDirectory() as tmp:
-        for i in range(repeats + 1):
-            out = Path(tmp) / str(i)
-            with contextlib.redirect_stderr(io.StringIO()):
-                t0 = time.perf_counter()
-                main(argv + ["--output-dir", str(out)])
-                walls.append(time.perf_counter() - t0)
-            handlers.append(json.loads((out / "manifest.json").read_text())["timing_seconds"])
-    # the first run pays for lazy imports
-    columns = {
-        "wall_s": walls[1:],
-        "handler_s": handlers[1:],
-        "overhead_s": [w - h for w, h in zip(walls[1:], handlers[1:])],
-    }
-    return {key: {"median_s": statistics.median(v), "samples": v} for key, v in columns.items()}
+def cli_call(argv, out):
+    """The wall time of one main(argv) call writing to out, and its handler time."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        t0 = time.perf_counter()
+        main(argv + ["--output-dir", str(out)])
+        wall = time.perf_counter() - t0
+    return wall, json.loads((out / "manifest.json").read_text())["timing_seconds"]
 
 
 def acceptance(name, repeats):
@@ -366,8 +355,30 @@ CLI_ARGVS = [list(a) for a in pass_argvs("checks")] + [
 ]
 
 
+# Kept rounds per repeat of the cli suite; a round is one call of every argv.
+CLI_ROUNDS = 8
+
+
 def cli_layer4(repeats):
-    out = {" ".join(argv): cli_times(argv + ["--seed", "0"], repeats * 4) for argv in CLI_ARGVS}
+    """Per argv, the wall time of a main call, its handler time and their
+    difference, over repeats * CLI_ROUNDS rounds; and the tier-1 wall time.
+
+    The argvs take turns, one call each per round, so a slow host phase
+    spreads over every argv's samples instead of filling one argv's. The
+    first round pays for lazy imports and is dropped.
+    """
+    calls = {" ".join(argv): [] for argv in CLI_ARGVS}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(repeats * CLI_ROUNDS + 1):
+            for j, (key, argv) in enumerate(zip(calls, CLI_ARGVS)):
+                calls[key].append(cli_call(argv + ["--seed", "0"], Path(tmp) / f"{i}-{j}"))
+    out = {}
+    for key, timings in calls.items():
+        walls, handlers = (list(col) for col in zip(*timings[1:]))
+        columns = {"wall_s": walls, "handler_s": handlers,
+                   "overhead_s": [w - h for w, h in zip(walls, handlers)]}
+        out[key] = {name: {"median_s": statistics.median(v), "samples": v}
+                    for name, v in columns.items()}
     out["tier1"] = tier1()
     return out
 

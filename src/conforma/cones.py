@@ -93,11 +93,11 @@ class GammaKCone:
 class CurvatureOperator:
     """Symmetric operator f together with its admissibility cone.
 
-    sigma_order is k when f is sigma_k^{1/k} on Gamma_k (set by
-    make_sigma_k_operator), which licenses the closed forms through
-    sigma_k_order; None otherwise. takes_rows is True when f and grad_f
-    also take an (m, n) array of rows and return the m values (gradients) of
-    m one-vector calls, raising ConeError when a row is off the cone.
+    f and grad_f take one vector, or an (m, n) array of rows and return the
+    m values (gradients) of m one-vector calls, raising ConeError when a row
+    is off the cone. sigma_order is k when f is sigma_k^{1/k} on Gamma_k
+    (set by make_sigma_k_operator), which licenses the closed forms through
+    sigma_k_order; None otherwise.
     """
 
     name: str
@@ -106,7 +106,6 @@ class CurvatureOperator:
     cone: GammaKCone
     homogeneous_degree: Optional[float] = None
     sigma_order: Optional[int] = None
-    takes_rows: bool = False
 
     @property
     def n(self) -> int:
@@ -178,7 +177,6 @@ def make_sigma_k_operator(n: int, k: int) -> CurvatureOperator:
         cone=cone,
         homogeneous_degree=1.0,
         sigma_order=k,
-        takes_rows=True,
     )
 
 
@@ -354,9 +352,8 @@ def solve_unit_level(fn: Callable[[np.ndarray], object], lam, tol: float = 1e-12
 def homogenize(op: CurvatureOperator) -> CurvatureOperator:
     """Degree-1 operator with the same unit level set as op.
 
-    f_tilde(lam) = 1/phi(lam) where phi solves f(phi*lam) = 1; f_tilde takes
-    (m, n) rows, solving every ray in one solve_unit_level call, whenever
-    op.f takes rows.
+    f_tilde(lam) = 1/phi(lam) where phi solves f(phi*lam) = 1; on (m, n)
+    rows every ray is solved in one solve_unit_level call.
     """
 
     def phi(lam):
@@ -367,10 +364,9 @@ def homogenize(op: CurvatureOperator) -> CurvatureOperator:
 
     def grad_f(lam):
         arr = np.asarray(lam, dtype=float)
-        s = phi(arr)
+        s = np.expand_dims(phi(arr), -1)
         g = np.asarray(op.grad_f(s * arr), dtype=float)
-        denom = s * float(np.dot(g, arr))
-        return g / denom
+        return g / (s * np.vecdot(g, arr)[..., None])
 
     return CurvatureOperator(
         name=f"{op.name}_deg1",
@@ -393,24 +389,24 @@ def sample_cone_directions(rng: np.random.Generator, n: int, count: int) -> np.n
     return dirs * scales[:, None]
 
 
-def _evaluate(fn, rows, batched, shape=()):
-    """fn on every row: the values, nan where fn raised ConeError, and the
-    mask of the rows it evaluated.
+def _evaluate(fn, rows, shape=()):
+    """fn on every row: the values, nan where fn raised ConeError or
+    ConvergenceError, and the mask of the rows it evaluated.
 
-    A batched fn takes all rows in one call; when that call raises ConeError
-    the rows are taken one at a time, so that an off-cone row drops out alone.
+    fn takes all rows in one call; when that call raises, the rows are taken
+    one at a time, so that an off-cone (or unsolved) row drops out alone.
     """
-    if batched and len(rows):
+    if len(rows):
         try:
             return np.asarray(fn(rows), dtype=float), np.ones(len(rows), dtype=bool)
-        except ConeError:
+        except (ConeError, ConvergenceError):
             pass
     vals = np.full((len(rows),) + shape, np.nan)
     ok = np.zeros(len(rows), dtype=bool)
     for i, row in enumerate(rows):
         try:
             vals[i] = fn(row)
-        except ConeError:
+        except (ConeError, ConvergenceError):
             continue
         ok[i] = True
     return vals, ok
@@ -482,13 +478,13 @@ def validate_operator(
     exceptions.
 
     Each check evaluates all its samples in one call of op.f, op.grad_f or
-    op.cone.contains on rows (op.f and op.grad_f one row per call unless
-    op.takes_rows), and keeps the witness a loop over its samples keeps: the
-    first sample whose value exceeds the worst so far. A sample where op.f
-    or op.grad_f raises ConeError drops out; a check's evidence is the count
-    of samples (pairs, members, boundary points) it evaluated. A maximum over
-    one sample's values is np.fmax's: a nan value is skipped unless every
-    value is nan.
+    op.cone.contains on rows, and keeps the witness a loop over its samples
+    keeps: the first sample whose value exceeds the worst so far. A sample
+    where op.f or op.grad_f raises ConeError or ConvergenceError (a ray
+    solve of a homogenized f that fails) drops out; a check's evidence is
+    the count of samples (pairs, members, boundary points) it evaluated. A
+    maximum over one sample's values is np.fmax's: a nan value is skipped
+    unless every value is nan.
     """
     rng = make_rng(seed)
     n = op.cone.n
@@ -497,7 +493,7 @@ def validate_operator(
     checks = {}
 
     def f(rows):
-        return _evaluate(op.f, rows, op.takes_rows)
+        return _evaluate(op.f, rows)
 
     def f_grid(points):
         """f on an (h, K, n) array: (h, K) values and mask."""
@@ -519,7 +515,7 @@ def validate_operator(
         )
 
         # gradient positivity (hypothesis: components of grad f positive on the cone)
-        g, ok = _evaluate(op.grad_f, samples, op.takes_rows, (n,))
+        g, ok = _evaluate(op.grad_f, samples, (n,))
         fields = _first_worst(-g.min(axis=1), ok, -math.inf, samples)
         checks["gradient_positivity"] = Check(
             fields["worst_violation"] < 0.0, int(ok.sum()), fields

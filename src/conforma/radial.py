@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubbles import BubbleParams, bubble_values
-from .cones import CurvatureOperator, gamma_k_check, mu_star, sigma_k_order, sigma_rows
+from .cones import CurvatureOperator, mu_star, sigma_k_order
 from .errors import ConeError, DomainError, PositivityError
 
 # Most RK4 steps one shot may take (r_max / h). A step (four slope calls)
@@ -50,19 +50,21 @@ def _coefficients(n: int) -> tuple:
     )
 
 
-def _check_nodes(v, vp, vpp, r) -> None:
-    """Raise for the first node radial_eigenvalues refuses: a negative
-    radius, center data with v'(0) != 0, or a value v that is not positive."""
+def _refusal(v, vp, vpp, r) -> tuple:
+    """(i, error) for the first node i radial_eigenvalues refuses: a
+    negative radius, center data with v'(0) != 0, or a value v that is not
+    positive; (len(r), None) when it refuses none."""
     negative = r < 0
     center = (r == 0.0) & (np.abs(vp) > 1e-12 * np.maximum(1.0, np.abs(vpp)))
     faults = np.flatnonzero(negative | center | ~(v > 0.0))
-    if faults.size:
-        i = faults[0]
-        if negative[i]:
-            raise DomainError(f"radius r = {r[i]:g} is negative")
-        if center[i]:
-            raise DomainError(f"center data inconsistent: v'(0) = {vp[i]:.6g} must vanish")
-        raise PositivityError(f"profile value v = {v[i]:.6g} is not positive")
+    if not faults.size:
+        return len(r), None
+    i = faults[0]
+    if negative[i]:
+        return i, DomainError(f"radius r = {r[i]:g} is negative")
+    if center[i]:
+        return i, DomainError(f"center data inconsistent: v'(0) = {vp[i]:.6g} must vanish")
+    return i, PositivityError(f"profile value v = {v[i]:.6g} is not positive")
 
 
 def _eigenvalue_rows(v, vp, vpp, r, n: int) -> np.ndarray:
@@ -88,7 +90,9 @@ def radial_eigenvalues(v: float, vp: float, vpp: float, r: float, n: int) -> np.
     if n < 3:
         raise DomainError("radial eigenvalues need n >= 3")
     node = np.array([[v], [vp], [vpp], [r]], dtype=float)
-    _check_nodes(*node)
+    _, refused = _refusal(*node)
+    if refused is not None:
+        raise refused
     return _eigenvalue_rows(*node, n)[0]
 
 
@@ -299,37 +303,25 @@ def bubble_deviation(profile: RadialProfile, params: BubbleParams) -> float:
     return float(np.max(slab_worst, initial=0.0))
 
 
-def _slab_unit_residual(k: int, n: int, v, vp, vpp, r) -> float:
-    """max |sigma_k^{1/k} - 1| over one slab of nodes; raises for the first
-    node of the slab that is refused or off Gamma_k."""
-    lam = _eigenvalue_rows(v, vp, vpp, r, n)
-    sig = sigma_rows(lam, k)
-    off = np.flatnonzero(~np.all(sig > 0.0, axis=0))
-    last = off[0] + 1 if off.size else len(r)
-    _check_nodes(v[:last], vp[:last], vpp[:last], r[:last])
-    if off.size:
-        gamma_k_check(k, sig[:, off[0]].tolist(), lam[off[0]])
-    return float(np.max(np.abs(sig[-1] ** (1.0 / k) - 1.0), initial=0.0))
-
-
 def profile_max_unit_residual(op: CurvatureOperator, profile: RadialProfile) -> float:
     """max over nodes of |f(lam) - 1| along the integrated profile.
 
-    Array passes over the profile, independent of the closed-form slope:
-    sigma_1..sigma_k of the (nodes, n) eigenvalue rows come from
-    cones.sigma_rows, the recurrence of cones.sigma_all over sorted rows.
-    The first node refused by radial_eigenvalues or off Gamma_k raises what
-    a node-by-node evaluation of op.f would. A pass takes RESIDUAL_SLAB
-    nodes, so the temporaries stay small at any step count shoot accepts.
+    op.f on the (nodes, n) eigenvalue rows, so the check does not rest on
+    the closed-form slope it checks, RESIDUAL_SLAB nodes per call, so the
+    temporaries stay small at any step count shoot accepts. Raises what a
+    node-by-node evaluation of op.f would: op.f's ConeError for the first
+    off-cone node ahead of the first node radial_eigenvalues refuses, else
+    that refusal.
     """
-    k = sigma_k_order(op, "closed-form unit residual")
     worst = 0.0
     for lo in range(0, len(profile.r), RESIDUAL_SLAB):
-        nodes = slice(lo, lo + RESIDUAL_SLAB)
-        worst = max(worst, _slab_unit_residual(
-            k, profile.n, profile.v[nodes], profile.vp[nodes], profile.vpp[nodes],
-            profile.r[nodes],
-        ))
+        v, vp, vpp, r = (x[lo : lo + RESIDUAL_SLAB]
+                         for x in (profile.v, profile.vp, profile.vpp, profile.r))
+        last, refused = _refusal(v, vp, vpp, r)
+        vals = op.f(_eigenvalue_rows(v[:last], vp[:last], vpp[:last], r[:last], profile.n))
+        if refused is not None:
+            raise refused
+        worst = max(worst, float(np.max(np.abs(vals - 1.0), initial=0.0)))
     return worst
 
 

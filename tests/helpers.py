@@ -1169,7 +1169,9 @@ def boundary_point_loop(op, rng, lam):
 def validate_operator_loop(op, sample_count=500, seed=0):
     """cones.validate_operator one sample, and one one-vector call of op.f,
     op.grad_f or op.cone.contains, at a time: the reference for the checks
-    on rows. Unlike them it passes a check with no sample evaluated: its
+    on rows. A sample where op.f or op.grad_f raises ConeError or
+    ConvergenceError is not evaluated, as there. Unlike them it passes a
+    check with no sample evaluated: its
     evidence counts the samples a check visits, where theirs counts the ones
     it evaluates (midpoint concavity counts its evaluated pairs in both)."""
 
@@ -1187,7 +1189,7 @@ def validate_operator_loop(op, sample_count=500, seed=0):
         perm = rng.permutation(n)
         try:
             d = abs(op.f(lam) - op.f(lam[perm]))
-        except ConeError:
+        except (ConeError, ConvergenceError):
             continue
         if d > worst:
             worst, witness = d, list(lam)
@@ -1198,7 +1200,7 @@ def validate_operator_loop(op, sample_count=500, seed=0):
     for lam in samples:
         try:
             g = np.asarray(op.grad_f(lam), dtype=float)
-        except ConeError:
+        except (ConeError, ConvergenceError):
             continue
         v = float(-g.min())
         if v > worst:
@@ -1212,7 +1214,7 @@ def validate_operator_loop(op, sample_count=500, seed=0):
         try:
             fl, fm = op.f(lam), op.f(mu)
             fmid = op.f(0.5 * (lam + mu))
-        except ConeError:
+        except (ConeError, ConvergenceError):
             continue
         pairs += 1
         unit = max(1.0, abs(fl), abs(fm))
@@ -1230,7 +1232,7 @@ def validate_operator_loop(op, sample_count=500, seed=0):
     for lam in head:
         try:
             vals = [op.f(s * lam) for s in s_grid]
-        except ConeError:
+        except (ConeError, ConvergenceError):
             continue
         v = max(
             (vals[j] - vals[j + 1]) for j in range(len(vals) - 1)
@@ -1282,7 +1284,7 @@ def validate_operator_loop(op, sample_count=500, seed=0):
             lam_in = lam
         try:
             seq = [op.f(bpt + e * (lam_in - bpt)) for e in eps_grid]
-        except ConeError:
+        except (ConeError, ConvergenceError):
             seq = [math.nan]
         # an off-cone segment point, or an f that is not positive and finite,
         # fails the check at that boundary point
@@ -1306,7 +1308,7 @@ def validate_operator_loop(op, sample_count=500, seed=0):
                     v = abs(op.f(s * lam) - s**d * f1) / max(1e-30, abs(s**d * f1))
                     if v > worst:
                         worst, witness = v, list(lam)
-            except ConeError:
+            except (ConeError, ConvergenceError):
                 continue
         checks["degree_homogeneity"] = check(worst <= 1e-9, len(head), worst, witness)
 

@@ -161,6 +161,31 @@ def test_bench_layers_pads_every_side_run(monkeypatch):
     assert len(set(lengths)) == len(lengths)
 
 
+def test_bench_layers_cli_calls_take_turns(monkeypatch, tmp_path):
+    # one call of every argv per round, the first round dropped, so a slow
+    # host phase reaches every argv's samples alike
+    bench_layers = load_bench_layers(monkeypatch)
+    calls = []
+
+    def main(argv):
+        calls.append(argv[0])
+        out = Path(argv[argv.index("--output-dir") + 1])
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps({"timing_seconds": 0.5 * len(calls)}))
+
+    monkeypatch.setattr(bench_layers, "main", main)
+    monkeypatch.setattr(bench_layers, "tier1", lambda: "tier1")
+    monkeypatch.setattr(bench_layers, "CLI_ARGVS", [["a"], ["b", "--x", "1"], ["c"]])
+    monkeypatch.setattr(bench_layers, "CLI_ROUNDS", 3)
+    reading = bench_layers.cli_layer4(2)
+    assert calls == ["a", "b", "c"] * 7
+    assert list(reading) == ["a", "b --x 1", "c", "tier1"]
+    b = reading["b --x 1"]
+    assert set(b) == {"wall_s", "handler_s", "overhead_s"}
+    assert b["handler_s"]["samples"] == [0.5 * (3 * i + 2) for i in range(1, 7)]
+    assert b["handler_s"]["median_s"] == 0.5 * (3 * 3.5 + 2)
+
+
 def test_bench_layers_verdict_follows_the_compare_rule(monkeypatch):
     # improved needs 9 wins in 10 and medians apart by more than the
     # parent's interquartile range; ties win for neither side
